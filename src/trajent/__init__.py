@@ -27,9 +27,8 @@ from .models import (JumpChannel, Scenario, ValidationReport, bell_state,
                      validate_scenario, with_heterodyne, with_homodyne_shift,
                      with_phase_rotation)
 from .optimize import UnravelingOptimum, optimize_unraveling
-from .quantum_jump import (JumpEvent, TrajectoryRecord, default_dt,
-                           run_ensemble, run_trajectory, step_qj,
-                           survival_probability)
+from .quantum_jump import (JumpEvent, TrajectoryRecord, run_ensemble,
+                           run_trajectory, survival_probability)
 from .rates import (CommonBathCurve, RateReport, analytic_mean_concurrence,
                     common_bath_mean, common_bath_one_jump_pieces,
                     common_bath_vanish_time, kappa_het, kappa_ho, kappa_ho_opt,

@@ -85,9 +85,13 @@ def _grid_args(args) -> tuple[float, float]:
 
 
 def cmd_simulate(args) -> int:
+    unraveling = args.unraveling
+    if unraveling == "qj" and args.dt is not None:
+        raise ConfigError("--dt applies to the qsd unravelings only; the qj "
+                          "engine samples click times exactly and takes no "
+                          "time step")
     s = load_scenario(args.config)
     t_max, grid = _grid_args(args)
-    unraveling = args.unraveling
     log.info("simulate: %s unraveling=%s traj=%d tmax=%g grid=%g seed=%d",
              args.config, unraveling, args.traj, t_max, grid, args.seed)
 
@@ -97,9 +101,8 @@ def cmd_simulate(args) -> int:
         times = grid * np.arange(int(round(t_max / grid)) + 1)
     else:
         if unraveling == "qj":
-            records = run_ensemble(s, t_max, args.traj, dt=args.dt,
-                                   seed=args.seed, record_grid=grid,
-                                   workers=args.threads)
+            records = run_ensemble(s, t_max, args.traj, seed=args.seed,
+                                   record_grid=grid, workers=args.threads)
         else:
             kind = unraveling.split("-", 1)[1]
             records = run_ensemble_qsd(kind, s, t_max, args.traj, dt=args.dt,
@@ -246,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, traj=False):
         sp.add_argument("--config", required=True,
-                        help="scenario description file (JSON)")
+                        help="scenario description file (JSON) or the name "
+                             "of a bundled scenario")
         sp.add_argument("--out", default=None,
                         help="output path ('-' or omitted for stdout)")
 
@@ -254,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dt", type=float, default=None,
-                    help="integration step upper bound (default: automatic)")
+                    help="Euler-Maruyama step upper bound for the qsd "
+                         "unravelings only (default: automatic); an error "
+                         "with qj, whose click times are exact")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--grid", type=float, default=None,
                     help="recording grid spacing (default tmax/100)")

@@ -228,8 +228,15 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario description file."""
+    """Load and validate a scenario file, or a bundled scenario by bare name.
+
+    A name without a directory part that is not an existing file, such as
+    ``thermal_bell``, resolves to the bundled scenario of that name.
+    """
     path = Path(path)
+    if (len(path.parts) == 1 and not path.exists()
+            and path.name.removesuffix(".json") in bundled_scenario_names()):
+        path = bundled_scenario_path(path.name)
     try:
         text = path.read_text()
     except OSError as exc:

@@ -36,7 +36,7 @@ from .entanglement import concurrence_batch
 from .errors import StepSizeError
 from .linalg import dag
 from .models import Scenario
-from .quantum_jump import TrajectoryRecord, _grid, trajectory_rng
+from .quantum_jump import TrajectoryRecord, record_times, trajectory_rng
 
 __all__ = ["MAX_DIFFUSION_STEP", "wiener_increments", "complex_wiener_increments",
            "step_homodyne", "step_heterodyne",
@@ -72,6 +72,18 @@ def _check_scenario(s: Scenario, dt: float) -> None:
     if dt * s.gamma_max > MAX_DIFFUSION_STEP + 1e-15:
         raise StepSizeError(f"dt * gamma_max = {dt * s.gamma_max:.3g} > "
                             f"{MAX_DIFFUSION_STEP}; reduce the diffusion step")
+
+
+def _grid(t_max: float, dt: float,
+          record_grid: float | None) -> tuple[np.ndarray, int, float]:
+    """(record times, substeps per record, actual step); dt is an upper bound."""
+    times = record_times(t_max, record_grid)
+    if record_grid is None:
+        record_grid = t_max / 100.0
+    if not 0 < dt <= record_grid:
+        raise ValueError("need 0 < dt <= record_grid <= t_max")
+    n_sub = max(1, int(np.ceil(record_grid / dt - 1e-9)))
+    return times, n_sub, record_grid / n_sub
 
 
 def _drift_op(s: Scenario) -> np.ndarray:
@@ -122,12 +134,12 @@ def _run_batch_qsd(kind: str, s: Scenario, seeds: list[int], indices: list[int],
     if dt is None:
         dt = 0.5 * MAX_DIFFUSION_STEP / max(s.gamma_max, 1e-30)
         dt = min(dt, record_grid if record_grid is not None else t_max / 100.0)
-    n_rec, n_sub, h = _grid(t_max, dt, record_grid, s)
+    times, n_sub, h = _grid(t_max, dt, record_grid)
     _check_scenario(s, h)
+    n_rec = len(times) - 1
     n_steps = n_rec * n_sub
     b = len(seeds)
     m_ch = len(s.channels)
-    times = (t_max / n_rec) * np.arange(n_rec + 1)
 
     ops = s.lifted_ops
     rates = s.rates

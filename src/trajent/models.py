@@ -32,10 +32,12 @@ __all__ = [
     "preset_photon_counting", "preset_thermal", "preset_dephasing",
     "preset_rotated_thermal", "preset_common_bath",
     "with_homodyne_shift", "with_heterodyne", "with_phase_rotation",
-    "scenario_from_channels", "lindblad_superoperator", "validate_scenario",
+    "scenario_from_channels", "kernel_oscillation", "lindblad_superoperator",
+    "validate_scenario",
 ]
 
 ID4 = np.eye(4, dtype=complex)
+KERNEL_DRIFT_TOL = 1e-10  # largest allowed oscillating coefficient of K(t)
 
 _LOCALITIES = ("A", "B", "joint")
 
@@ -186,10 +188,19 @@ class Scenario:
     def rates(self) -> np.ndarray:
         return np.array([ch.rate for ch in self.channels], dtype=float)
 
-    def lifted_at(self, t: float) -> np.ndarray:
-        if not self.time_dependent:
-            return self.lifted_ops
-        return np.stack([ch.lifted(t) for ch in self.channels])
+    def jump_amplitudes(self, psi: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """J_m(t_b) psi_b for rows psi (B, 4) at times t (B,); shape (B, M, 4).
+
+        A rotating displacement alpha e^{i Omega t} differs from its value at
+        t = 0 by alpha (e^{i Omega t} - 1) times the identity.
+        """
+        out = np.einsum("mij,bj->bmi", self.lifted_ops, psi)
+        if self.time_dependent:
+            alpha = np.array([ch.shift_at(0.0) for ch in self.channels])
+            omega = np.array([ch.het_freq or 0.0 for ch in self.channels])
+            drift = alpha * np.expm1(1j * np.multiply.outer(t, omega))
+            out += drift[:, :, None] * psi[:, None, :]
+        return out
 
     def with_initial(self, psi: np.ndarray) -> "Scenario":
         psi = require_finite(psi, "initial state").reshape(4)
@@ -392,6 +403,28 @@ def with_phase_rotation(s: Scenario, thetas) -> Scenario:
     return replace(s, channels=channels)
 
 
+def kernel_oscillation(s: Scenario) -> float:
+    """Largest coefficient of the time-dependent part of K(t); 0 if static.
+
+    A channel J + alpha e^{i Omega t} adds (gamma/2)(alpha e^{i Omega t} J^dag
+    + h.c.) to K.  Exponentials of distinct frequencies are independent, so K
+    is static exactly when these terms cancel frequency by frequency, as they
+    do for the +/- displacement pairs of `with_heterodyne`.  A channel with
+    Omega < 0 contributes alpha* J at e^{i |Omega| t}.
+    """
+    coeff: dict[float, np.ndarray] = {}
+    for ch in s.channels:
+        if ch.shift is None or not ch.het_freq:
+            continue
+        j = _lift(ch.locality, ch.op)
+        a = complex(ch.shift)
+        term = a * dag(j) if ch.het_freq > 0 else np.conjugate(a) * j
+        w = abs(ch.het_freq)
+        coeff[w] = coeff.get(w, 0.0) + 0.5 * ch.rate * term
+    return max((float(np.max(np.abs(c))) for c in coeff.values()),
+               default=0.0)
+
+
 def lindblad_superoperator(s: Scenario) -> np.ndarray:
     """16x16 generator matrix acting on column-stacked density matrices."""
     h = s.h0
@@ -471,6 +504,12 @@ def validate_scenario(s: Scenario, reference: Scenario | np.ndarray | None = Non
                 v.append("H_eff does not equal H0 - iK")
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             v.append(f"could not diagonalize K: {exc}")
+        drift = kernel_oscillation(s)
+        if drift > KERNEL_DRIFT_TOL:
+            v.append(f"damping kernel K(t) oscillates with amplitude "
+                     f"{drift:.3g}: rotating displacements must come in +/- "
+                     "pairs, because the engines assume a static no-click "
+                     "generator")
 
     if reference is not None and shapes_ok:
         ref_gen = (lindblad_superoperator(reference)

@@ -1,17 +1,27 @@
-"""Jump-counting (photodetection-style) trajectory unraveling.
+"""Jump-counting (photodetection-style) trajectory unraveling, sampled exactly.
 
-Between detector clicks the state follows the damped propagator
-exp(-i H_eff dt) with H_eff = H0 - i K and is renormalized; a click on
-channel m replaces psi by J_m psi / |J_m psi|.  Sampling is first order in
-dt: each step draws a single uniform and compares it against the cumulative
-click probabilities dp_m = gamma_m |J_m psi|^2 dt, so dt must keep
-sum_m dp_m small (enforced hard bound 0.1 per step; the default step keeps
-it at 0.01 for every basis state).
+Between detector clicks the state follows the no-click propagator
+exp(-i H_eff tau) with H_eff = H0 - i K, and its squared norm S(tau) is the
+probability of no click during tau.  H_eff is static in every valid scenario
+(`models.kernel_oscillation`), so click times are sampled exactly by the
+waiting-time method (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): draw a
+threshold r uniform in [0, 1), evolve the unnormalized state, and click when
+S falls to r.  The click goes to channel m with probability proportional to
+gamma_m |J_m(t) psi|^2, and the post-click state J_m psi / |J_m psi| starts a
+new waiting time with a fresh threshold.
+
+There is no time step.  H_eff is diagonalized once per batch and every
+trajectory moves from record point to record point with the closed-form
+propagator.  Only the rows whose norm falls below their threshold inside a
+record interval solve S(tau) = r, by a safeguarded Newton iteration, and only
+there are the (possibly time-dependent) channel operators evaluated.
 
 Reproducibility: trajectory k of a run with master seed s draws all its
-randomness from the dedicated substream SeedSequence(s, spawn_key=(k,)).
-Trajectories are therefore independent of batch layout and worker count, and
-an ensemble is bit-stable for a given (seed, n_traj).
+randomness from the dedicated substream SeedSequence(s, spawn_key=(k,)), in
+blocks of _DRAW_BLOCK uniforms: the first threshold, then per click the
+channel draw and the next threshold.  Trajectories are therefore independent
+of batch layout and worker count, and an ensemble is bit-stable for a given
+(seed, n_traj).
 """
 
 from __future__ import annotations
@@ -22,17 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import concurrence_batch
-from .errors import NumericalError, StepSizeError
+from .errors import ConvergenceError, NumericalError
 from .linalg import expm
-from .models import Scenario
+from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
 
-__all__ = ["JumpEvent", "TrajectoryRecord", "default_dt",
-           "survival_probability", "step_qj", "run_trajectory", "run_ensemble",
-           "trajectory_rng"]
+__all__ = ["JumpEvent", "TrajectoryRecord", "survival_probability",
+           "run_trajectory", "run_ensemble", "trajectory_rng"]
 
-MAX_STEP_PROB = 0.1
-TARGET_STEP_PROB = 0.01
 _BATCH = 512  # fixed internal batch width; keeps results worker-independent
+_DRAW_BLOCK = 32  # uniforms a trajectory draws from its substream at a time
+_TAU_TOL = 1e-13  # accuracy of a sampled click time, relative to max(1, span)
+_NEWTON_ITERS = 30  # Newton steps before a click-time search only bisects
+_MAX_ITERS = _NEWTON_ITERS + 80  # enough bisections to reach _TAU_TOL
 
 
 @dataclass(frozen=True)
@@ -58,19 +69,6 @@ def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
                                                         spawn_key=(k,)))
 
 
-def default_dt(s: Scenario, target: float = TARGET_STEP_PROB) -> float:
-    """Largest step keeping every basis state's total click probability <= target.
-
-    The total click probability of basis state |k> per unit time is twice the
-    k-th diagonal entry of the damping kernel K.
-    """
-    diag = np.real(np.diag(s.k_op))
-    peak = 2.0 * float(np.max(diag)) if diag.size else 0.0
-    if peak <= 0.0:
-        return np.inf
-    return target / peak
-
-
 def survival_probability(s: Scenario, psi: np.ndarray, t: float) -> float:
     """No-click probability |exp(-i H_eff t) psi|^2 over a span t."""
     if s.time_dependent:
@@ -83,126 +81,176 @@ def survival_probability(s: Scenario, psi: np.ndarray, t: float) -> float:
     return float(np.real(np.vdot(phi, phi)))
 
 
-def _grid(t_max: float, dt: float | None, record_grid: float | None,
-          s: Scenario) -> tuple[int, int, float]:
-    """(records, substeps per record, actual step) honoring dt as an upper bound."""
+def record_times(t_max: float, record_grid: float | None) -> np.ndarray:
+    """Record points 0, g, ..., t_max; g defaults to t_max / 100."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if record_grid is None:
         record_grid = t_max / 100.0
-    if dt is None:
-        dt = min(default_dt(s), record_grid)
-    if not 0 < dt <= record_grid <= t_max + 1e-12:
-        raise ValueError("need 0 < dt <= record_grid <= t_max")
+    if not 0 < record_grid <= t_max + 1e-12:
+        raise ValueError("need 0 < record_grid <= t_max")
     n_rec = int(round(t_max / record_grid))
     if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("record_grid must divide t_max")
-    n_sub = max(1, int(np.ceil(record_grid / dt - 1e-9)))
-    return n_rec, n_sub, record_grid / n_sub
+    return (t_max / n_rec) * np.arange(n_rec + 1)
 
 
-def step_qj(psi: np.ndarray, s: Scenario, t: float, dt: float,
-            rng: np.random.Generator,
-            propagator: np.ndarray | None = None
-            ) -> tuple[np.ndarray, JumpEvent | None]:
-    """Advance one normalized state by dt; reference single-state stepper.
+class _Uniforms:
+    """Each row's uniforms, drawn in fixed blocks from its own substream."""
 
-    Draws exactly one uniform.  ``propagator`` may carry the precomputed
-    no-click propagator exp(-i H_eff dt) to avoid recomputing it per call.
+    def __init__(self, seeds: list[int], indices: list[int]):
+        self.gens = [trajectory_rng(seed, k)
+                     for seed, k in zip(seeds, indices)]
+        self.buf = np.array([g.random(_DRAW_BLOCK) for g in self.gens])
+        self.pos = np.zeros(len(self.gens), dtype=int)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each row in ``rows`` (distinct indices)."""
+        for i in rows[self.pos[rows] == _DRAW_BLOCK]:
+            self.buf[i] = self.gens[i].random(_DRAW_BLOCK)
+            self.pos[i] = 0
+        out = self.buf[rows, self.pos[rows]]
+        self.pos[rows] += 1
+        return out
+
+
+def _norm2(psi: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bi->b", np.conjugate(psi), psi).real
+
+
+def _evolve(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
+            tau: np.ndarray) -> np.ndarray:
+    """exp(-i H_eff tau_b) psi_b, each row given as c_b = W^-1 psi_b."""
+    return (c * np.exp(-1j * np.multiply.outer(tau, lam))) @ w.T
+
+
+def _click_delay(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
+                 k_op: np.ndarray, log_r: np.ndarray,
+                 span: np.ndarray) -> np.ndarray:
+    """Delay tau in [0, span] at which the no-click norm S(tau) falls to r.
+
+    Requires S(0) > r >= S(span).  S is non-increasing with
+    dS/dtau = -2 <psi|K|psi>; Newton steps on ln S - ln r start at tau = 0.
+    For H0 = 0, ln S is convex and the steps approach the root from below;
+    otherwise a step that leaves the bracket, and every step after
+    _NEWTON_ITERS, is replaced by bisection.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    if propagator is None:
-        propagator = expm(-1j * s.h_eff * dt)
-    ops = s.lifted_at(t)
-    jpsi = ops @ psi
-    dp = s.rates * np.einsum("mi,mi->m", np.conjugate(jpsi), jpsi).real * dt
-    total = float(dp.sum())
-    if total > MAX_STEP_PROB:
-        raise StepSizeError(f"total click probability {total:.3g} > "
-                            f"{MAX_STEP_PROB} in one step; reduce dt")
-    u = rng.random()
-    if u < total:
-        m = int(np.searchsorted(np.cumsum(dp), u, side="right"))
-        m = min(m, len(dp) - 1)
-        norm = np.linalg.norm(jpsi[m])
-        if norm <= 1e-150:
-            raise NumericalError(
-                f"click selected on channel {s.channels[m].id!r} whose "
-                "operator annihilates the current state")
-        return jpsi[m] / norm, JumpEvent(time=t + dt,
-                                         channel_id=s.channels[m].id)
-    phi = propagator @ psi
-    return phi / np.linalg.norm(phi), None
+    lo = np.zeros(len(c))
+    hi = np.array(span, dtype=float)
+    tau = lo.copy()
+    tol = _TAU_TOL * np.maximum(1.0, hi)
+    todo = np.arange(len(c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_MAX_ITERS):
+            t = tau[todo]
+            psi = _evolve(c[todo], lam, w, t)
+            s2 = _norm2(psi)
+            f = np.log(s2) - log_r[todo]
+            below = f <= 0.0
+            lo[todo] = np.where(below, lo[todo], t)
+            hi[todo] = np.where(below, t, hi[todo])
+            k_mean = np.einsum("bi,ij,bj->b", np.conjugate(psi), k_op,
+                               psi).real
+            new = t + f * s2 / (2.0 * k_mean)
+            bisect = ((new < lo[todo]) | ~(new <= hi[todo])
+                      | (it >= _NEWTON_ITERS))
+            new = np.where(bisect, 0.5 * (lo[todo] + hi[todo]), new)
+            done = ((np.abs(new - t) <= tol[todo]) | (f == 0.0)
+                    | (hi[todo] - lo[todo] <= tol[todo]))
+            tau[todo] = new
+            todo = todo[~done]
+            if not todo.size:
+                return tau
+    raise ConvergenceError("click-time search did not converge")
+
+
+def _jump(s: Scenario, psi: np.ndarray, t: np.ndarray,
+          u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Post-click states and channel indices for unit rows psi clicking at t.
+
+    Channel m is chosen with probability gamma_m |J_m(t) psi|^2 over the sum,
+    by the channel draw u.
+    """
+    amp = s.jump_amplitudes(psi, t)                       # (n, M, 4)
+    cum = np.cumsum(s.rates * (np.conjugate(amp) * amp).real.sum(axis=2),
+                    axis=1)
+    m = np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1),
+                   len(s.channels) - 1)
+    after = amp[np.arange(len(m)), m]
+    norm = np.linalg.norm(after, axis=1)
+    dead = np.flatnonzero(norm <= 1e-150)
+    if dead.size:
+        raise NumericalError(
+            f"click selected on channel {s.channels[m[dead[0]]].id!r} whose "
+            "operator annihilates the current state")
+    return after / norm[:, None], m
 
 
 def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
-               t_max: float, dt: float | None, record_grid: float | None,
+               t_max: float, record_grid: float | None,
                keep_states: bool) -> list[TrajectoryRecord]:
-    """Vectorized kernel evolving a batch of trajectories in lockstep.
+    """Exact waiting-time kernel evolving a batch of trajectories together.
 
-    Each row consumes randomness only from its own substream, so the result
-    for trajectory k is independent of the batch it happens to share.
+    Rows keep their unnormalized no-click state and their current threshold;
+    a row clicks inside a record interval exactly when its norm^2 at the end
+    of the interval is at or below the threshold.  Each row consumes
+    randomness only from its own substream, so the result for trajectory k is
+    independent of the batch it happens to share.
     """
-    n_rec, n_sub, h = _grid(t_max, dt, record_grid, s)
-    n_steps = n_rec * n_sub
+    times = record_times(t_max, record_grid)
+    drift = kernel_oscillation(s)
+    if drift > KERNEL_DRIFT_TOL:
+        raise ValueError(f"damping kernel K(t) oscillates (amplitude "
+                         f"{drift:.3g}); the jump engine needs a static "
+                         "no-click generator")
+    lam, w = np.linalg.eig(s.h_eff)
+    if np.linalg.cond(w) > 1e8:
+        raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
+                             "do not give a stable no-click propagator")
+    w_inv = np.linalg.inv(w)
+    step = (w * np.exp(-1j * lam * times[1])) @ w_inv
+    ids = [ch.id for ch in s.channels]
     b = len(seeds)
-    times = (t_max / n_rec) * np.arange(n_rec + 1)
 
-    prop = expm(-1j * s.h_eff * h)
-    static = not s.time_dependent
-    ops = s.lifted_at(0.0)
-    rates = s.rates
-
-    uniforms = np.empty((b, n_steps))
-    for i, (seed, k) in enumerate(zip(seeds, indices)):
-        uniforms[i] = trajectory_rng(seed, k).random(n_steps)
-
+    draws = _Uniforms(seeds, indices)
+    threshold = draws.take(np.arange(b))
     psi = np.broadcast_to(s.initial / np.linalg.norm(s.initial), (b, 4)).copy()
-    conc = np.empty((b, n_rec + 1))
+    conc = np.empty((b, len(times)))
     conc[:, 0] = concurrence_batch(psi)
     states = None
     if keep_states:
-        states = np.empty((b, n_rec + 1, 4), dtype=complex)
+        states = np.empty((b, len(times), 4), dtype=complex)
         states[:, 0] = psi
     events: list[list[JumpEvent]] = [[] for _ in range(b)]
 
-    step = 0
-    for rec in range(1, n_rec + 1):
-        for _ in range(n_sub):
-            t = step * h
-            if not static:
-                ops = s.lifted_at(t)
-            jpsi = np.einsum("mij,bj->mbi", ops, psi)
-            dp = (rates[:, None]
-                  * np.einsum("mbi,mbi->mb", np.conjugate(jpsi), jpsi).real * h)
-            cum = np.cumsum(dp, axis=0)
-            total = cum[-1]
-            worst = float(total.max()) if b else 0.0
-            if worst > MAX_STEP_PROB:
-                raise StepSizeError(f"total click probability {worst:.3g} > "
-                                    f"{MAX_STEP_PROB} in one step; reduce dt")
-            u = uniforms[:, step]
-            psi = psi @ prop.T
-            clicked = np.nonzero(u < total)[0]
-            if clicked.size:
-                sel = (u[None, :] >= cum).sum(axis=0)
-                t_click = t + h
-                for k in clicked:
-                    m = int(sel[k])
-                    phi = jpsi[m, k]
-                    norm = np.linalg.norm(phi)
-                    if norm <= 1e-150:
-                        raise NumericalError(
-                            f"click selected on channel {s.channels[m].id!r} "
-                            "whose operator annihilates the current state")
-                    psi[k] = phi
-                    events[k].append(JumpEvent(time=float(t_click),
-                                               channel_id=s.channels[m].id))
-            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-            step += 1
-        conc[:, rec] = concurrence_batch(psi)
+    for rec in range(1, len(times)):
+        t_end = times[rec]
+        nxt = psi @ step.T
+        norm2 = _norm2(nxt)
+        rows = np.flatnonzero(norm2 <= threshold)
+        start = np.full(rows.size, times[rec - 1])
+        cur = psi[rows]
+        while rows.size:
+            c = cur @ w_inv.T
+            tau = _click_delay(c, lam, w, s.k_op, np.log(threshold[rows]),
+                               t_end - start)
+            t_click = start + tau
+            at = _evolve(c, lam, w, tau)
+            at /= np.sqrt(_norm2(at))[:, None]
+            after, m = _jump(s, at, t_click, draws.take(rows))
+            for i, mi, tc in zip(rows, m, t_click):
+                events[i].append(JumpEvent(time=float(tc), channel_id=ids[mi]))
+            threshold[rows] = draws.take(rows)
+            end = _evolve(after @ w_inv.T, lam, w, t_end - t_click)
+            nxt[rows] = end
+            norm2[rows] = _norm2(end)
+            again = norm2[rows] <= threshold[rows]
+            rows, start, cur = rows[again], t_click[again], after[again]
+        psi = nxt
+        unit = psi / np.sqrt(norm2)[:, None]
+        conc[:, rec] = concurrence_batch(unit)
         if keep_states:
-            states[:, rec] = psi
+            states[:, rec] = unit
 
     return [TrajectoryRecord(seed=seeds[i], index=indices[i], times=times,
                              concurrences=conc[i], events=tuple(events[i]),
@@ -210,27 +258,24 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
             for i in range(b)]
 
 
-def run_trajectory(s: Scenario, t_max: float, dt: float | None = None,
-                   seed: int = 0, index: int = 0,
+def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,
                    record_grid: float | None = None,
                    keep_states: bool = False) -> TrajectoryRecord:
     """Single trajectory, deterministic for a given (seed, index)."""
-    return _run_batch(s, [seed], [index], t_max, dt, record_grid,
-                      keep_states)[0]
+    return _run_batch(s, [seed], [index], t_max, record_grid, keep_states)[0]
 
 
 def _ensemble_chunk(args):
-    s, seed, k0, k1, t_max, dt, record_grid, keep_states = args
+    s, seed, k0, k1, t_max, record_grid, keep_states = args
     out = []
     for b0 in range(k0, k1, _BATCH):
         b1 = min(b0 + _BATCH, k1)
         out.extend(_run_batch(s, [seed] * (b1 - b0), list(range(b0, b1)),
-                              t_max, dt, record_grid, keep_states))
+                              t_max, record_grid, keep_states))
     return out
 
 
-def run_ensemble(s: Scenario, t_max: float, n_traj: int,
-                 dt: float | None = None, seed: int = 0,
+def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
                  record_grid: float | None = None, keep_states: bool = False,
                  workers: int = 1) -> list[TrajectoryRecord]:
     """Ensemble of trajectories with per-trajectory substreams.
@@ -241,7 +286,7 @@ def run_ensemble(s: Scenario, t_max: float, n_traj: int,
     if n_traj <= 0:
         raise ValueError("n_traj must be positive")
     if workers <= 1 or n_traj <= _BATCH:
-        return _ensemble_chunk((s, seed, 0, n_traj, t_max, dt, record_grid,
+        return _ensemble_chunk((s, seed, 0, n_traj, t_max, record_grid,
                                 keep_states))
     n_batches = -(-n_traj // _BATCH)
     per_worker = -(-n_batches // workers)
@@ -251,7 +296,7 @@ def run_ensemble(s: Scenario, t_max: float, n_traj: int,
         k1 = min(k0 + per_worker * _BATCH, n_traj)
         if k0 >= k1:
             break
-        tasks.append((s, seed, k0, k1, t_max, dt, record_grid, keep_states))
+        tasks.append((s, seed, k0, k1, t_max, record_grid, keep_states))
     with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as ex:
         chunks = list(ex.map(_ensemble_chunk, tasks))
     out: list[TrajectoryRecord] = []

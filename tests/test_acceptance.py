@@ -5,7 +5,8 @@ laws, sudden-death phenomenology, unraveling/master equivalence, the
 monitoring-rate inequalities, the mixed-concurrence oracle, and the channel
 mixing optimizer.  Monte Carlo assertions use fixed seeds; statistical
 budgets are three standard errors (plus a 1e-12 float guard where the spread
-collapses to rounding noise).
+collapses to rounding noise), except the density-matrix comparison, which
+makes 4032 element comparisons at five standard errors.
 """
 
 import time
@@ -108,26 +109,28 @@ def test_common_bath_mean_curve_and_residual_entanglement():
     assert ci[1] < ci[0]                                      # rho loses
 
 
-def _density_gap(name, dt=None, seed=3001):
-    s = load_scenario(bundled_scenario_path(name))
-    if dt is None:
-        dt = 1e-3 / s.gamma_max
-    recs = run_ensemble(s, 1.0, 5000, dt=dt, seed=seed, record_grid=0.05,
-                        keep_states=True)
-    rho_mc = empirical_density(recs)
-    ev = evolve_rho(s, 1.0, record_grid=0.05)
-    return float(np.max(np.linalg.norm(rho_mc - ev.rhos, axis=(1, 2))))
+GAP_SIGMAS = 5.0
+SIGMA_FLOOR = 1e-9   # for elements the trajectories all agree on
 
 
 def test_trajectory_average_reproduces_master_equation():
+    # every element of the empirical density matrix, real and imaginary part
+    # at every record point, lies within 5 sigma of the master equation, with
+    # sigma the standard error over the trajectories' own |psi><psi|
     for name in ("photon_counting", "thermal_bell", "dephasing_phi0",
                  "thermal_optimal", "photon_counting_shifted",
                  "common_bath_single_excitation"):
-        assert _density_gap(name) < 0.02, name
-    # the discretization bias shrinks with the step
-    coarse = _density_gap("photon_counting", dt=0.04, seed=3002)
-    fine = _density_gap("photon_counting", dt=0.02, seed=3002)
-    assert fine < 0.75 * coarse
+        s = load_scenario(bundled_scenario_path(name))
+        recs = run_ensemble(s, 1.0, 5000, seed=3001, record_grid=0.05,
+                            keep_states=True)
+        states = np.stack([r.states for r in recs])
+        outer = np.einsum("ngi,ngj->ngij", states, np.conjugate(states))
+        gap = empirical_density(recs) - evolve_rho(s, 1.0,
+                                                   record_grid=0.05).rhos
+        for part in (np.real, np.imag):
+            sigma = part(outer).std(axis=0, ddof=1) / np.sqrt(len(recs))
+            bound = GAP_SIGMAS * np.maximum(sigma, SIGMA_FLOOR)
+            assert np.all(np.abs(part(gap)) <= bound), name
 
 
 def test_diffusive_monitoring_decay_rates():

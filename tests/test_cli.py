@@ -143,13 +143,27 @@ def test_optimize_subcommand(tmp_path):
     assert main(["optimize", "--config", str(deph)]) == 2
 
 
-def test_config_and_argument_errors(tmp_path):
+def test_config_and_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--tmax", "1.0"]) == 2
     cfg = _write_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--tmax", "1.0",
                  "--grid", "2.0"]) == 2
     assert main(["simulate", "--config", cfg, "--tmax", "-1.0"]) == 2
+    capsys.readouterr()
+    # the jump engine has no time step to bound
+    assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj", "5",
+                 "--dt", "0.01"]) == 2
+    assert "--dt" in capsys.readouterr().err
+    # a rotating displacement without its -alpha partner makes K(t) oscillate
+    lone = tmp_path / "lone.json"
+    lone.write_text(json.dumps({"custom_channels": [
+        {"id": "lone", "locality": "A",
+         "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "rate": 1.0,
+         "shift": [0.5, 0], "het_freq": 3.0}]}))
+    assert main(["simulate", "--config", str(lone), "--tmax", "1.0",
+                 "--traj", "5"]) == 2
+    assert "oscillates" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad), "--tmax", "1.0"]) == 2
@@ -166,3 +180,16 @@ def test_log_env_smoke(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out), "--tmax",
                  "0.2", "--traj", "10"]) == 0
     assert out.exists()
+
+
+def test_config_accepts_bundled_name(tmp_path):
+    by_name, by_path = tmp_path / "name.json", tmp_path / "path.json"
+    assert main(["rates", "--config", "thermal_bell", "--out",
+                 str(by_name)]) == 0
+    assert main(["rates", "--config",
+                 str(bundled_scenario_path("thermal_bell")), "--out",
+                 str(by_path)]) == 0
+    assert by_name.read_bytes() == by_path.read_bytes()
+    assert main(["rates", "--config", "photon_counting.json"]) == 0
+    assert main(["rates", "--config", "no_such_scenario"]) == 2
+

@@ -192,3 +192,19 @@ def test_bundled_thermal_matches_hand_construction():
     assert s.thermal_rates == (1.0, 2.0, 1.0, 2.0)
     want = np.array([1, 0, 0, -1j]) / np.sqrt(2)
     assert np.max(np.abs(s.initial - want)) < 1e-12
+
+
+def test_unpaired_rotating_displacement_rejected(tmp_path):
+    # J + alpha e^{i Omega t} without its -alpha partner makes K(t) oscillate;
+    # both engines would silently use K(0)
+    lone = {"id": "lone", "locality": "A",
+            "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "rate": 1.0,
+            "shift": [0.5, 0], "het_freq": 3.0}
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({"custom_channels": [lone]}))
+    with pytest.raises(ConfigError, match="oscillates"):
+        load_scenario(path)
+    partner = dict(lone, id="partner", shift=[-0.5, 0])
+    s = scenario_from_dict({"custom_channels": [lone, partner]})
+    assert s.time_dependent
+

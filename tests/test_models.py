@@ -8,7 +8,8 @@ from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, dag, kron2,
 )
 from trajent.models import (
-    JumpChannel, bell_state, lindblad_superoperator, local_hamiltonian,
+    JumpChannel, bell_state, kernel_oscillation, lindblad_superoperator,
+    local_hamiltonian,
     preset_common_bath, preset_dephasing, preset_photon_counting,
     preset_rotated_thermal, preset_thermal, scenario_from_channels,
     state_from_amplitudes, validate_scenario, with_heterodyne,
@@ -156,6 +157,40 @@ def test_heterodyne_rotating_shift():
         with_heterodyne(s, -0.3, 1.0)
     with pytest.raises(ValueError):
         with_heterodyne(s, 0.3, 0.0)
+
+
+def _kernel_at(s, t):
+    return sum(0.5 * ch.rate * dag(ch.lifted(t)) @ ch.lifted(t)
+               for ch in s.channels)
+
+
+def test_kernel_oscillation_detects_unpaired_rotation():
+    het = with_heterodyne(preset_photon_counting(1.0, 0.5), 0.5, 3.0)
+    assert kernel_oscillation(het) == 0.0
+    assert np.max(np.abs(_kernel_at(het, 0.5) - het.k_op)) < 1e-12
+    lone = scenario_from_channels(het.channels[:1])
+    assert np.max(np.abs(_kernel_at(lone, 0.5) - lone.k_op)) > 0.1
+    assert kernel_oscillation(lone) == pytest.approx(0.125)  # gamma alpha / 2
+    assert not validate_scenario(lone).ok
+    # a partner rotating the other way cancels through its conjugate term
+    ch = lone.channels[0]
+    mirror = JumpChannel("mirror", "A", dag(ch.op), ch.rate, shift=-0.5,
+                         het_freq=-3.0)
+    both = scenario_from_channels((ch, mirror))
+    assert kernel_oscillation(both) == 0.0
+    assert np.max(np.abs(_kernel_at(both, 0.7) - both.k_op)) < 1e-12
+
+
+def test_jump_amplitudes_match_lifted_operators():
+    het = with_heterodyne(preset_thermal(0.3, 1.0, 0.2, 0.8), 0.4, 2.0)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    t = np.array([0.0, 0.37, 2.9])
+    amp = het.jump_amplitudes(psi, t)
+    for b in range(3):
+        for m, ch in enumerate(het.channels):
+            assert np.allclose(amp[b, m], ch.lifted(t[b]) @ psi[b],
+                               atol=1e-14)
 
 
 def test_heterodyne_small_frequency_limit():

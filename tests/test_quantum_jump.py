@@ -4,26 +4,64 @@ import numpy as np
 import pytest
 
 from trajent.entanglement import concurrence_pure
-from trajent.errors import StepSizeError
-from trajent.linalg import expm
-from trajent.models import (bell_state, preset_common_bath,
-                            preset_dephasing, preset_photon_counting,
+from trajent.lindblad import evolve_rho
+from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
+                            preset_common_bath, preset_dephasing,
+                            preset_photon_counting, scenario_from_channels,
                             state_from_amplitudes, with_heterodyne)
-from trajent.quantum_jump import (default_dt, run_ensemble, run_trajectory,
-                                  step_qj, survival_probability,
-                                  trajectory_rng)
+from trajent.linalg import SIGMA_MINUS, SIGMA_X
+from trajent.quantum_jump import (run_ensemble, run_trajectory,
+                                  survival_probability, trajectory_rng)
 from trajent.rates import analytic_mean_concurrence
 
 UU = state_from_amplitudes(1, 0, 0, 0)
 DD = state_from_amplitudes(0, 0, 0, 1)
 
 
-def test_default_dt():
-    s = preset_photon_counting(0.9, 0.5)
-    # |uu> clicks at rate gamma_A + gamma_B = 2 K_00
-    assert abs(default_dt(s) - 0.01 / 1.4) < 1e-15
-    free = preset_photon_counting(0.0, 0.0)
-    assert default_dt(free) == np.inf
+def _first_clicks(s, n, seed, t_max):
+    recs = run_ensemble(s, t_max, n, seed=seed, record_grid=0.1)
+    return [r.events[0] for r in recs if r.events]
+
+
+def test_first_click_time_is_exponential():
+    # |uu> under photon counting: the first click time has survival
+    # e^{-1.4 t}.  Each bin count, and the no-click count, stays within 4
+    # binomial sigma of the closed form.
+    s = preset_photon_counting(0.9, 0.5, initial=UU)
+    n = 4000
+    first = _first_clicks(s, n, seed=51, t_max=2.0)
+    t = np.array([ev.time for ev in first])
+    assert np.all((t > 0) & (t <= 2.0))
+    edges = np.linspace(0.0, 2.0, 11)
+    p_bin = np.diff(1.0 - np.exp(-1.4 * edges))
+    counts = np.histogram(t, edges)[0]
+    p_all = np.append(p_bin, np.exp(-2.8))
+    counts = np.append(counts, n - len(t))
+    sigma = np.sqrt(n * p_all * (1.0 - p_all))
+    assert np.all(np.abs(counts - n * p_all) <= 4.0 * sigma)
+
+
+def test_first_click_channel_split():
+    # the first click lands on A with probability gamma_A / (gamma_A +
+    # gamma_B) = 9/14, within 4 binomial sigma
+    s = preset_photon_counting(0.9, 0.5, initial=UU)
+    first = _first_clicks(s, 4000, seed=53, t_max=2.0)
+    k = sum(ev.channel_id == "decay-A" for ev in first)
+    p = 0.9 / 1.4
+    assert abs(k - p * len(first)) <= 4.0 * np.sqrt(len(first) * p * (1 - p))
+
+
+def test_click_times_are_continuous():
+    # click times are sampled, not stepped: they are all distinct and none
+    # lies on a grid dividing the record grid into up to 100 steps
+    s = preset_photon_counting(0.9, 0.5, initial=UU)
+    t = np.array([ev.time for ev in _first_clicks(s, 3000, seed=57,
+                                                  t_max=2.0)])
+    assert len(np.unique(t)) == len(t)
+    for n_sub in range(1, 101):
+        h = 0.1 / n_sub
+        off = np.abs(t / h - np.round(t / h)) * h
+        assert np.all(off > 1e-12), n_sub
 
 
 def test_survival_closed_forms():
@@ -62,28 +100,6 @@ def test_ensemble_worker_count_invisible():
         assert ra.index == rb.index
         assert np.array_equal(ra.concurrences, rb.concurrences)
         assert ra.events == rb.events
-
-
-def test_reference_stepper_matches_batch():
-    s = preset_photon_counting(1.0, 0.6)
-    rec = run_trajectory(s, 1.0, dt=0.02, seed=42, index=7, record_grid=0.1)
-    rng = trajectory_rng(42, 7)
-    prop = expm(-1j * s.h_eff * 0.02)
-    psi = s.initial.copy()
-    mine = [concurrence_pure(psi)]
-    events = []
-    for rec_i in range(10):
-        for sub in range(5):
-            t = (rec_i * 5 + sub) * 0.02
-            psi, ev = step_qj(psi, s, t, 0.02, rng, propagator=prop)
-            if ev is not None:
-                events.append(ev)
-        mine.append(concurrence_pure(psi))
-    assert len(events) == len(rec.events)
-    for ev, ev_ref in zip(events, rec.events):
-        assert ev.channel_id == ev_ref.channel_id
-        assert abs(ev.time - ev_ref.time) < 1e-12
-    assert np.allclose(mine, rec.concurrences, atol=1e-10)
 
 
 def test_keep_states_normalized_and_consistent():
@@ -145,18 +161,26 @@ def test_mean_tracks_analytic_curve():
 
 
 def test_step_control_and_grid_validation():
+    # no step control: rates far above 1 / record_grid need no smaller step
     hot = preset_photon_counting(100.0, 100.0)
-    with pytest.raises(StepSizeError):
-        run_trajectory(hot, 0.1, dt=0.01, record_grid=0.01)
+    rec = run_trajectory(hot, 0.1, seed=43, record_grid=0.01)
+    assert len(rec.events) == 2
+    assert all(0.0 < ev.time < 0.1 for ev in rec.events)
+    assert np.all(rec.concurrences[1:] == 0.0)
     s = preset_photon_counting(1.0, 1.0)
     with pytest.raises(ValueError):
         run_trajectory(s, -1.0)
     with pytest.raises(ValueError):
         run_trajectory(s, 1.0, record_grid=0.3)
     with pytest.raises(ValueError):
-        run_trajectory(s, 1.0, dt=0.2, record_grid=0.1)
+        run_trajectory(s, 0.1, record_grid=0.2)
     with pytest.raises(ValueError):
         run_ensemble(s, 1.0, 0)
+    # an unpaired rotating displacement makes K time dependent
+    lone = scenario_from_channels((JumpChannel("lone", "A", SIGMA_MINUS, 1.0,
+                                               shift=0.5, het_freq=3.0),))
+    with pytest.raises(ValueError, match="static"):
+        run_trajectory(lone, 1.0)
 
 
 def test_heterodyne_displacement_smoke():
@@ -166,3 +190,21 @@ def test_heterodyne_displacement_smoke():
     rec = run_trajectory(s, 1.0, seed=41, record_grid=0.1, keep_states=True)
     assert np.all(np.isfinite(rec.concurrences))
     assert np.max(np.abs(np.linalg.norm(rec.states, axis=1) - 1.0)) < 1e-9
+
+
+def test_driven_pair_matches_master_equation():
+    # H0 != 0 makes H_eff non-normal: the general eigendecomposition and the
+    # bracketed click-time search must still reproduce rho(t) element by
+    # element within 5 sigma of the trajectories' own spread
+    s = scenario_from_channels(
+        preset_photon_counting(1.0, 0.6).channels,
+        h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
+    recs = run_ensemble(s, 2.0, 3000, seed=59, record_grid=0.1,
+                        keep_states=True)
+    states = np.stack([r.states for r in recs])
+    outer = np.einsum("ngi,ngj->ngij", states, np.conjugate(states))
+    rho = evolve_rho(s, 2.0, record_grid=0.1).rhos
+    for part in (np.real, np.imag):
+        sigma = np.maximum(part(outer).std(axis=0) / np.sqrt(len(recs)), 1e-7)
+        assert np.all(np.abs(part(outer.mean(axis=0)) - part(rho))
+                      <= 5.0 * sigma)
