@@ -17,8 +17,7 @@ from .entanglement import (concurrence_batch, concurrence_mixed,
                            preconcurrence)
 from .errors import (ConfigError, ConvergenceError, FitWindowError,
                      NumericalError, PositivityError, StepSizeError)
-from .lindblad import (DensityEvolution, concurrence_series, evolve_rho,
-                       lindblad_rhs)
+from .lindblad import DensityEvolution, concurrence_series, evolve_rho
 from .models import (JumpChannel, Scenario, ValidationReport, bell_state,
                      lindblad_superoperator, preset_common_bath,
                      preset_dephasing, preset_photon_counting,

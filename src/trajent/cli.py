@@ -4,7 +4,7 @@ Subcommands
 -----------
 simulate   trajectory ensemble of a scenario file, with the ensemble
            (master-equation) curve and the closed-form mean alongside
-master     master-equation evolution only
+master     master-equation evolution only, exact on the record grid
 rates      closed-form decay rates of a scenario, as JSON
 fit        exponential rate fit of a previously written CSV
 optimize   best channel mixing for a thermal scenario, as JSON
@@ -37,7 +37,6 @@ from .diffusion import run_ensemble_qsd
 from .ensemble import average, fit_rate_series
 from .errors import ConfigError, NumericalError
 from .lindblad import concurrence_series, evolve_rho
-from .linalg import ConvergenceError
 from .models import Scenario
 from .optimize import optimize_unraveling
 from .quantum_jump import run_ensemble
@@ -96,9 +95,10 @@ def cmd_simulate(args) -> int:
              args.config, unraveling, args.traj, t_max, grid, args.seed)
 
     t0 = time.perf_counter()
+    evo = evolve_rho(s, t_max, record_grid=grid)
     if unraveling == "master":
         mean = stderr = None
-        times = grid * np.arange(int(round(t_max / grid)) + 1)
+        times = evo.times
     else:
         if unraveling == "qj":
             records = run_ensemble(s, t_max, args.traj, seed=args.seed,
@@ -111,7 +111,6 @@ def cmd_simulate(args) -> int:
         summary = average(records)
         times, mean, stderr = summary.times, summary.mean_c, summary.stderr
 
-    evo = evolve_rho(s, t_max, record_grid=grid)
     c_rho = concurrence_series(evo)
     analytic = analytic_mean_concurrence(s, unraveling, times)
     log.info("simulate: done in %.2f s", time.perf_counter() - t0)
@@ -137,7 +136,7 @@ def cmd_simulate(args) -> int:
 def cmd_master(args) -> int:
     s = load_scenario(args.config)
     t_max, grid = _grid_args(args)
-    evo = evolve_rho(s, t_max, dt=args.dt, record_grid=grid)
+    evo = evolve_rho(s, t_max, record_grid=grid)
     c_rho = concurrence_series(evo)
     stream, close = _open_out(args.out)
     try:
@@ -270,11 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--unraveling", choices=UNRAVELINGS, default="qj")
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("master", help="master-equation evolution only")
+    sp = sub.add_parser("master", help="master-equation evolution only, "
+                        "solved exactly by one matrix exponential (no time "
+                        "step)")
     common(sp)
-    sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--grid", type=float, default=None)
+    sp.add_argument("--grid", type=float, default=None,
+                    help="recording grid spacing (default tmax/100)")
     sp.set_defaults(fn=cmd_master)
 
     sp = sub.add_parser("rates", help="closed-form decay rates as JSON")
@@ -304,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ConvergenceError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

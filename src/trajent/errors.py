@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .linalg import ConvergenceError
-
 __all__ = ["ConfigError", "NumericalError", "StepSizeError",
            "PositivityError", "FitWindowError", "ConvergenceError"]
 
@@ -18,6 +16,10 @@ class NumericalError(RuntimeError):
 
 class StepSizeError(NumericalError):
     """The requested time step violates a stability/accuracy bound."""
+
+
+class ConvergenceError(NumericalError):
+    """An iterative search failed to reach its tolerance within its budget."""
 
 
 class PositivityError(NumericalError):

@@ -14,8 +14,8 @@ import numpy as np
 __all__ = [
     "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_PLUS", "SIGMA_MINUS",
     "SYSY", "UP", "DOWN",
-    "ConvergenceError", "kron2", "dag", "det2", "trace2", "trace4",
-    "expm", "herm_eig4", "ptrace_a", "ptrace_b", "frobenius",
+    "kron2", "dag", "det2", "trace2", "trace4",
+    "herm_eig4", "ptrace_a", "ptrace_b",
     "require_finite", "normalized",
 ]
 
@@ -31,10 +31,6 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |d><u|
 
 # sigma_y (x) sigma_y, the spin-flip kernel entering the concurrence.
 SYSY = np.kron(SIGMA_Y, SIGMA_Y)
-
-
-class ConvergenceError(RuntimeError):
-    """A fixed-budget iterative routine failed to reach its tolerance."""
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
@@ -69,61 +65,12 @@ def trace4(m: np.ndarray) -> complex:
     return complex(m[0, 0] + m[1, 1] + m[2, 2] + m[3, 3])
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def normalized(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     n = np.linalg.norm(psi)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return psi / n
-
-
-def expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
-
-    Valid for general (non-Hermitian) matrices; the trajectory engines use it
-    for the non-unitary no-jump propagator exp(-i H_eff dt).  The argument is
-    scaled by 2**-s until its Frobenius norm is at most 0.5, the series is
-    summed until the next term falls below ``tol * 1e-2`` relative to the
-    running sum, and the result is squared back up.
-
-    Raises
-    ------
-    ConvergenceError
-        If the scaling or series budget is exhausted before reaching ``tol``.
-    """
-    m = require_finite(m, "expm argument")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expm expects a square matrix, got shape {m.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    norm = frobenius(m)
-    s = 0
-    while norm > 0.5:
-        norm /= 2.0
-        s += 1
-        if s > 64:
-            raise ConvergenceError("expm: scaling budget exhausted (norm too large)")
-    a = m / (2.0 ** s)
-
-    dim = m.shape[0]
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 61):
-        term = term @ a / k
-        result = result + term
-        if frobenius(term) < tol * 1e-2 * max(1.0, frobenius(result)):
-            break
-    else:
-        raise ConvergenceError("expm: Taylor series did not converge within 60 terms")
-
-    for _ in range(s):
-        result = result @ result
-    return result
 
 
 def herm_eig4(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

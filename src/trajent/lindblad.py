@@ -6,10 +6,14 @@ The master equation
                  + sum_m gamma_m ( J_m rho J_m^dag
                                    - (1/2) {J_m^dag J_m, rho} )
 
-is integrated with classical fixed-step RK4.  The trace is renormalized after
-every step (the drift must stay below 1e-8 per step, anything larger means
-the step size is too big) and the spectrum is monitored: eigenvalues in
-[-1e-8, 0) are tolerated as roundoff, anything below -1e-6 aborts the run.
+is linear with the static 16x16 generator L of
+`models.lindblad_superoperator`, so it is solved exactly: the propagator
+P = expm(L g) over one record interval g is computed once, and
+vec rho_{k+1} = P vec rho_k (column-stacked) on the record points of
+`quantum_jump.record_times`, the grid of the trajectory engines.  There is no
+time step and the trace is not renormalized.  Trace drift and the smallest
+eigenvalue are reported over the record points: eigenvalues in [-1e-8, 0)
+are tolerated as roundoff, anything below -1e-6 aborts the run.
 """
 
 from __future__ import annotations
@@ -17,16 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .entanglement import concurrence_mixed
-from .errors import PositivityError, StepSizeError
+from .errors import PositivityError
 from .linalg import dag, require_finite
-from .models import Scenario
+from .models import Scenario, lindblad_superoperator
+from .quantum_jump import record_times
 
 __all__ = ["DensityEvolution", "density_from_state", "validate_density_matrix",
-           "lindblad_rhs", "evolve_rho", "concurrence_series"]
+           "evolve_rho", "concurrence_series"]
 
-TRACE_DRIFT_MAX = 1e-8
 EIG_FLOOR_SOFT = -1e-8
 EIG_FLOOR_HARD = -1e-6
 
@@ -53,18 +58,6 @@ def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-9,
     return rho
 
 
-def lindblad_rhs(rho: np.ndarray, s: Scenario) -> np.ndarray:
-    """Right-hand side of the master equation at the current state."""
-    h = s.h0
-    out = -1j * (h @ rho - rho @ h)
-    for ch in s.channels:
-        j = ch.lifted(0.0)
-        jd = dag(j)
-        jj = jd @ j
-        out += ch.rate * (j @ rho @ jd - 0.5 * (jj @ rho + rho @ jj))
-    return out
-
-
 @dataclass(frozen=True)
 class DensityEvolution:
     times: np.ndarray
@@ -73,70 +66,33 @@ class DensityEvolution:
     min_eigenvalue: float
 
 
-def evolve_rho(s: Scenario, t_max: float, dt: float | None = None,
-               record_grid: float | None = None,
+def evolve_rho(s: Scenario, t_max: float, record_grid: float | None = None,
                rho0: np.ndarray | None = None) -> DensityEvolution:
-    """Integrate the master equation and record rho on a uniform grid.
+    """Propagate the master equation exactly and record rho on a uniform grid.
 
-    ``dt`` is an upper bound on the RK4 step; the actual step divides
-    ``record_grid`` exactly so grid points are hit without interpolation.
-    The step must satisfy dt * gamma_max <= 0.05.
+    ``record_grid`` (default t_max / 100) must divide ``t_max``.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    gmax = max(s.gamma_max, 1e-30)
-    if record_grid is None:
-        record_grid = t_max / 100.0
-    if dt is None:
-        dt = min(0.02 / gmax, record_grid)
-    if not 0 < dt <= record_grid <= t_max + 1e-12:
-        raise ValueError("need 0 < dt <= record_grid <= t_max")
-    if dt * s.gamma_max > 0.05 + 1e-12:
-        raise StepSizeError(f"dt * gamma_max = {dt * s.gamma_max:.3g} > 0.05; "
-                            "reduce the integration step")
-
-    n_rec = int(round(t_max / record_grid))
-    if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError("record_grid must divide t_max")
-    n_sub = max(1, int(np.ceil(record_grid / dt - 1e-9)))
-    h = record_grid / n_sub
-
+    times = record_times(t_max, record_grid)
     rho = density_from_state(s.initial) if rho0 is None else \
         validate_density_matrix(rho0).astype(complex)
 
-    times = record_grid * np.arange(n_rec + 1)
-    out = np.empty((n_rec + 1, 4, 4), dtype=complex)
-    out[0] = rho
-    max_drift = 0.0
-    min_eig = 1.0
+    step = expm(lindblad_superoperator(s) * times[1])
+    vecs = np.empty((len(times), 16), dtype=complex)
+    vecs[0] = rho.reshape(16, order="F")
+    for i in range(1, len(times)):
+        vecs[i] = step @ vecs[i - 1]
+    rhos = np.ascontiguousarray(vecs.reshape(-1, 4, 4).transpose(0, 2, 1))
 
-    for i in range(1, n_rec + 1):
-        for _ in range(n_sub):
-            k1 = lindblad_rhs(rho, s)
-            k2 = lindblad_rhs(rho + 0.5 * h * k1, s)
-            k3 = lindblad_rhs(rho + 0.5 * h * k2, s)
-            k4 = lindblad_rhs(rho + h * k3, s)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + dag(rho))
-            tr = np.trace(rho).real
-            drift = abs(tr - 1.0)
-            max_drift = max(max_drift, drift)
-            if drift > TRACE_DRIFT_MAX:
-                raise StepSizeError(
-                    f"trace drifted by {drift:.3e} in one step at t ~ "
-                    f"{times[i]:.4f}; reduce the integration step")
-            rho /= tr
-            w0 = np.linalg.eigvalsh(rho)[0]
-            min_eig = min(min_eig, float(w0))
-            if w0 < EIG_FLOOR_HARD:
-                raise PositivityError(
-                    f"density matrix eigenvalue {w0:.3e} < {EIG_FLOOR_HARD:.1e} "
-                    f"at t ~ {times[i]:.4f}")
-        out[i] = rho
-
-    return DensityEvolution(times=times, rhos=out,
-                            max_trace_drift=max_drift,
-                            min_eigenvalue=min_eig)
+    drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+    w0 = np.linalg.eigvalsh(rhos)[:, 0]
+    bad = np.flatnonzero(w0 < EIG_FLOOR_HARD)
+    if bad.size:
+        raise PositivityError(
+            f"density matrix eigenvalue {w0[bad[0]]:.3e} < "
+            f"{EIG_FLOOR_HARD:.1e} at t = {times[bad[0]]:.4f}")
+    return DensityEvolution(times=times, rhos=rhos,
+                            max_trace_drift=float(drift.max()),
+                            min_eigenvalue=float(w0.min()))
 
 
 def concurrence_series(evolution: DensityEvolution) -> np.ndarray:

@@ -30,10 +30,10 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
-from .linalg import expm
 from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
 
 __all__ = ["JumpEvent", "TrajectoryRecord", "survival_probability",

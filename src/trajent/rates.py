@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .entanglement import concurrence_pure
-from .linalg import dag, det2, expm, require_finite, trace2
+from .linalg import dag, det2, require_finite, trace2
 from .models import Scenario
 
 __all__ = [

@@ -155,6 +155,10 @@ def test_config_and_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj", "5",
                  "--dt", "0.01"]) == 2
     assert "--dt" in capsys.readouterr().err
+    # nor has the master equation, which is solved exactly
+    with pytest.raises(SystemExit) as exc:
+        main(["master", "--config", cfg, "--tmax", "1.0", "--dt", "0.01"])
+    assert exc.value.code == 2
     # a rotating displacement without its -alpha partner makes K(t) oscillate
     lone = tmp_path / "lone.json"
     lone.write_text(json.dumps({"custom_channels": [

@@ -1,11 +1,12 @@
-"""Linear-algebra kernel tests: constants, expm, eigendecomposition, ptrace."""
+"""Linear-algebra kernel tests: constants, eigendecomposition, ptrace."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
-    ConvergenceError, dag, det2, expm, frobenius, herm_eig4, kron2,
+    dag, det2, herm_eig4, kron2,
     normalized, ptrace_a, ptrace_b, require_finite, trace2, trace4,
 )
 
@@ -65,45 +66,6 @@ def test_det2_trace_helpers():
         assert np.array_equal(dag(m), m.conj().T)
 
 
-def test_expm_zero_and_diagonal():
-    assert np.allclose(expm(np.zeros((4, 4))), np.eye(4))
-    d = np.diag([0.3, -1.2, 0.0, 2.5]).astype(complex)
-    assert np.max(np.abs(expm(d) - np.diag(np.exp(np.diag(d))))) < 1e-12
-
-
-def test_expm_inverse_identity():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        m = random_complex(rng, (4, 4))
-        m *= 10.0 / max(1.0, frobenius(m))  # norms up to 10
-        prod = expm(m) @ expm(-m)
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-9
-
-
-def test_expm_group_property():
-    rng = np.random.default_rng(3)
-    m = random_complex(rng, (4, 4))
-    m /= frobenius(m)
-    assert np.max(np.abs(expm(2.0 * m) - expm(m) @ expm(m))) < 1e-11
-
-
-def test_expm_against_rk4():
-    # independent route: integrate dX/dt = M X with classical RK4
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        m = random_complex(rng, (4, 4))
-        m *= 2.0 / frobenius(m)
-        x = np.eye(4, dtype=complex)
-        n, h = 2000, 1.0 / 2000
-        for _ in range(n):
-            k1 = m @ x
-            k2 = m @ (x + 0.5 * h * k1)
-            k3 = m @ (x + 0.5 * h * k2)
-            k4 = m @ (x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.max(np.abs(expm(m) - x)) < 1e-6
-
-
 def test_expm_collective_damping_kernel():
     # K for the collective channel sigma_-(x)1 + 1(x)sigma_- at gamma = 1 has
     # eigenvectors uu, (ud+du)/sqrt2, (ud-du)/sqrt2, dd with eigenvalues
@@ -121,15 +83,6 @@ def test_expm_collective_damping_kernel():
     assert np.max(np.abs(p @ plus - np.exp(-t) * plus)) < 1e-12
     assert np.max(np.abs(p @ minus - minus)) < 1e-12
     assert np.max(np.abs(p @ dd - dd)) < 1e-12
-
-
-def test_expm_rejects_bad_input():
-    with pytest.raises(ValueError):
-        expm(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        expm(np.array([[np.nan, 0], [0, 0]]))
-    with pytest.raises(ConvergenceError):
-        expm(1e20 * np.eye(2))
 
 
 def test_herm_eig4_reconstruction():

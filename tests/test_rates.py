@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import expm
 
 from trajent.entanglement import concurrence_pure
-from trajent.linalg import expm, normalized
+from trajent.linalg import normalized
 from trajent.models import (
     JumpChannel, bell_state, preset_common_bath, preset_dephasing,
     preset_photon_counting, preset_rotated_thermal, preset_thermal,
