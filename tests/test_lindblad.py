@@ -67,6 +67,26 @@ def test_matches_matrix_exponential_on_bundled_scenarios():
         assert np.max(np.abs(got - want)) < 1e-12, name
 
 
+def test_step_halving_converged():
+    # the propagator is exact, so halving the record step changes nothing
+    s = preset_thermal(1.0, 2.0, 1.0, 2.0)
+    a = evolve_rho(s, 1.0, record_grid=0.005).rhos[-1]
+    b = evolve_rho(s, 1.0, record_grid=0.0025).rhos[-1]
+    assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_oversize_step_rejected():
+    s = preset_thermal(1.0, 2.0, 1.0, 2.0)
+    # a step past t_max (or a non-positive one) is not a record grid
+    for g in (2.0, 0.0, -0.1):
+        with pytest.raises(ValueError):
+            evolve_rho(s, 1.0, record_grid=g)
+    # a step with gamma_max * g = 0.08 is exact, not rejected
+    coarse = evolve_rho(s, 0.04, record_grid=0.04).rhos[-1]
+    fine = evolve_rho(s, 0.04, record_grid=0.0004).rhos[-1]
+    assert np.max(np.abs(coarse - fine)) < 1e-12
+
+
 def test_trace_and_positivity_reported():
     ev = evolve_rho(preset_thermal(1.0, 2.0, 1.0, 2.0), 2.0)
     assert ev.max_trace_drift < 1e-10
