@@ -17,33 +17,51 @@ heterodyne-type monitoring with one complex increment per channel
 
 Both are integrated with Euler-Maruyama and an exact renormalization after
 every step (the suppressed drift is O(dt^{3/2}) and sits inside the
-first-order convergence budget).  A detector phase theta is applied by
+first-order convergence budget).  One step of either kind has the form
+
+    new = (1 + h A0) psi + sum_m coef_m J_m psi - scal psi ,   A0 = -i H0 - K,
+
+    homodyne:    coef_m = h gamma_m Re<J_m> + sqrt(gamma_m) dw_m,
+                 scal   = sum_m Re<J_m> (h gamma_m Re<J_m> / 2
+                                         + sqrt(gamma_m) dw_m),
+    heterodyne:  coef_m = h gamma_m <J_m>* / 2 + sqrt(gamma_m) d xi_m,
+                 scal   = sum_m (h gamma_m |<J_m>|^2 / 4
+                                 + sqrt(gamma_m) Re(d xi_m <J_m>)),
+
+so the batch kernel advances all its rows with one matmul against the
+stacked operators [1 + h A0; J_1; ...; J_M], one expectation contraction and
+one coefficient contraction per step.  A detector phase theta is applied by
 rotating the channel operators J -> e^{-i theta} J before the run (see
 `models.with_phase_rotation`).
 
 The same substream discipline as the jump engine applies: trajectory k of a
 run draws only from SeedSequence(seed, spawn_key=(k,)), so ensembles are
 bit-stable for a given (seed, n_traj) regardless of batching or workers.
+The kernel streams the noise: each row draws the next block of steps from
+its substream into a reused buffer of at most _NOISE_VALUES normals per
+batch, in the order of `wiener_increments`/`complex_wiener_increments`.
+Consecutive draws continue one stream, so the increments are those of a
+single whole-horizon draw and memory does not grow with t_max.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+from functools import partial
 
 import numpy as np
 
 from .entanglement import concurrence_batch
 from .errors import StepSizeError
-from .linalg import dag
 from .models import Scenario
-from .quantum_jump import TrajectoryRecord, record_times, trajectory_rng
+from .quantum_jump import (TrajectoryRecord, record_times, run_batches,
+                           trajectory_rng)
 
 __all__ = ["MAX_DIFFUSION_STEP", "wiener_increments", "complex_wiener_increments",
            "step_homodyne", "step_heterodyne",
            "run_trajectory_qsd", "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
-_BATCH = 512
+_NOISE_VALUES = 1 << 18  # normals a batch buffers at a time (2 MB)
 
 KINDS = ("homodyne", "heterodyne")
 
@@ -129,6 +147,7 @@ def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
 def _run_batch_qsd(kind: str, s: Scenario, seeds: list[int], indices: list[int],
                    t_max: float, dt: float | None, record_grid: float | None,
                    keep_states: bool) -> list[TrajectoryRecord]:
+    """Fused Euler-Maruyama kernel; the batch state is held as (4, B)."""
     if kind not in KINDS:
         raise ValueError(f"unraveling kind must be one of {KINDS}, got {kind!r}")
     if dt is None:
@@ -136,61 +155,61 @@ def _run_batch_qsd(kind: str, s: Scenario, seeds: list[int], indices: list[int],
         dt = min(dt, record_grid if record_grid is not None else t_max / 100.0)
     times, n_sub, h = _grid(t_max, dt, record_grid)
     _check_scenario(s, h)
-    n_rec = len(times) - 1
-    n_steps = n_rec * n_sub
+    n_steps = (len(times) - 1) * n_sub
     b = len(seeds)
     m_ch = len(s.channels)
+    het = kind == "heterodyne"
+    per_step = 2 * m_ch if het else m_ch   # normals per row and step
+    block = max(1, min(n_steps, _NOISE_VALUES // (b * per_step)))
+    gens = [trajectory_rng(seed, k) for seed, k in zip(seeds, indices)]
+    raw = np.empty((b, block * per_step))
+    # sqrt(gamma_m) dw_m = sqrt(gamma_m h) z and sqrt(gamma_m) d xi_m =
+    # sqrt(gamma_m h / 2) (z' + i z''): a (z', z'') pair read as one complex
+    dtype = complex if het else float
+    dn = np.empty((block, m_ch, b), dtype=dtype)        # dn[k] is (M, B)
+    dn_scale = np.sqrt((0.5 * h if het else h) * s.rates)[:, None]
 
-    ops = s.lifted_ops
-    rates = s.rates
-    sqrt_rates = np.sqrt(rates)
-    a0 = _drift_op(s)
+    stack = np.concatenate([np.eye(4) + h * _drift_op(s), *s.lifted_ops])
+    h_rates = h * s.rates[:, None]
+    half_h_rates = 0.5 * h_rates
+    quarter_h_rates = 0.25 * h_rates
 
-    if kind == "homodyne":
-        noise = np.empty((b, n_steps, m_ch))
-        for i, (seed, k) in enumerate(zip(seeds, indices)):
-            noise[i] = wiener_increments(trajectory_rng(seed, k), n_steps,
-                                         m_ch, h)
-    else:
-        noise = np.empty((b, n_steps, m_ch), dtype=complex)
-        for i, (seed, k) in enumerate(zip(seeds, indices)):
-            noise[i] = complex_wiener_increments(trajectory_rng(seed, k),
-                                                 n_steps, m_ch, h)
-
-    psi = np.broadcast_to(s.initial / np.linalg.norm(s.initial), (b, 4)).copy()
-    conc = np.empty((b, n_rec + 1))
-    conc[:, 0] = concurrence_batch(psi)
+    psi = np.broadcast_to((s.initial / np.linalg.norm(s.initial))[:, None],
+                          (4, b)).copy()                        # (4, B)
+    conc = np.empty((b, len(times)))
+    conc[:, 0] = concurrence_batch(psi.T)
     states = None
     if keep_states:
-        states = np.empty((b, n_rec + 1, 4), dtype=complex)
-        states[:, 0] = psi
+        states = np.empty((b, len(times), 4), dtype=complex)
+        states[:, 0] = psi.T
 
-    step = 0
-    for rec in range(1, n_rec + 1):
-        for _ in range(n_sub):
-            jpsi = np.einsum("mij,bj->mbi", ops, psi)          # (M, B, 4)
-            ex = np.einsum("bi,mbi->mb", np.conjugate(psi), jpsi)
-            new = psi + h * (psi @ a0.T)
-            if kind == "homodyne":
-                re = ex.real                                    # (M, B)
-                new = new + h * np.einsum("mb,mbi->bi", rates[:, None] * re, jpsi)
-                new = new - 0.5 * h * ((rates[:, None] * re ** 2).sum(0))[:, None] * psi
-                dw = noise[:, step, :].T                        # (M, B)
-                new = new + np.einsum("mb,mbi->bi", sqrt_rates[:, None] * dw, jpsi)
-                new = new - ((sqrt_rates[:, None] * dw * re).sum(0))[:, None] * psi
+    for b0 in range(0, n_steps, block):
+        nb = min(block, n_steps - b0)
+        for g, row in zip(gens, raw):
+            g.standard_normal(out=row[:nb * per_step])
+        z = raw[:, :nb * per_step].view(dtype).reshape(b, nb, m_ch)
+        np.multiply(dn_scale, z.transpose(1, 2, 0), out=dn[:nb])
+        for k in range(nb):
+            y = stack @ psi
+            jpsi = y[4:].reshape(m_ch, 4, b)
+            ex = (psi.conj() * jpsi).sum(axis=1)                # (M, B)
+            if het:
+                coef = half_h_rates * ex.conj() + dn[k]
+                scal = (quarter_h_rates * (ex * ex.conj()).real
+                        + (dn[k] * ex).real).sum(axis=0)
             else:
-                w = 0.5 * rates[:, None] * np.conjugate(ex)     # (M, B)
-                new = new + h * np.einsum("mb,mbi->bi", w, jpsi)
-                new = new - 0.25 * h * ((rates[:, None] * np.abs(ex) ** 2).sum(0))[:, None] * psi
-                dxi = noise[:, step, :].T                       # (M, B)
-                new = new + np.einsum("mb,mbi->bi", sqrt_rates[:, None] * dxi, jpsi)
-                new = new - 0.5 * ((sqrt_rates[:, None] * (dxi * ex
-                                    + np.conjugate(dxi * ex))).sum(0))[:, None] * psi
-            psi = new / np.linalg.norm(new, axis=1, keepdims=True)
-            step += 1
-        conc[:, rec] = concurrence_batch(psi)
-        if keep_states:
-            states[:, rec] = psi
+                re = ex.real
+                coef = h_rates * re + dn[k]
+                scal = (re * (half_h_rates * re + dn[k])).sum(axis=0)
+            new = (coef[:, None] * jpsi).sum(axis=0)
+            new += y[:4]
+            new -= scal * psi
+            psi = new / np.linalg.norm(new, axis=0)
+            done, rem = divmod(b0 + k + 1, n_sub)
+            if not rem:
+                conc[:, done] = concurrence_batch(psi.T)
+                if keep_states:
+                    states[:, done] = psi.T
 
     return [TrajectoryRecord(seed=seeds[i], index=indices[i], times=times,
                              concurrences=conc[i], events=(),
@@ -207,41 +226,13 @@ def run_trajectory_qsd(kind: str, s: Scenario, t_max: float,
                           keep_states)[0]
 
 
-def _qsd_chunk(args):
-    kind, s, seed, k0, k1, t_max, dt, record_grid, keep_states = args
-    out = []
-    for b0 in range(k0, k1, _BATCH):
-        b1 = min(b0 + _BATCH, k1)
-        out.extend(_run_batch_qsd(kind, s, [seed] * (b1 - b0),
-                                  list(range(b0, b1)), t_max, dt, record_grid,
-                                  keep_states))
-    return out
-
-
 def run_ensemble_qsd(kind: str, s: Scenario, t_max: float, n_traj: int,
                      dt: float | None = None, seed: int = 0,
                      record_grid: float | None = None,
                      keep_states: bool = False,
                      workers: int = 1) -> list[TrajectoryRecord]:
     """Ensemble of diffusive trajectories; bit-stable for fixed (seed, n_traj)."""
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
-    if workers <= 1 or n_traj <= _BATCH:
-        return _qsd_chunk((kind, s, seed, 0, n_traj, t_max, dt, record_grid,
-                           keep_states))
-    n_batches = -(-n_traj // _BATCH)
-    per_worker = -(-n_batches // workers)
-    tasks = []
-    for w in range(workers):
-        k0 = w * per_worker * _BATCH
-        k1 = min(k0 + per_worker * _BATCH, n_traj)
-        if k0 >= k1:
-            break
-        tasks.append((kind, s, seed, k0, k1, t_max, dt, record_grid,
-                      keep_states))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-        chunks = list(ex.map(_qsd_chunk, tasks))
-    out: list[TrajectoryRecord] = []
-    for c in chunks:
-        out.extend(c)
-    return out
+    return run_batches(partial(_run_batch_qsd, kind, s, t_max=t_max, dt=dt,
+                               record_grid=record_grid,
+                               keep_states=keep_states),
+                       seed, n_traj, workers)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SYSY, dag, herm_eig4, require_finite
+from .linalg import SYSY, require_finite
 
 __all__ = [
     "preconcurrence", "concurrence_pure", "concurrence_op_form",
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-6
+_HERM_TOL = 1e-10  # entrywise |rho - rho^dag| a density matrix may carry
 
 
 def _check_state(psi: np.ndarray) -> np.ndarray:
@@ -89,24 +90,40 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return SYSY @ np.conjugate(rho) @ SYSY
 
 
-def concurrence_mixed(rho: np.ndarray, eig_floor: float = -1e-8) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence_mixed(rho: np.ndarray,
+                      eig_floor: float = -1e-8) -> float | np.ndarray:
+    """Wootters concurrence of a two-qubit density matrix, or of a stack.
 
-    The lambda_i are the square roots of the eigenvalues of the Hermitian
-    product sqrt(rho) rho_tilde sqrt(rho), taken here as the singular values
-    of its factor A = sqrt(rho) (sigma_y(x)sigma_y) sqrt(rho)* (note
-    A A^dag equals the Hermitian product).  Going through the SVD keeps the
-    error of the small lambda_i at machine precision even for rank-deficient
-    rho, where square-rooting near-zero eigenvalues would lose half the
-    digits.  Eigenvalues of rho in [eig_floor, 0) are clipped to zero before
-    the square root; anything below ``eig_floor`` is an error.
+    ``rho`` is one (4, 4) matrix, which gives a float, or a stack (..., 4, 4),
+    which gives an array (...) from one batched evaluation.  The lambda_i are
+    the square roots of the eigenvalues of the Hermitian product
+    sqrt(rho) rho_tilde sqrt(rho), taken here as the singular values of its
+    factor A = sqrt(rho) (sigma_y(x)sigma_y) sqrt(rho)* (note A A^dag equals
+    the Hermitian product).  Going through the SVD keeps the error of the
+    small lambda_i at machine precision even for rank-deficient rho, where
+    square-rooting near-zero eigenvalues would lose half the digits.  Every
+    matrix must be finite and Hermitian within 1e-10; eigenvalues in
+    [eig_floor, 0) are clipped to zero before the square root, anything below
+    ``eig_floor`` is an error.
     """
-    rho = require_finite(rho, "density matrix").reshape(4, 4)
-    w, v = herm_eig4(rho)
-    if w[-1] < eig_floor:
-        raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ dag(v)
-    a = sqrt_rho @ SYSY @ np.conjugate(sqrt_rho)
-    lam = np.linalg.svd(a, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    rho = require_finite(rho, "density matrix")
+    stack = rho.reshape(-1, 4, 4)
+    rho_dag = np.conjugate(stack.transpose(0, 2, 1))
+    asym = np.max(np.abs(stack - rho_dag), axis=(1, 2))
+    bad = np.flatnonzero(asym > _HERM_TOL)
+    if bad.size:
+        raise ValueError(f"density matrix {bad[0]} is not Hermitian: "
+                         f"max |rho - rho^dag| = {asym[bad[0]]:.3e}")
+    w, v = np.linalg.eigh(0.5 * (stack + rho_dag))
+    bad = np.flatnonzero(w[:, 0] < eig_floor)
+    if bad.size:
+        raise ValueError(f"density matrix {bad[0]} has negative eigenvalue "
+                         f"{w[bad[0], 0]:.3e}")
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) \
+        @ np.conjugate(v.transpose(0, 2, 1))
+    lam = np.linalg.svd(sqrt_rho @ SYSY @ np.conjugate(sqrt_rho),
+                        compute_uv=False)
+    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    if rho.ndim < 3:
+        return float(c[0])
+    return c.reshape(rho.shape[:-2])

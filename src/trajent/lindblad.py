@@ -96,5 +96,5 @@ def evolve_rho(s: Scenario, t_max: float, record_grid: float | None = None,
 
 
 def concurrence_series(evolution: DensityEvolution) -> np.ndarray:
-    """Mixed-state concurrence at every recorded time."""
-    return np.array([concurrence_mixed(r) for r in evolution.rhos])
+    """Mixed-state concurrence at every recorded time, in one batched call."""
+    return concurrence_mixed(evolution.rhos)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import expm
@@ -265,14 +267,34 @@ def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,
     return _run_batch(s, [seed], [index], t_max, record_grid, keep_states)[0]
 
 
-def _ensemble_chunk(args):
-    s, seed, k0, k1, t_max, record_grid, keep_states = args
+def _chunk(kernel, seed: int, k0: int, k1: int) -> list[TrajectoryRecord]:
     out = []
     for b0 in range(k0, k1, _BATCH):
         b1 = min(b0 + _BATCH, k1)
-        out.extend(_run_batch(s, [seed] * (b1 - b0), list(range(b0, b1)),
-                              t_max, record_grid, keep_states))
+        out.extend(kernel([seed] * (b1 - b0), list(range(b0, b1))))
     return out
+
+
+def run_batches(kernel, seed: int, n_traj: int,
+                workers: int) -> list[TrajectoryRecord]:
+    """Trajectories 0..n_traj-1 of ``kernel(seeds, indices)``, _BATCH at a time.
+
+    Worker processes split the index range on fixed batch boundaries, so the
+    returned records are identical for any ``workers`` value.  ``kernel`` is
+    sent to the workers, so it must pickle (e.g. a partial of a module-level
+    batch function).
+    """
+    if n_traj <= 0:
+        raise ValueError("n_traj must be positive")
+    if workers <= 1 or n_traj <= _BATCH:
+        return _chunk(kernel, seed, 0, n_traj)
+    n_batches = -(-n_traj // _BATCH)
+    span = -(-n_batches // workers) * _BATCH  # trajectories per worker
+    starts = range(0, n_traj, span)
+    ends = [min(k0 + span, n_traj) for k0 in starts]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(ends)) as ex:
+        chunks = ex.map(_chunk, repeat(kernel), repeat(seed), starts, ends)
+        return [r for c in chunks for r in c]
 
 
 def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
@@ -280,26 +302,9 @@ def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
                  workers: int = 1) -> list[TrajectoryRecord]:
     """Ensemble of trajectories with per-trajectory substreams.
 
-    Worker processes split the index range on fixed batch boundaries, so the
-    returned records are identical for any ``workers`` value.
+    The records are identical for any ``workers`` value (`run_batches`).
     """
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
-    if workers <= 1 or n_traj <= _BATCH:
-        return _ensemble_chunk((s, seed, 0, n_traj, t_max, record_grid,
-                                keep_states))
-    n_batches = -(-n_traj // _BATCH)
-    per_worker = -(-n_batches // workers)
-    tasks = []
-    for w in range(workers):
-        k0 = w * per_worker * _BATCH
-        k1 = min(k0 + per_worker * _BATCH, n_traj)
-        if k0 >= k1:
-            break
-        tasks.append((s, seed, k0, k1, t_max, record_grid, keep_states))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-        chunks = list(ex.map(_ensemble_chunk, tasks))
-    out: list[TrajectoryRecord] = []
-    for c in chunks:
-        out.extend(c)
-    return out
+    return run_batches(partial(_run_batch, s, t_max=t_max,
+                               record_grid=record_grid,
+                               keep_states=keep_states),
+                       seed, n_traj, workers)

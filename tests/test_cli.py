@@ -1,5 +1,6 @@
 """Command-line workflows end to end: files in, files out, exit codes."""
 
+import concurrent.futures
 import csv
 import json
 
@@ -44,15 +45,26 @@ def test_simulate_writes_all_columns(tmp_path):
     assert np.all(mean >= c_rho - 1e-9)          # averaging only loses order
 
 
-def test_simulate_reproducible_bytes(tmp_path):
+def test_simulate_reproducible_bytes(tmp_path, monkeypatch):
+    # 600 trajectories are two 512-wide batches, so --threads 2 starts a pool
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     cfg = _write_config(tmp_path)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out in (a, b):
-        rc = main(["simulate", "--config", cfg, "--out", str(out), "--tmax",
-                   "0.5", "--traj", "80", "--seed", "11", "--threads",
-                   "1" if out is a else "2"])
-        assert rc == 0
-    assert a.read_bytes() == b.read_bytes()
+    for extra in ([], ["--unraveling", "qsd-heterodyne", "--dt", "0.005"]):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, threads in ((a, "1"), (b, "2")):
+            rc = main(["simulate", "--config", cfg, "--out", str(out),
+                       "--tmax", "0.5", "--traj", "600", "--seed", "11",
+                       "--threads", threads] + extra)
+            assert rc == 0
+        assert a.read_bytes() == b.read_bytes()
+    assert pools == [2, 2]
 
 
 def test_simulate_unraveling_and_master_modes(tmp_path):

@@ -1,9 +1,12 @@
 """Diffusive unraveling engine: noise contracts, steppers, decay rates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trajent.diffusion import (complex_wiener_increments, run_ensemble_qsd,
+from trajent.diffusion import (_NOISE_VALUES, complex_wiener_increments,
+                               run_ensemble_qsd,
                                run_trajectory_qsd, step_heterodyne,
                                step_homodyne, wiener_increments)
 from trajent.ensemble import average, fit_rate_series
@@ -104,12 +107,47 @@ def test_dephasing_phase_steers_decay():
 
 def test_worker_count_invisible():
     s = preset_photon_counting(1.0, 1.0)
-    one = run_ensemble_qsd("homodyne", s, 0.5, 600, dt=0.005, seed=113,
-                           record_grid=0.05, workers=1)
-    two = run_ensemble_qsd("homodyne", s, 0.5, 600, dt=0.005, seed=113,
-                           record_grid=0.05, workers=2)
-    for ra, rb in zip(one, two):
-        assert np.array_equal(ra.concurrences, rb.concurrences)
+    for kind in ("homodyne", "heterodyne"):
+        one = run_ensemble_qsd(kind, s, 0.5, 600, dt=0.005, seed=113,
+                               record_grid=0.05, workers=1)
+        two = run_ensemble_qsd(kind, s, 0.5, 600, dt=0.005, seed=113,
+                               record_grid=0.05, workers=2)
+        for ra, rb in zip(one, two):
+            assert np.array_equal(ra.concurrences, rb.concurrences)
+
+
+def test_streamed_noise_is_independent_of_block_boundaries():
+    # a 512-row batch draws its noise in blocks of _NOISE_VALUES normals, a
+    # single trajectory in one block: the horizon spans several blocks of the
+    # batch, so trajectory k sees the same increments only if every block
+    # continues its own substream in draw order
+    s = preset_photon_counting(1.0, 0.6)
+    n_steps = 800                                    # t_max 2, dt 0.0025
+    for kind, per_step in (("homodyne", 2), ("heterodyne", 4)):
+        assert 512 * n_steps * per_step >= 3 * _NOISE_VALUES
+        recs = run_ensemble_qsd(kind, s, 2.0, 600, dt=0.0025, seed=127,
+                                record_grid=0.05, keep_states=True)
+        for k in (0, 300, 511, 512, 599):
+            one = run_trajectory_qsd(kind, s, 2.0, dt=0.0025, seed=127,
+                                     index=k, record_grid=0.05,
+                                     keep_states=True)
+            assert np.max(np.abs(recs[k].states - one.states)) < 1e-10
+            assert np.max(np.abs(recs[k].concurrences
+                                 - one.concurrences)) < 1e-10
+
+
+def test_memory_independent_of_t_max():
+    # the default grid keeps 101 record points, so only the horizon grows
+    s = preset_photon_counting(1.0, 1.0)
+    peaks = []
+    for t_max in (3.0, 12.0):
+        tracemalloc.start()
+        try:
+            run_ensemble_qsd("heterodyne", s, t_max, 64, dt=0.0025, seed=131)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_scenario_and_step_validation():

@@ -200,3 +200,23 @@ def test_concurrence_mixed_convexity():
 def test_concurrence_mixed_rejects_bad_input():
     with pytest.raises(ValueError):
         concurrence_mixed(np.diag([1.0, 0.5, -0.5, 0.0]))
+
+
+def test_concurrence_mixed_stack_checks_every_record():
+    rng = np.random.default_rng(30)
+    rhos = np.array([np.outer(*(lambda s: (s, s.conj()))(random_state(rng)))
+                     for _ in range(6)])
+    got = concurrence_mixed(rhos)
+    assert got.shape == (6,)
+    assert isinstance(concurrence_mixed(rhos[2]), float)
+    assert np.array_equal(concurrence_mixed(rhos.reshape(2, 3, 4, 4)),
+                          got.reshape(2, 3))
+    negative = rhos.copy()
+    negative[4] = np.diag([1.0, 0.5, -0.5, 0.0])
+    non_hermitian = rhos.copy()
+    non_hermitian[1, 0, 3] += 1e-6
+    not_finite = rhos.copy()
+    not_finite[5, 2, 2] = np.nan
+    for bad in (negative, non_hermitian, not_finite):
+        with pytest.raises(ValueError):
+            concurrence_mixed(bad)

@@ -67,6 +67,16 @@ def test_matches_matrix_exponential_on_bundled_scenarios():
         assert np.max(np.abs(got - want)) < 1e-12, name
 
 
+def test_concurrence_series_matches_per_matrix_on_bundled_scenarios():
+    # one batched Wootters evaluation equals one call per record point
+    for name in bundled_scenario_names():
+        ev = evolve_rho(load_scenario(name), 20.0, record_grid=0.02)
+        want = np.array([concurrence_mixed(r) for r in ev.rhos])
+        got = concurrence_series(ev)
+        assert got.shape == (len(ev.times),)
+        assert np.max(np.abs(got - want)) < 1e-12, name
+
+
 def test_step_halving_converged():
     # the propagator is exact, so halving the record step changes nothing
     s = preset_thermal(1.0, 2.0, 1.0, 2.0)
