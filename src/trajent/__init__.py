@@ -4,7 +4,7 @@ Simulates quantum-jump and quantum-state-diffusion trajectory unravelings of
 two-qubit decay alongside the ensemble (Lindblad) evolution, tracks Wootters
 concurrence on single trajectories and in the mean, and provides the
 closed-form disentanglement rates of the different monitoring schemes
-together with an optimizer over channel mixings.
+together with the best channel mixing for thermal baths.
 """
 
 from .config import load_scenario, scenario_from_dict

@@ -222,8 +222,7 @@ def cmd_optimize(args) -> int:
         raise ConfigError(
             "the mixing optimizer needs a thermal-type scenario "
             "(presets photon_counting, thermal, or rotated_thermal)")
-    opt = optimize_unraveling(*s.thermal_rates, restarts=args.restarts,
-                              seed=args.seed)
+    opt = optimize_unraveling(*s.thermal_rates)
     doc = {
         "achieved": opt.achieved,
         "reference_balanced_mixing": opt.reference,
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize", help="best channel mixing (thermal baths)")
     common(sp)
-    sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_optimize)
 
     return p

@@ -78,8 +78,7 @@ class RateFit:
 
 
 def fit_rate_series(times: np.ndarray, mean_c: np.ndarray,
-                    stderr: np.ndarray | None = None,
-                    min_points: int = MIN_FIT_POINTS) -> RateFit:
+                    stderr: np.ndarray | None = None) -> RateFit:
     """Exponential decay rate from a mean-concurrence series.
 
     The fit runs on ln(mean_c) over the maximal initial window in which the
@@ -91,7 +90,7 @@ def fit_rate_series(times: np.ndarray, mean_c: np.ndarray,
     Raises
     ------
     FitWindowError
-        If fewer than ``min_points`` usable points remain.
+        If fewer than ``MIN_FIT_POINTS`` usable points remain.
     """
     times = np.asarray(times, dtype=float)
     mean_c = np.asarray(mean_c, dtype=float)
@@ -102,10 +101,10 @@ def fit_rate_series(times: np.ndarray, mean_c: np.ndarray,
 
     usable = (mean_c > WINDOW_SNR * stderr) & (mean_c > 0.0)
     n_win = int(np.argmin(usable)) if not usable.all() else usable.size
-    if n_win < min_points:
+    if n_win < MIN_FIT_POINTS:
         raise FitWindowError(
             f"only {n_win} leading points have mean concurrence above "
-            f"{WINDOW_SNR} standard errors (need {min_points}); "
+            f"{WINDOW_SNR} standard errors (need {MIN_FIT_POINTS}); "
             "not enough signal to fit a decay rate")
 
     t = times[:n_win]
@@ -144,8 +143,6 @@ def fit_rate_series(times: np.ndarray, mean_c: np.ndarray,
                    r_squared=r2)
 
 
-def fit_rate(summary: EnsembleSummary,
-             min_points: int = MIN_FIT_POINTS) -> RateFit:
+def fit_rate(summary: EnsembleSummary) -> RateFit:
     """Exponential decay rate of an ensemble's mean concurrence."""
-    return fit_rate_series(summary.times, summary.mean_c, summary.stderr,
-                           min_points=min_points)
+    return fit_rate_series(summary.times, summary.mean_c, summary.stderr)

@@ -28,6 +28,7 @@ __all__ = [
 
 _NORM_TOL = 1e-6
 _HERM_TOL = 1e-10  # entrywise |rho - rho^dag| a density matrix may carry
+_EIG_FLOOR = -1e-8  # eigenvalues in [_EIG_FLOOR, 0) are roundoff, clipped
 
 
 def _check_state(psi: np.ndarray) -> np.ndarray:
@@ -90,8 +91,7 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return SYSY @ np.conjugate(rho) @ SYSY
 
 
-def concurrence_mixed(rho: np.ndarray,
-                      eig_floor: float = -1e-8) -> float | np.ndarray:
+def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit density matrix, or of a stack.
 
     ``rho`` is one (4, 4) matrix, which gives a float, or a stack (..., 4, 4),
@@ -103,8 +103,8 @@ def concurrence_mixed(rho: np.ndarray,
     small lambda_i at machine precision even for rank-deficient rho, where
     square-rooting near-zero eigenvalues would lose half the digits.  Every
     matrix must be finite and Hermitian within 1e-10; eigenvalues in
-    [eig_floor, 0) are clipped to zero before the square root, anything below
-    ``eig_floor`` is an error.
+    [-1e-8, 0) are clipped to zero before the square root, anything below
+    -1e-8 is an error.
     """
     rho = require_finite(rho, "density matrix")
     stack = rho.reshape(-1, 4, 4)
@@ -115,7 +115,7 @@ def concurrence_mixed(rho: np.ndarray,
         raise ValueError(f"density matrix {bad[0]} is not Hermitian: "
                          f"max |rho - rho^dag| = {asym[bad[0]]:.3e}")
     w, v = np.linalg.eigh(0.5 * (stack + rho_dag))
-    bad = np.flatnonzero(w[:, 0] < eig_floor)
+    bad = np.flatnonzero(w[:, 0] < _EIG_FLOOR)
     if bad.size:
         raise ValueError(f"density matrix {bad[0]} has negative eigenvalue "
                          f"{w[bad[0], 0]:.3e}")

@@ -15,7 +15,7 @@ __all__ = [
     "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_PLUS", "SIGMA_MINUS",
     "SYSY", "UP", "DOWN",
     "kron2", "dag", "det2", "trace2", "trace4",
-    "herm_eig4", "ptrace_a", "ptrace_b",
+    "ptrace_a", "ptrace_b",
     "require_finite", "normalized",
 ]
 
@@ -71,25 +71,6 @@ def normalized(psi: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return psi / n
-
-
-def herm_eig4(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` sorted in descending order
-    and the matching orthonormal eigenvectors in the columns of ``v``.  The
-    input must be Hermitian within ``tol`` (entrywise); it is symmetrized
-    before being handed to LAPACK so roundoff-level asymmetry cannot leak into
-    the spectrum.
-    """
-    m = require_finite(m, "herm_eig4 argument")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"herm_eig4 expects a square matrix, got shape {m.shape}")
-    asym = np.max(np.abs(m - dag(m)))
-    if asym > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {asym:.3e} > {tol:.1e}")
-    w, v = np.linalg.eigh(0.5 * (m + dag(m)))
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def ptrace_b(rho: np.ndarray) -> np.ndarray:

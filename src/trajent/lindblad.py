@@ -34,6 +34,8 @@ __all__ = ["DensityEvolution", "density_from_state", "validate_density_matrix",
 
 EIG_FLOOR_SOFT = -1e-8
 EIG_FLOOR_HARD = -1e-6
+_HERM_TOL = 1e-9
+_TRACE_TOL = 1e-9
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
@@ -41,20 +43,19 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, np.conjugate(psi))
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-9,
-                            trace_tol: float = 1e-9,
-                            eig_floor: float = EIG_FLOOR_SOFT) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace, and near-positivity; return as (4,4)."""
     rho = require_finite(rho, "density matrix").reshape(4, 4)
     herm = np.max(np.abs(rho - dag(rho)))
-    if herm > herm_tol:
+    if herm > _HERM_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {tr:.12f} != 1")
     w = np.linalg.eigvalsh(0.5 * (rho + dag(rho)))
-    if w[0] < eig_floor:
-        raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < {eig_floor:.1e}")
+    if w[0] < EIG_FLOOR_SOFT:
+        raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} "
+                         f"< {EIG_FLOOR_SOFT:.1e}")
     return rho
 
 

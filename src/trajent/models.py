@@ -38,6 +38,7 @@ __all__ = [
 
 ID4 = np.eye(4, dtype=complex)
 KERNEL_DRIFT_TOL = 1e-10  # largest allowed oscillating coefficient of K(t)
+GEN_TOL = 1e-10  # entrywise ensemble-generator deviation from a reference
 
 _LOCALITIES = ("A", "B", "joint")
 
@@ -113,12 +114,7 @@ class JumpChannel:
 
     def lifted(self, t: float = 0.0) -> np.ndarray:
         """Effective operator at time t on the pair space."""
-        j = self.operator(t)
-        if self.locality == "A":
-            return kron2(j, ID2)
-        if self.locality == "B":
-            return kron2(ID2, j)
-        return j
+        return _lift(self.locality, self.operator(t))
 
 
 def _lift(locality: str, op: np.ndarray) -> np.ndarray:
@@ -447,14 +443,14 @@ class ValidationReport:
         return self.ok
 
 
-def validate_scenario(s: Scenario, reference: Scenario | np.ndarray | None = None,
-                      gen_tol: float = 1e-10) -> ValidationReport:
+def validate_scenario(s: Scenario, reference: Scenario | np.ndarray | None = None
+                      ) -> ValidationReport:
     """Check a scenario's structural invariants, reporting all violations.
 
     Never raises on bad content: every problem is returned as a human-readable
     entry.  When ``reference`` is given (a scenario or a 16x16 generator
     matrix), the ensemble generators are compared entrywise within
-    ``gen_tol`` — the invariance check for displaced/rotated monitorings.
+    ``GEN_TOL`` — the invariance check for displaced/rotated monitorings.
     """
     v: list[str] = []
 
@@ -515,8 +511,8 @@ def validate_scenario(s: Scenario, reference: Scenario | np.ndarray | None = Non
         ref_gen = (lindblad_superoperator(reference)
                    if isinstance(reference, Scenario) else np.asarray(reference))
         diff = np.max(np.abs(lindblad_superoperator(s) - ref_gen))
-        if diff > gen_tol:
+        if diff > GEN_TOL:
             v.append(f"ensemble generator deviates from reference by {diff:.3e} "
-                     f"(> {gen_tol:.1e})")
+                     f"(> {GEN_TOL:.1e})")
 
     return ValidationReport(ok=not v, violations=tuple(v))

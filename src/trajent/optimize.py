@@ -1,4 +1,4 @@
-"""Search for the channel mixing that slows entanglement loss the most.
+"""The channel mixing that slows entanglement loss the most, in closed form.
 
 Independent thermal baths leave freedom in *how* the two emission/absorption
 channels of each qubit are monitored: any unitary re-mixing
@@ -10,10 +10,16 @@ gives the same ensemble dynamics but a different jump-counting decay rate
     kappa(u) = sum_mu (1/2) ( sqrt(gamma_-) |u_{mu -}|
                               - sqrt(gamma_+) |u_{mu +}| )^2 .
 
-The two qubits decouple, so each is minimized separately over a four-angle
-parameterization of U(2) with a Nelder-Mead local search and random
-restarts.  The known optimum (balanced mixing, |u_{mu m}| = 1/sqrt(2))
-serves as the reference value.
+The two qubits decouple.  For u in U(2) the moduli are fixed by one angle,
+|u_{0 +}| = |u_{1 -}| = cos(phi) and |u_{0 -}| = |u_{1 +}| = sin(phi), so per
+qubit
+
+    kappa(phi) = (1/2)(gamma_+ + gamma_-) - sqrt(gamma_+ gamma_-) sin(2 phi),
+
+which for every pair of rates is smallest at phi = pi/4: the balanced mixing
+|u_{mu m}| = 1/sqrt(2), with kappa = (1/2)(sqrt(gamma_-) - sqrt(gamma_+))^2
+(``rates.kappa_opt_thermal``).  The achieved rate is evaluated from the
+general kappa(u) above at the returned u, independently of that closed form.
 """
 
 from __future__ import annotations
@@ -21,42 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sopt
 
 from .rates import kappa_opt_thermal
 
-__all__ = ["UnravelingOptimum", "optimize_unraveling", "mixing_matrix"]
+__all__ = ["UnravelingOptimum", "optimize_unraveling"]
 
-
-def mixing_matrix(angles: np.ndarray) -> np.ndarray:
-    """General U(2) element (up to global phase) from four angles."""
-    phi, d1, d2, d3 = angles
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([
-        [c * np.exp(1j * d1), s * np.exp(1j * d2)],
-        [-s * np.exp(1j * d3), c * np.exp(1j * (d2 + d3 - d1))],
-    ])
+# The balanced mixing (phi = pi/4); rows are the detectors mu, columns (+, -).
+_BALANCED = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def _qubit_rate(u: np.ndarray, g_plus: float, g_minus: float) -> float:
     a = np.sqrt(g_minus) * np.abs(u[:, 1]) - np.sqrt(g_plus) * np.abs(u[:, 0])
     return float(0.5 * np.sum(a * a))
-
-
-def _optimize_qubit(g_plus: float, g_minus: float, restarts: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    def objective(angles):
-        return _qubit_rate(mixing_matrix(angles), g_plus, g_minus)
-
-    best_angles, best_val = None, np.inf
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, 2.0 * np.pi, size=4)
-        res = sopt.minimize(objective, x0, method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-12,
-                                     "maxiter": 2000})
-        if res.fun < best_val:
-            best_val, best_angles = float(res.fun), res.x
-    return mixing_matrix(best_angles), best_val
 
 
 def _detector_phases(u: np.ndarray, g_plus: float, g_minus: float) -> np.ndarray:
@@ -72,7 +54,7 @@ def _detector_phases(u: np.ndarray, g_plus: float, g_minus: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class UnravelingOptimum:
-    """Best mixing found, per qubit, with the closed-form reference value."""
+    """Best mixing per qubit, with the closed-form reference value."""
     u_a: np.ndarray
     u_b: np.ndarray
     phases_a: np.ndarray
@@ -82,21 +64,18 @@ class UnravelingOptimum:
 
 
 def optimize_unraveling(gamma_plus_a: float, gamma_minus_a: float,
-                        gamma_plus_b: float, gamma_minus_b: float,
-                        restarts: int = 32, seed: int = 0) -> UnravelingOptimum:
-    """Minimize the jump-counting decay rate over per-qubit channel mixings."""
+                        gamma_plus_b: float, gamma_minus_b: float
+                        ) -> UnravelingOptimum:
+    """The jump-counting decay rate minimized over per-qubit channel mixings."""
     for g in (gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b):
         if not np.isfinite(g) or g < 0:
             raise ValueError(f"rates must be finite and >= 0, got {g}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    u_a, val_a = _optimize_qubit(gamma_plus_a, gamma_minus_a, restarts, rng)
-    u_b, val_b = _optimize_qubit(gamma_plus_b, gamma_minus_b, restarts, rng)
+    u_a, u_b = _BALANCED.copy(), _BALANCED.copy()
     return UnravelingOptimum(
         u_a=u_a, u_b=u_b,
         phases_a=_detector_phases(u_a, gamma_plus_a, gamma_minus_a),
         phases_b=_detector_phases(u_b, gamma_plus_b, gamma_minus_b),
-        achieved=val_a + val_b,
+        achieved=(_qubit_rate(u_a, gamma_plus_a, gamma_minus_a)
+                  + _qubit_rate(u_b, gamma_plus_b, gamma_minus_b)),
         reference=kappa_opt_thermal(gamma_plus_a, gamma_minus_a,
                                     gamma_plus_b, gamma_minus_b))

@@ -44,6 +44,8 @@ __all__ = [
     "analytic_mean_concurrence",
 ]
 
+PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
+
 
 def _local_rate_ops(s: Scenario) -> list[tuple[float, np.ndarray, str]]:
     ops = []
@@ -136,14 +138,15 @@ def kappa_het(s: Scenario) -> float:
     return float(sum(g * _het_term(j) for g, j, _ in _local_rate_ops(s)))
 
 
-def kappa_ho_phase_scan(s: Scenario, n: int = 10_000) -> float:
+def kappa_ho_phase_scan(s: Scenario) -> float:
     """Minimum homodyne rate over a phase grid, one phase per channel.
 
     The phase enters each channel independently, so the joint minimum is the
     sum of per-channel minima over theta in [0, pi) (the rate has period pi).
     Brute-force counterpart of :func:`kappa_ho_opt`.
     """
-    phase = np.exp(-1j * np.linspace(0.0, np.pi, n, endpoint=False))
+    phase = np.exp(-1j * np.linspace(0.0, np.pi, PHASE_SCAN_POINTS,
+                                     endpoint=False))
     total = 0.0
     for g, j, _ in _local_rate_ops(s):
         # only det and trace feel the phase: det -> e^{-2i theta} det,

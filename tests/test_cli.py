@@ -3,6 +3,10 @@
 import concurrent.futures
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,16 +147,28 @@ def test_fit_short_window_is_exit_3(tmp_path):
 def test_optimize_subcommand(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "opt.json"
-    rc = main(["optimize", "--config", cfg, "--out", str(out),
-               "--restarts", "4", "--seed", "1"])
+    rc = main(["optimize", "--config", cfg, "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
-    assert abs(data["achieved"] - 1.0) < 1e-6    # (gamma_a + gamma_b)/2
+    assert abs(data["achieved"] - 1.0) < 1e-12   # (gamma_a + gamma_b)/2
     assert abs(data["reference_balanced_mixing"] - 1.0) < 1e-12
     u = np.array(data["u_a"])                    # [[re, im], ...] rows
     assert u.shape == (2, 2, 2)
+    assert np.max(np.abs(np.hypot(u[..., 0], u[..., 1]) - 1 / np.sqrt(2))) \
+        < 1e-12                                  # balanced mixing
     deph = bundled_scenario_path("dephasing_phi0")
     assert main(["optimize", "--config", str(deph)]) == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is ~0.3 s and ~20 MB of start-up that no subcommand needs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import trajent.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_config_and_argument_errors(tmp_path, capsys):
@@ -171,6 +187,11 @@ def test_config_and_argument_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["master", "--config", cfg, "--tmax", "1.0", "--dt", "0.01"])
     assert exc.value.code == 2
+    # the best mixing is closed-form, so the search knobs are gone
+    for flag, value in (("--restarts", "4"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", cfg, flag, value])
+        assert exc.value.code == 2
     # a rotating displacement without its -alpha partner makes K(t) oscillate
     lone = tmp_path / "lone.json"
     lone.write_text(json.dumps({"custom_channels": [

@@ -1,4 +1,4 @@
-"""Linear-algebra kernel tests: constants, eigendecomposition, ptrace."""
+"""Linear-algebra kernel tests: constants, ptrace."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
-    dag, det2, herm_eig4, kron2,
+    dag, det2, kron2,
     normalized, ptrace_a, ptrace_b, require_finite, trace2, trace4,
 )
 
@@ -83,30 +83,6 @@ def test_expm_collective_damping_kernel():
     assert np.max(np.abs(p @ plus - np.exp(-t) * plus)) < 1e-12
     assert np.max(np.abs(p @ minus - minus)) < 1e-12
     assert np.max(np.abs(p @ dd - dd)) < 1e-12
-
-
-def test_herm_eig4_reconstruction():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        a = random_complex(rng, (4, 4))
-        m = a + dag(a)
-        w, v = herm_eig4(m)
-        assert np.all(np.diff(w) <= 1e-12)  # descending
-        assert np.max(np.abs(dag(v) @ v - np.eye(4))) < 1e-10
-        assert np.max(np.abs((v * w) @ dag(v) - m)) < 1e-9
-
-
-def test_herm_eig4_known_spectrum():
-    m = np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)
-    w, v = herm_eig4(m)
-    assert np.allclose(w, [3.0, 2.0, 0.0, -1.0])
-    assert abs(abs(v[0, 0]) - 1.0) < 1e-12
-
-
-def test_herm_eig4_rejects_non_hermitian():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        herm_eig4(m)
 
 
 def test_ptrace_product_state():

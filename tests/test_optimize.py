@@ -1,65 +1,75 @@
-"""Channel-mixing optimizer: recovers the closed-form thermal optimum."""
+"""Best channel mixing: the balanced mixing reaches the closed-form optimum."""
 
 import numpy as np
 import pytest
 
-from trajent.linalg import dag
-from trajent.optimize import mixing_matrix, optimize_unraveling
-from trajent.rates import kappa_opt_thermal
+from trajent.models import preset_rotated_thermal
+from trajent.optimize import optimize_unraveling
+from trajent.rates import kappa_opt_thermal, kappa_qj
 
 
-def test_mixing_matrix_unitary():
+def _random_u2(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def test_balanced_mixing_is_optimal_over_random_unitaries():
+    # oracle independent of optimize: kappa_qj of the mixed scenario itself
     rng = np.random.default_rng(51)
-    for _ in range(50):
-        u = mixing_matrix(rng.uniform(0, 2 * np.pi, 4))
-        assert np.max(np.abs(dag(u) @ u - np.eye(2))) < 1e-12
+    for _ in range(60):
+        g = rng.uniform(0.1, 3.0, 4)
+        best = kappa_opt_thermal(*g)
+        u_a, u_b = _random_u2(rng), _random_u2(rng)
+        assert kappa_qj(preset_rotated_thermal(u_a, u_b, *g)) >= best - 1e-12
+        opt = optimize_unraveling(*g)
+        assert abs(kappa_qj(preset_rotated_thermal(opt.u_a, opt.u_b, *g))
+                   - opt.reference) < 1e-12
 
 
 def test_recovers_thermal_optimum():
-    opt = optimize_unraveling(1.0, 2.0, 1.0, 2.0, restarts=8, seed=0)
+    opt = optimize_unraveling(1.0, 2.0, 1.0, 2.0)
     assert abs(opt.reference - (3.0 - 2.0 * np.sqrt(2.0))) < 1e-12
-    assert abs(opt.achieved - opt.reference) < 1e-6
+    assert abs(opt.achieved - opt.reference) < 1e-12
     # the optimum is the balanced mixing: all moduli 1/sqrt(2)
-    assert np.max(np.abs(np.abs(opt.u_a) - 1 / np.sqrt(2))) < 1e-4
-    assert np.max(np.abs(np.abs(opt.u_b) - 1 / np.sqrt(2))) < 1e-4
+    assert np.max(np.abs(np.abs(opt.u_a) - 1 / np.sqrt(2))) < 1e-12
+    assert np.max(np.abs(np.abs(opt.u_b) - 1 / np.sqrt(2))) < 1e-12
 
 
 def test_random_quadruples():
     rng = np.random.default_rng(52)
     for _ in range(6):
         g = rng.uniform(0.1, 3.0, 4)
-        opt = optimize_unraveling(*g, restarts=8, seed=1)
+        opt = optimize_unraveling(*g)
         want = kappa_opt_thermal(*g)
-        assert abs(opt.achieved - want) < 1e-6
-        assert opt.achieved >= want - 1e-9  # closed form is a true lower bound
+        assert abs(opt.achieved - want) < 1e-12
+        assert opt.achieved >= want - 1e-12  # closed form is a true lower bound
 
 
 def test_zero_temperature():
-    opt = optimize_unraveling(0.0, 1.2, 0.0, 0.7, restarts=4, seed=0)
-    assert abs(opt.achieved - 0.95) < 1e-6  # (1.2 + 0.7)/2
+    opt = optimize_unraveling(0.0, 1.2, 0.0, 0.7)
+    assert abs(opt.achieved - 0.95) < 1e-12  # (1.2 + 0.7)/2
     # with det J = 0 on every channel the phase convention is 0
     assert np.all((opt.phases_a >= 0) & (opt.phases_a < np.pi))
 
 
 def test_equal_temperature_protection():
-    opt = optimize_unraveling(0.9, 0.9, 0.4, 0.4, restarts=8, seed=3)
+    opt = optimize_unraveling(0.9, 0.9, 0.4, 0.4)
     assert opt.reference == 0.0
-    assert abs(opt.achieved) < 1e-6
+    assert abs(opt.achieved) < 1e-12
 
 
 def test_detector_phases_range():
-    opt = optimize_unraveling(0.5, 1.5, 0.5, 1.5, restarts=4, seed=2)
+    opt = optimize_unraveling(0.5, 1.5, 0.5, 1.5)
     for ph in (opt.phases_a, opt.phases_b):
         assert ph.shape == (2,)
         assert np.all((ph >= 0) & (ph < np.pi))
 
 
 def test_determinism_and_validation():
-    a = optimize_unraveling(1.0, 2.0, 0.5, 1.5, restarts=4, seed=9)
-    b = optimize_unraveling(1.0, 2.0, 0.5, 1.5, restarts=4, seed=9)
+    a = optimize_unraveling(1.0, 2.0, 0.5, 1.5)
+    b = optimize_unraveling(1.0, 2.0, 0.5, 1.5)
     assert a.achieved == b.achieved
     assert np.array_equal(a.u_a, b.u_a)
     with pytest.raises(ValueError):
         optimize_unraveling(-1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        optimize_unraveling(1.0, 1.0, 1.0, 1.0, restarts=0)
