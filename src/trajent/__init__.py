@@ -27,11 +27,10 @@ from .models import (JumpChannel, Scenario, ValidationReport, bell_state,
                      with_phase_rotation)
 from .optimize import UnravelingOptimum, optimize_unraveling
 from .quantum_jump import (JumpEvent, TrajectoryRecord, run_ensemble,
-                           run_trajectory, survival_probability)
+                           run_trajectory)
 from .rates import (CommonBathCurve, RateReport, analytic_mean_concurrence,
-                    common_bath_mean, common_bath_one_jump_pieces,
-                    common_bath_vanish_time, kappa_het, kappa_ho, kappa_ho_opt,
-                    kappa_opt_thermal, kappa_qj, kappa_qj_decomposed,
+                    common_bath_mean, common_bath_vanish_time, kappa_het,
+                    kappa_ho, kappa_ho_opt, kappa_opt_thermal, kappa_qj,
                     mean_concurrence_independent, rate_report)
 
 __version__ = "0.1.0"

@@ -21,9 +21,8 @@ import numpy as np
 from .linalg import SYSY, require_finite
 
 __all__ = [
-    "preconcurrence", "concurrence_pure", "concurrence_op_form",
-    "concurrence_batch", "eof_from_concurrence", "concurrence_mixed",
-    "spin_flip",
+    "preconcurrence", "concurrence_pure", "concurrence_batch",
+    "eof_from_concurrence", "concurrence_mixed",
 ]
 
 _NORM_TOL = 1e-6
@@ -51,16 +50,6 @@ def concurrence_pure(psi: np.ndarray) -> float:
     return abs(preconcurrence(psi))
 
 
-def concurrence_op_form(psi: np.ndarray) -> float:
-    """Concurrence through the operator form |<sigma_y(x)sigma_y . T>|.
-
-    Numerically redundant with :func:`concurrence_pure`; kept as an
-    independent evaluation path for cross-checks.
-    """
-    psi = _check_state(psi)
-    return abs(complex(np.vdot(psi, SYSY @ np.conjugate(psi))))
-
-
 def concurrence_batch(states: np.ndarray) -> np.ndarray:
     """Concurrences of a stack of normalized states, shape (..., 4)."""
     c = np.conjugate(np.asarray(states, dtype=complex))
@@ -83,12 +72,6 @@ def eof_from_concurrence(c: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return float(-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
-
-
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """rho_tilde = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    return SYSY @ np.conjugate(rho) @ SYSY
 
 
 def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:

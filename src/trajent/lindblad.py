@@ -8,7 +8,8 @@ The master equation
 
 is linear with the static 16x16 generator L of
 `models.lindblad_superoperator`, so it is solved exactly: the propagator
-P = expm(L g) over one record interval g is computed once, and
+P = expm(L g) over one record interval g is computed once (`linalg.expm`,
+scaling and squaring with a Pade [13/13] step), and
 vec rho_{k+1} = P vec rho_k (column-stacked) on the record points of
 `quantum_jump.record_times`, the grid of the trajectory engines.  There is no
 time step and the trace is not renormalized.  Trace drift and the smallest
@@ -21,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import concurrence_mixed
 from .errors import PositivityError
-from .linalg import dag, require_finite
+from .linalg import dag, expm, require_finite
 from .models import Scenario, lindblad_superoperator
 from .quantum_jump import record_times
 

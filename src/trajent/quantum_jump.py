@@ -32,14 +32,13 @@ from functools import partial
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
 from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
 
-__all__ = ["JumpEvent", "TrajectoryRecord", "survival_probability",
-           "run_trajectory", "run_ensemble", "trajectory_rng"]
+__all__ = ["JumpEvent", "TrajectoryRecord", "run_trajectory", "run_ensemble",
+           "trajectory_rng"]
 
 _BATCH = 512  # fixed internal batch width; keeps results worker-independent
 _DRAW_BLOCK = 32  # uniforms a trajectory draws from its substream at a time
@@ -69,18 +68,6 @@ def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
     """Independent generator for trajectory k of a run seeded with master_seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed,
                                                         spawn_key=(k,)))
-
-
-def survival_probability(s: Scenario, psi: np.ndarray, t: float) -> float:
-    """No-click probability |exp(-i H_eff t) psi|^2 over a span t."""
-    if s.time_dependent:
-        raise ValueError("survival probability with rotating displacements "
-                         "is not defined by a static propagator")
-    if t < 0:
-        raise ValueError("time span must be non-negative")
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    phi = expm(-1j * s.h_eff * t) @ psi
-    return float(np.real(np.vdot(phi, phi)))
 
 
 def record_times(t_max: float, record_grid: float | None) -> np.ndarray:

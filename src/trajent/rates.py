@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import concurrence_pure
 from .linalg import dag, det2, require_finite, trace2
@@ -37,14 +36,10 @@ from .models import Scenario
 
 __all__ = [
     "ChannelRateTerms", "RateReport", "CommonBathCurve",
-    "kappa_qj", "kappa_qj_decomposed", "kappa_opt_thermal",
-    "kappa_ho", "kappa_ho_opt", "kappa_het", "kappa_ho_phase_scan",
+    "kappa_qj", "kappa_opt_thermal", "kappa_ho", "kappa_ho_opt", "kappa_het",
     "rate_report", "mean_concurrence_independent",
-    "common_bath_mean", "common_bath_vanish_time", "common_bath_one_jump_pieces",
-    "analytic_mean_concurrence",
+    "common_bath_mean", "common_bath_vanish_time", "analytic_mean_concurrence",
 ]
-
-PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
 
 
 def _local_rate_ops(s: Scenario) -> list[tuple[float, np.ndarray, str]]:
@@ -86,30 +81,6 @@ def kappa_qj(s: Scenario) -> float:
     return float(sum(g * _qj_term(j) for g, j, _ in _local_rate_ops(s)))
 
 
-def kappa_qj_decomposed(s: Scenario) -> float:
-    """Jump-counting rate as a sum of explicit non-negative squares.
-
-    Per channel, with J~ = e^{-i theta} J and 2 theta = arg det J (theta = 0
-    when det J = 0):
-
-        kappa_m = (gamma_m / 2) ( |<u|J~|u> - <d|J~^dag|d>|^2
-                                  + |<u|(J~ + J~^dag)|d>|^2 )
-
-    Numerically identical to :func:`kappa_qj`; kept as an independent route
-    because it makes non-negativity manifest.
-    """
-    total = 0.0
-    for g, j, _ in _local_rate_ops(s):
-        d = det2(j)
-        theta = 0.0 if d == 0 else 0.5 * np.angle(d)
-        jt = np.exp(-1j * theta) * j
-        term1 = abs(jt[0, 0] - np.conjugate(jt[1, 1])) ** 2
-        sym = jt + dag(jt)
-        term2 = abs(sym[0, 1]) ** 2
-        total += 0.5 * g * (term1 + term2)
-    return float(total)
-
-
 def kappa_opt_thermal(gamma_plus_a: float, gamma_minus_a: float,
                       gamma_plus_b: float, gamma_minus_b: float) -> float:
     """Best achievable jump-counting rate for independent thermal baths.
@@ -136,26 +107,6 @@ def kappa_ho_opt(s: Scenario) -> float:
 def kappa_het(s: Scenario) -> float:
     """Mean-concurrence decay rate under heterodyne-type diffusion."""
     return float(sum(g * _het_term(j) for g, j, _ in _local_rate_ops(s)))
-
-
-def kappa_ho_phase_scan(s: Scenario) -> float:
-    """Minimum homodyne rate over a phase grid, one phase per channel.
-
-    The phase enters each channel independently, so the joint minimum is the
-    sum of per-channel minima over theta in [0, pi) (the rate has period pi).
-    Brute-force counterpart of :func:`kappa_ho_opt`.
-    """
-    phase = np.exp(-1j * np.linspace(0.0, np.pi, PHASE_SCAN_POINTS,
-                                     endpoint=False))
-    total = 0.0
-    for g, j, _ in _local_rate_ops(s):
-        # only det and trace feel the phase: det -> e^{-2i theta} det,
-        # tr -> e^{-i theta} tr, while tr(J^dag J) is invariant
-        base = 0.5 * trace2(dag(j) @ j).real
-        vals = (base - (phase * phase * det2(j)).real
-                - 0.5 * (phase * trace2(j)).imag ** 2)
-        total += g * float(vals.min())
-    return float(total)
 
 
 @dataclass(frozen=True)
@@ -291,27 +242,6 @@ def common_bath_vanish_time(curve: CommonBathCurve) -> float | None:
 def common_bath_residual(curve: CommonBathCurve) -> float:
     """Long-time limit |c_-|^2 / 2 protected by the dark antisymmetric state."""
     return 0.5 * abs(curve.c_minus) ** 2
-
-
-def common_bath_one_jump_pieces(psi: np.ndarray, gamma: float, t: float
-                                ) -> tuple[float, float]:
-    """(no-jump, one-jump) contributions to the collective-decay mean at t.
-
-    The no-jump piece is evaluated from the damped propagator applied to the
-    initial state (probability times conditional concurrence telescopes into
-    the unnormalized preconcurrence); the one-jump piece is the closed form
-    2 |c_uu|^2 gamma t e^{-2 gamma t}.  Together they reproduce
-    :func:`common_bath_mean`.
-    """
-    curve = CommonBathCurve.from_state(psi, gamma)
-    from .models import preset_common_bath  # local import to avoid cycle
-
-    s = preset_common_bath(gamma)
-    prop = expm(-curve.gamma * t * (s.k_op / curve.gamma)) if t > 0 else np.eye(4)
-    phi = prop @ np.asarray(psi, dtype=complex)
-    nj = abs(2.0 * (phi[1] * phi[2] - phi[0] * phi[3]))
-    oj = 2.0 * abs(curve.c_uu) ** 2 * gamma * t * np.exp(-2.0 * gamma * t)
-    return float(nj), float(oj)
 
 
 # --------------------------------------------------------------------------

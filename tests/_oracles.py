@@ -1,0 +1,121 @@
+"""Independent evaluation routes that only the tests use.
+
+Each function recomputes something the package computes another way: a
+brute-force or differently factored closed form, an operator form of the
+concurrence, partial traces, and no-click propagators taken from
+``scipy.linalg.expm`` rather than the package's own Pade ``expm``.
+"""
+
+import numpy as np
+from scipy.linalg import expm
+
+from trajent.entanglement import _check_state
+from trajent.linalg import SYSY, dag, det2, trace2
+from trajent.models import Scenario, preset_common_bath
+from trajent.rates import CommonBathCurve, _local_rate_ops
+
+PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
+
+
+def trace4(m: np.ndarray) -> complex:
+    m = np.asarray(m)
+    return complex(m[0, 0] + m[1, 1] + m[2, 2] + m[3, 3])
+
+
+def ptrace_b(rho: np.ndarray) -> np.ndarray:
+    """Reduced state of qubit A (trace out the right factor)."""
+    r = np.asarray(rho).reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3)
+
+
+def ptrace_a(rho: np.ndarray) -> np.ndarray:
+    """Reduced state of qubit B (trace out the left factor)."""
+    r = np.asarray(rho).reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=0, axis2=2)
+
+
+def concurrence_op_form(psi: np.ndarray) -> float:
+    """Concurrence through the operator form |<sigma_y(x)sigma_y . T>|."""
+    psi = _check_state(psi)
+    return abs(complex(np.vdot(psi, SYSY @ np.conjugate(psi))))
+
+
+def spin_flip(rho: np.ndarray) -> np.ndarray:
+    """rho_tilde = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
+    rho = np.asarray(rho, dtype=complex)
+    return SYSY @ np.conjugate(rho) @ SYSY
+
+
+def survival_probability(s: Scenario, psi: np.ndarray, t: float) -> float:
+    """No-click probability |exp(-i H_eff t) psi|^2 over a span t."""
+    if s.time_dependent:
+        raise ValueError("survival probability with rotating displacements "
+                         "is not defined by a static propagator")
+    if t < 0:
+        raise ValueError("time span must be non-negative")
+    psi = np.asarray(psi, dtype=complex).reshape(4)
+    phi = expm(-1j * s.h_eff * t) @ psi
+    return float(np.real(np.vdot(phi, phi)))
+
+
+def kappa_qj_decomposed(s: Scenario) -> float:
+    """Jump-counting rate as a sum of explicit non-negative squares.
+
+    Per channel, with J~ = e^{-i theta} J and 2 theta = arg det J (theta = 0
+    when det J = 0):
+
+        kappa_m = (gamma_m / 2) ( |<u|J~|u> - <d|J~^dag|d>|^2
+                                  + |<u|(J~ + J~^dag)|d>|^2 )
+
+    Numerically identical to ``rates.kappa_qj``; it makes non-negativity
+    manifest.
+    """
+    total = 0.0
+    for g, j, _ in _local_rate_ops(s):
+        d = det2(j)
+        theta = 0.0 if d == 0 else 0.5 * np.angle(d)
+        jt = np.exp(-1j * theta) * j
+        term1 = abs(jt[0, 0] - np.conjugate(jt[1, 1])) ** 2
+        sym = jt + dag(jt)
+        term2 = abs(sym[0, 1]) ** 2
+        total += 0.5 * g * (term1 + term2)
+    return float(total)
+
+
+def kappa_ho_phase_scan(s: Scenario) -> float:
+    """Minimum homodyne rate over a phase grid, one phase per channel.
+
+    The phase enters each channel independently, so the joint minimum is the
+    sum of per-channel minima over theta in [0, pi) (the rate has period pi).
+    Brute-force counterpart of ``rates.kappa_ho_opt``.
+    """
+    phase = np.exp(-1j * np.linspace(0.0, np.pi, PHASE_SCAN_POINTS,
+                                     endpoint=False))
+    total = 0.0
+    for g, j, _ in _local_rate_ops(s):
+        # only det and trace feel the phase: det -> e^{-2i theta} det,
+        # tr -> e^{-i theta} tr, while tr(J^dag J) is invariant
+        base = 0.5 * trace2(dag(j) @ j).real
+        vals = (base - (phase * phase * det2(j)).real
+                - 0.5 * (phase * trace2(j)).imag ** 2)
+        total += g * float(vals.min())
+    return float(total)
+
+
+def common_bath_one_jump_pieces(psi: np.ndarray, gamma: float, t: float
+                                ) -> tuple[float, float]:
+    """(no-jump, one-jump) contributions to the collective-decay mean at t.
+
+    The no-jump piece is evaluated from the damped propagator applied to the
+    initial state (probability times conditional concurrence telescopes into
+    the unnormalized preconcurrence); the one-jump piece is the closed form
+    2 |c_uu|^2 gamma t e^{-2 gamma t}.  Together they reproduce
+    ``rates.common_bath_mean``.
+    """
+    curve = CommonBathCurve.from_state(psi, gamma)
+    s = preset_common_bath(gamma)
+    prop = expm(-curve.gamma * t * (s.k_op / curve.gamma)) if t > 0 else np.eye(4)
+    phi = prop @ np.asarray(psi, dtype=complex)
+    nj = abs(2.0 * (phi[1] * phi[2] - phi[0] * phi[3]))
+    oj = 2.0 * abs(curve.c_uu) ** 2 * gamma * t * np.exp(-2.0 * gamma * t)
+    return float(nj), float(oj)

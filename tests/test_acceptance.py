@@ -24,8 +24,9 @@ from trajent.models import (JumpChannel, Scenario, bell_state,
 from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import (analytic_mean_concurrence, kappa_het,
-                           kappa_ho_opt, kappa_ho_phase_scan,
-                           kappa_opt_thermal, kappa_qj, kappa_qj_decomposed)
+                           kappa_ho_opt, kappa_opt_thermal, kappa_qj)
+
+from _oracles import kappa_ho_phase_scan, kappa_qj_decomposed
 
 FLOAT_GUARD = 1e-12
 V_XY = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)

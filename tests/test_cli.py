@@ -160,15 +160,41 @@ def test_optimize_subcommand(tmp_path):
     assert main(["optimize", "--config", str(deph)]) == 2
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is ~0.3 s and ~20 MB of start-up that no subcommand needs
+def _run_python(code, *args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import trajent.cli, sys; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg alone would add ~0.35 s and ~27 MB to every command
+    out = _run_python("import trajent.cli, sys; print(any("
+                      "m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes any scipy import raise ImportError
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from trajent.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+    small = ["--config", "thermal_bell", "--tmax", "0.5", "--grid", "0.05"]
+    argvs = [
+        ["master", *small, "--out", str(tmp_path / "rho.csv")],
+        ["rates", "--config", "thermal_bell"],
+        ["optimize", "--config", "thermal_bell"],
+        ["simulate", *small, "--traj", "20", "--unraveling", "qj",
+         "--out", str(tmp_path / "qj.csv")],
+        ["simulate", *small, "--traj", "20", "--unraveling",
+         "qsd-heterodyne", "--dt", "0.005",
+         "--out", str(tmp_path / "het.csv")],
+    ]
+    out = _run_python(code, json.dumps(argvs))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0] * len(argvs)
 
 
 def test_config_and_argument_errors(tmp_path, capsys):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from trajent.entanglement import (
-    concurrence_batch, concurrence_mixed, concurrence_op_form,
-    concurrence_pure, eof_from_concurrence, preconcurrence, spin_flip,
+    concurrence_batch, concurrence_mixed, concurrence_pure,
+    eof_from_concurrence, preconcurrence,
 )
-from trajent.linalg import SYSY, dag, kron2, normalized, ptrace_b
+from trajent.linalg import SYSY, dag, kron2, normalized
+
+from _oracles import concurrence_op_form, ptrace_b, spin_flip
 
 EOF_HALF = 0.24577536666847116  # h((1 + sqrt(3/4))/2) in nats
 

@@ -1,14 +1,17 @@
-"""Linear-algebra kernel tests: constants, ptrace."""
+"""Linear-algebra kernel tests: constants, ptrace, the Pade expm."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+import scipy.linalg
 
+from trajent.config import bundled_scenario_names, load_scenario
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
-    dag, det2, kron2,
-    normalized, ptrace_a, ptrace_b, require_finite, trace2, trace4,
+    dag, det2, expm, kron2, normalized, require_finite, trace2,
 )
+from trajent.models import lindblad_superoperator
+
+from _oracles import ptrace_a, ptrace_b, trace4
 
 
 def random_complex(rng, shape):
@@ -83,6 +86,28 @@ def test_expm_collective_damping_kernel():
     assert np.max(np.abs(p @ plus - np.exp(-t) * plus)) < 1e-12
     assert np.max(np.abs(p @ minus - minus)) < 1e-12
     assert np.max(np.abs(p @ dd - dd)) < 1e-12
+
+
+def test_expm_matches_scipy_on_bundled_generators():
+    # g = 200 puts the 1-norm of L g at 800-1600, so r is squared 8-9 times
+    for name in bundled_scenario_names():
+        gen = lindblad_superoperator(load_scenario(name))
+        for g in (0.02, 0.2, 2.0, 20.0, 200.0):
+            err = np.max(np.abs(expm(gen * g) - scipy.linalg.expm(gen * g)))
+            assert err < 1e-13, (name, g, err)
+
+
+def test_expm_of_zero_is_exactly_identity():
+    for n in (2, 4, 16):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.zeros((16, 16), dtype=complex)
+        m[3, 5] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            expm(m)
 
 
 def test_ptrace_product_state():

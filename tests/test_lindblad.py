@@ -9,11 +9,13 @@ from trajent.entanglement import concurrence_mixed
 from trajent.errors import PositivityError
 from trajent.lindblad import (concurrence_series, density_from_state,
                               evolve_rho, validate_density_matrix)
-from trajent.linalg import SIGMA_MINUS, ptrace_a, ptrace_b
+from trajent.linalg import SIGMA_MINUS
 from trajent.models import (JumpChannel, Scenario, bell_state,
                             lindblad_superoperator, preset_common_bath, preset_dephasing,
                             preset_photon_counting, preset_thermal,
                             state_from_amplitudes)
+
+from _oracles import ptrace_a, ptrace_b
 
 V_XY = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
 

@@ -10,9 +10,10 @@ from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
                             preset_photon_counting, scenario_from_channels,
                             state_from_amplitudes, with_heterodyne)
 from trajent.linalg import SIGMA_MINUS, SIGMA_X
-from trajent.quantum_jump import (run_ensemble, run_trajectory,
-                                  survival_probability, trajectory_rng)
+from trajent.quantum_jump import run_ensemble, run_trajectory, trajectory_rng
 from trajent.rates import analytic_mean_concurrence
+
+from _oracles import survival_probability
 
 UU = state_from_amplitudes(1, 0, 0, 0)
 DD = state_from_amplitudes(0, 0, 0, 1)

@@ -15,11 +15,13 @@ from trajent.models import (
 )
 from trajent.rates import (
     CommonBathCurve, analytic_mean_concurrence, common_bath_mean,
-    common_bath_one_jump_pieces, common_bath_residual,
-    common_bath_vanish_time, kappa_het, kappa_ho, kappa_ho_opt,
-    kappa_ho_phase_scan, kappa_opt_thermal, kappa_qj, kappa_qj_decomposed,
-    mean_concurrence_independent, rate_report,
+    common_bath_residual, common_bath_vanish_time, kappa_het, kappa_ho,
+    kappa_ho_opt, kappa_opt_thermal, kappa_qj, mean_concurrence_independent,
+    rate_report,
 )
+
+from _oracles import (common_bath_one_jump_pieces, kappa_ho_phase_scan,
+                      kappa_qj_decomposed)
 
 S2 = 1 / np.sqrt(2)
 OPT_UNIT = 3.0 - 2.0 * np.sqrt(2.0)  # (sqrt2 - 1)^2 = 0.17157287525381
