@@ -89,6 +89,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--dt applies to the qsd unravelings only; the qj "
                           "engine samples click times exactly and takes no "
                           "time step")
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     s = load_scenario(args.config)
     t_max, grid = _grid_args(args)
     log.info("simulate: %s unraveling=%s traj=%d tmax=%g grid=%g seed=%d",

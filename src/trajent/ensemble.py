@@ -34,10 +34,13 @@ class EnsembleSummary:
 def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
     if not records:
         raise ValueError("cannot average an empty ensemble")
-    t0 = records[0].times
+    t0 = seen = records[0].times
     for r in records[1:]:
+        if r.times is seen:  # the records of one batch share their grid
+            continue
         if r.times.shape != t0.shape or not np.array_equal(r.times, t0):
             raise ValueError("trajectory records lie on different time grids")
+        seen = r.times
     return t0
 
 

@@ -10,11 +10,10 @@ S falls to r.  The click goes to channel m with probability proportional to
 gamma_m |J_m(t) psi|^2, and the post-click state J_m psi / |J_m psi| starts a
 new waiting time with a fresh threshold.
 
-There is no time step.  H_eff is diagonalized once per batch and every
-trajectory moves from record point to record point with the closed-form
-propagator.  Only the rows whose norm falls below their threshold inside a
-record interval solve S(tau) = r, by a safeguarded Newton iteration, and only
-there are the (possibly time-dependent) channel operators evaluated.
+There is no time step.  H_eff is diagonalized once per batch.  Each click
+round solves S(tau) = r for every active row over its remaining horizon
+[t_last, t_max] by a safeguarded Newton iteration; the record points are then
+filled from each row's last click at or before them by the exact propagator.
 
 Reproducibility: trajectory k of a run with master seed s draws all its
 randomness from the dedicated substream SeedSequence(s, spawn_key=(k,)), in
@@ -118,11 +117,11 @@ def _click_delay(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
                  span: np.ndarray) -> np.ndarray:
     """Delay tau in [0, span] at which the no-click norm S(tau) falls to r.
 
-    Requires S(0) > r >= S(span).  S is non-increasing with
-    dS/dtau = -2 <psi|K|psi>; Newton steps on ln S - ln r start at tau = 0.
-    For H0 = 0, ln S is convex and the steps approach the root from below;
-    otherwise a step that leaves the bracket, and every step after
-    _NEWTON_ITERS, is replaced by bisection.
+    ``span`` is the row's remaining horizon t_max - t_last, and S(0) > r >=
+    S(span).  S falls with dS/dtau = -2 <psi|K|psi>; Newton steps on ln S -
+    ln r start at tau = 0.  For H0 = 0, ln S is convex and the steps approach
+    the root from below; otherwise a step that leaves the bracket, and every
+    step after _NEWTON_ITERS, is replaced by bisection.
     """
     lo = np.zeros(len(c))
     hi = np.array(span, dtype=float)
@@ -180,15 +179,12 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
                keep_states: bool) -> list[TrajectoryRecord]:
     """Exact waiting-time kernel evolving a batch of trajectories together.
 
-    Rows keep their unnormalized no-click state and their current threshold;
-    a row clicks inside a record interval exactly when its norm^2 at the end
-    of the interval is at or below the threshold.  Each row consumes
-    randomness only from its own substream, so the result for trajectory k is
-    independent of the batch it happens to share.
+    Each round takes every active row's next click, and a row's segments
+    (post-click W^-1 psi, click time) then fill its record points.  A row
+    draws only from its own substream, so it does not depend on its batch.
     """
     times = record_times(t_max, record_grid)
-    drift = kernel_oscillation(s)
-    if drift > KERNEL_DRIFT_TOL:
+    if (drift := kernel_oscillation(s)) > KERNEL_DRIFT_TOL:
         raise ValueError(f"damping kernel K(t) oscillates (amplitude "
                          f"{drift:.3g}); the jump engine needs a static "
                          "no-click generator")
@@ -197,49 +193,53 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
         raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
                              "do not give a stable no-click propagator")
     w_inv = np.linalg.inv(w)
-    step = (w * np.exp(-1j * lam * times[1])) @ w_inv
-    ids = [ch.id for ch in s.channels]
     b = len(seeds)
 
     draws = _Uniforms(seeds, indices)
     threshold = draws.take(np.arange(b))
-    psi = np.broadcast_to(s.initial / np.linalg.norm(s.initial), (b, 4)).copy()
-    conc = np.empty((b, len(times)))
-    conc[:, 0] = concurrence_batch(psi)
-    states = None
-    if keep_states:
-        states = np.empty((b, len(times), 4), dtype=complex)
-        states[:, 0] = psi
+    act = np.arange(b)
+    c = np.tile(w_inv @ s.initial / np.linalg.norm(s.initial), (b, 1))
+    t_last = np.zeros(b)
+    segs = [(act, c, t_last)]
     events: list[list[JumpEvent]] = [[] for _ in range(b)]
+    while True:
+        more = _norm2(_evolve(c, lam, w, t_max - t_last)) <= threshold[act]
+        act, c, t_last = act[more], c[more], t_last[more]
+        if not act.size:
+            break
+        tau = _click_delay(c, lam, w, s.k_op, np.log(threshold[act]),
+                           t_max - t_last)
+        t_last = t_last + tau
+        at = _evolve(c, lam, w, tau)
+        at /= np.sqrt(_norm2(at))[:, None]
+        after, m = _jump(s, at, t_last, draws.take(act))
+        for i, mi, tc in zip(act.tolist(), m.tolist(), t_last.tolist()):
+            events[i].append(JumpEvent(time=tc, channel_id=s.channels[mi].id))
+        threshold[act] = draws.take(act)
+        c = after @ w_inv.T
+        segs.append((act, c, t_last))
 
-    for rec in range(1, len(times)):
-        t_end = times[rec]
-        nxt = psi @ step.T
-        norm2 = _norm2(nxt)
-        rows = np.flatnonzero(norm2 <= threshold)
-        start = np.full(rows.size, times[rec - 1])
-        cur = psi[rows]
-        while rows.size:
-            c = cur @ w_inv.T
-            tau = _click_delay(c, lam, w, s.k_op, np.log(threshold[rows]),
-                               t_end - start)
-            t_click = start + tau
-            at = _evolve(c, lam, w, tau)
-            at /= np.sqrt(_norm2(at))[:, None]
-            after, m = _jump(s, at, t_click, draws.take(rows))
-            for i, mi, tc in zip(rows, m, t_click):
-                events[i].append(JumpEvent(time=float(tc), channel_id=ids[mi]))
-            threshold[rows] = draws.take(rows)
-            end = _evolve(after @ w_inv.T, lam, w, t_end - t_click)
-            nxt[rows] = end
-            norm2[rows] = _norm2(end)
-            again = norm2[rows] <= threshold[rows]
-            rows, start, cur = rows[again], t_click[again], after[again]
-        psi = nxt
-        unit = psi / np.sqrt(norm2)[:, None]
-        conc[:, rec] = concurrence_batch(unit)
+    # Segments by row, in click order; each is current from `first`, the first
+    # record point at or after its start (clipped: a click may round past
+    # t_max).  cur[i, k] - 1 indexes row i's current segment at point k.
+    seg_row, seg_c, seg_t = map(np.concatenate, zip(*segs))
+    order = np.argsort(seg_row, kind="stable")
+    seg_c, seg_t = seg_c[order], seg_t[order]
+    g = len(times)
+    first = np.minimum(np.searchsorted(times, seg_t), g - 1)
+    cur = np.bincount(seg_row[order] * g + first, minlength=b * g)
+    cur = np.cumsum(cur, out=cur).reshape(b, g)
+    seg_c *= np.exp(np.multiply.outer(times[first] - seg_t, -1j * lam))
+    hop = np.exp(np.multiply.outer(times, -1j * lam))  # times[n] = n * grid
+    conc = np.empty((b, g))
+    states = np.empty((b, g, 4), dtype=complex) if keep_states else None
+    for k in range(g):
+        j = cur[:, k] - 1
+        psi = (seg_c.take(j, 0) * hop.take(k - first.take(j), 0)) @ w.T
+        psi /= np.sqrt(_norm2(psi))[:, None]
+        conc[:, k] = concurrence_batch(psi)
         if keep_states:
-            states[:, rec] = unit
+            states[:, k] = psi
 
     return [TrajectoryRecord(seed=seeds[i], index=indices[i], times=times,
                              concurrences=conc[i], events=tuple(events[i]),

@@ -204,7 +204,11 @@ def test_config_and_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--tmax", "1.0",
                  "--grid", "2.0"]) == 2
     assert main(["simulate", "--config", cfg, "--tmax", "-1.0"]) == 2
-    capsys.readouterr()
+    # fewer than one worker process is an error, not a serial run
+    for threads in ("0", "-3"):
+        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
+                     "5", "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
     # the jump engine has no time step to bound
     assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj", "5",
                  "--dt", "0.01"]) == 2

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from trajent import quantum_jump
+from trajent.config import bundled_scenario_path, load_scenario
 from trajent.entanglement import concurrence_pure
 from trajent.lindblad import evolve_rho
 from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
                             preset_common_bath, preset_dephasing,
                             preset_photon_counting, scenario_from_channels,
-                            state_from_amplitudes, with_heterodyne)
+                            state_from_amplitudes, with_heterodyne,
+                            with_homodyne_shift)
 from trajent.linalg import SIGMA_MINUS, SIGMA_X
 from trajent.quantum_jump import run_ensemble, run_trajectory, trajectory_rng
 from trajent.rates import analytic_mean_concurrence
@@ -209,3 +213,75 @@ def test_driven_pair_matches_master_equation():
         sigma = np.maximum(part(outer).std(axis=0) / np.sqrt(len(recs)), 1e-7)
         assert np.all(np.abs(part(outer.mean(axis=0)) - part(rho))
                       <= 5.0 * sigma)
+
+
+def _replay(s, rec):
+    """The state at every record point, rebuilt from the events alone."""
+    channel = {ch.id: ch for ch in s.channels}
+    psi, t_last, events = s.initial / np.linalg.norm(s.initial), 0.0, \
+        list(rec.events)
+    out = []
+    for t in rec.times:
+        while events and events[0].time <= t:
+            ev = events.pop(0)
+            psi = channel[ev.channel_id].lifted(ev.time) \
+                @ expm(-1j * s.h_eff * (ev.time - t_last)) @ psi
+            psi, t_last = psi / np.linalg.norm(psi), ev.time
+        phi = expm(-1j * s.h_eff * (t - t_last)) @ psi
+        out.append(phi / np.linalg.norm(phi))
+    return np.array(out)
+
+
+def test_records_replay_their_events():
+    # each recorded state, rebuilt from the trajectory's events with scipy's
+    # expm: this pins which post-click segment fills which record point, for
+    # rows without clicks, rows with two clicks in one record interval, and a
+    # non-normal H_eff (the driven pair of the test above)
+    driven = scenario_from_channels(
+        preset_photon_counting(1.0, 0.6).channels,
+        h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
+    displaced = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [2, 2])
+    cases = [(load_scenario(bundled_scenario_path("thermal_bell")), 3.0, 0.3),
+             (displaced, 3.0, 0.3), (driven, 2.0, 0.1)]
+    silent = doubled = 0
+    for s, t_max, grid in cases:
+        for rec in run_ensemble(s, t_max, 40, seed=61, record_grid=grid,
+                                keep_states=True):
+            assert np.max(np.abs(_replay(s, rec) - rec.states)) < 1e-10
+            slots = np.searchsorted(rec.times, [ev.time for ev in rec.events])
+            silent += not rec.events
+            doubled += len(np.unique(slots)) < len(slots)
+    assert silent and doubled
+
+
+def test_click_rounds_and_long_horizons(monkeypatch):
+    # one click-time search per click round of the batch, not per record
+    # interval: at most the batch's largest click count
+    calls = []
+    search = quantum_jump._click_delay
+    monkeypatch.setattr(quantum_jump, "_click_delay",
+                        lambda *a: calls.append(1) or search(*a))
+    s = load_scenario(bundled_scenario_path("thermal_bell"))
+    recs = run_ensemble(s, 3.0, 512, seed=67, record_grid=0.03)
+    assert 0 < len(calls) <= max(len(r.events) for r in recs)
+    # strong damping over a long horizon: every row ends in the dark ground
+    # state |dd>, and the searches span up to t_max = 20 = 1000 / gamma
+    s = preset_photon_counting(50.0, 50.0, initial=bell_state())
+    recs = run_ensemble(s, 20.0, 200, seed=71, record_grid=0.2,
+                        keep_states=True)
+    k = np.diag(s.k_op).real
+    assert np.array_equal(s.k_op, np.diag(k))
+    free = s.initial * np.exp(-np.outer(recs[0].times, k))
+    free /= np.linalg.norm(free, axis=1)[:, None]
+    want = [concurrence_pure(p) for p in free]
+    silent = 0
+    for r in recs:
+        assert np.all(np.isfinite(r.concurrences))
+        assert len(r.events) in (0, 2)
+        assert abs(r.states[-1, 3]) == pytest.approx(1.0, abs=1e-12)
+        if not r.events:
+            silent += 1
+            assert np.max(np.abs(r.states - free)) < 1e-12
+            assert np.max(np.abs(r.concurrences - want)) < 1e-12
+    # the no-click fraction is S(inf) = 1/2: 100 +/- 7 rows, bound 7 sigma
+    assert 50 < silent < 150
