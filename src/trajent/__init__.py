@@ -10,8 +10,8 @@ together with the best channel mixing for thermal baths.
 from .config import load_scenario, scenario_from_dict
 from .diffusion import (run_ensemble_qsd, run_trajectory_qsd, step_heterodyne,
                         step_homodyne)
-from .ensemble import (EnsembleSummary, RateFit, average, empirical_density,
-                       fit_rate, fit_rate_series)
+from .ensemble import (EnsembleSummary, JumpEvent, RateFit, TrajectoryRecord,
+                       average, empirical_density, fit_rate, fit_rate_series)
 from .entanglement import (concurrence_batch, concurrence_mixed,
                            concurrence_pure, eof_from_concurrence,
                            preconcurrence)
@@ -26,8 +26,7 @@ from .models import (JumpChannel, Scenario, ValidationReport, bell_state,
                      validate_scenario, with_heterodyne, with_homodyne_shift,
                      with_phase_rotation)
 from .optimize import UnravelingOptimum, optimize_unraveling
-from .quantum_jump import (JumpEvent, TrajectoryRecord, run_ensemble,
-                           run_trajectory)
+from .quantum_jump import run_ensemble, run_trajectory
 from .rates import (CommonBathCurve, RateReport, analytic_mean_concurrence,
                     common_bath_mean, common_bath_vanish_time, kappa_het,
                     kappa_ho, kappa_ho_opt, kappa_opt_thermal, kappa_qj,

@@ -34,9 +34,11 @@ one coefficient contraction per step.  A detector phase theta is applied by
 rotating the channel operators J -> e^{-i theta} J before the run (see
 `models.with_phase_rotation`).
 
-The same substream discipline as the jump engine applies: trajectory k of a
-run draws only from SeedSequence(seed, spawn_key=(k,)), so ensembles are
-bit-stable for a given (seed, n_traj) regardless of batching or workers.
+The batch kernel is a pure array function: it returns the batch's record
+points, concurrences and optional states, and `ensemble.run_batches` builds
+the records from them.  Trajectory k of a run draws only from its own
+substream `ensemble.trajectory_rng(seed, k)`, so ensembles are bit-stable for
+a given (seed, n_traj) regardless of batching or workers.
 The kernel streams the noise: each row draws the next block of steps from
 its substream into a reused buffer of at most _NOISE_VALUES normals per
 batch, in the order of `wiener_increments`/`complex_wiener_increments`.
@@ -50,11 +52,11 @@ from functools import partial
 
 import numpy as np
 
+from .ensemble import (TrajectoryRecord, record_times, run_batches, run_one,
+                       trajectory_rng)
 from .entanglement import concurrence_batch
 from .errors import StepSizeError
 from .models import Scenario
-from .quantum_jump import (TrajectoryRecord, record_times, run_batches,
-                           trajectory_rng)
 
 __all__ = ["MAX_DIFFUSION_STEP", "wiener_increments", "complex_wiener_increments",
            "step_homodyne", "step_heterodyne",
@@ -92,12 +94,16 @@ def _check_scenario(s: Scenario, dt: float) -> None:
                             f"{MAX_DIFFUSION_STEP}; reduce the diffusion step")
 
 
-def _grid(t_max: float, dt: float,
+def _grid(s: Scenario, t_max: float, dt: float | None,
           record_grid: float | None) -> tuple[np.ndarray, int, float]:
-    """(record times, substeps per record, actual step); dt is an upper bound."""
+    """(record times, substeps per record, actual step); dt is an upper bound
+    and defaults to half the step bound, at most one record interval."""
     times = record_times(t_max, record_grid)
     if record_grid is None:
         record_grid = t_max / 100.0
+    if dt is None:
+        dt = min(0.5 * MAX_DIFFUSION_STEP / max(s.gamma_max, 1e-30),
+                 record_grid)
     if not 0 < dt <= record_grid:
         raise ValueError("need 0 < dt <= record_grid <= t_max")
     n_sub = max(1, int(np.ceil(record_grid / dt - 1e-9)))
@@ -144,24 +150,21 @@ def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
     return new / np.linalg.norm(new)
 
 
-def _run_batch_qsd(kind: str, s: Scenario, seeds: list[int], indices: list[int],
-                   t_max: float, dt: float | None, record_grid: float | None,
-                   keep_states: bool) -> list[TrajectoryRecord]:
-    """Fused Euler-Maruyama kernel; the batch state is held as (4, B)."""
+def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
+                   record_grid: float | None, keep_states: bool, seed: int,
+                   indices) -> tuple:
+    """Fused Euler-Maruyama kernel on a (4, B) batch state; no clicks."""
     if kind not in KINDS:
         raise ValueError(f"unraveling kind must be one of {KINDS}, got {kind!r}")
-    if dt is None:
-        dt = 0.5 * MAX_DIFFUSION_STEP / max(s.gamma_max, 1e-30)
-        dt = min(dt, record_grid if record_grid is not None else t_max / 100.0)
-    times, n_sub, h = _grid(t_max, dt, record_grid)
+    times, n_sub, h = _grid(s, t_max, dt, record_grid)
     _check_scenario(s, h)
     n_steps = (len(times) - 1) * n_sub
-    b = len(seeds)
+    b = len(indices)
     m_ch = len(s.channels)
     het = kind == "heterodyne"
     per_step = 2 * m_ch if het else m_ch   # normals per row and step
     block = max(1, min(n_steps, _NOISE_VALUES // (b * per_step)))
-    gens = [trajectory_rng(seed, k) for seed, k in zip(seeds, indices)]
+    gens = [trajectory_rng(seed, k) for k in indices]
     raw = np.empty((b, block * per_step))
     # sqrt(gamma_m) dw_m = sqrt(gamma_m h) z and sqrt(gamma_m) d xi_m =
     # sqrt(gamma_m h / 2) (z' + i z''): a (z', z'') pair read as one complex
@@ -211,10 +214,7 @@ def _run_batch_qsd(kind: str, s: Scenario, seeds: list[int], indices: list[int],
                 if keep_states:
                     states[:, done] = psi.T
 
-    return [TrajectoryRecord(seed=seeds[i], index=indices[i], times=times,
-                             concurrences=conc[i], events=(),
-                             states=states[i] if keep_states else None)
-            for i in range(b)]
+    return times, conc, states, None
 
 
 def run_trajectory_qsd(kind: str, s: Scenario, t_max: float,
@@ -222,8 +222,8 @@ def run_trajectory_qsd(kind: str, s: Scenario, t_max: float,
                        record_grid: float | None = None,
                        keep_states: bool = False) -> TrajectoryRecord:
     """Single diffusive trajectory, deterministic for a given (seed, index)."""
-    return _run_batch_qsd(kind, s, [seed], [index], t_max, dt, record_grid,
-                          keep_states)[0]
+    return run_one(partial(_run_batch_qsd, kind, s, t_max, dt, record_grid,
+                           keep_states), seed, index)
 
 
 def run_ensemble_qsd(kind: str, s: Scenario, t_max: float, n_traj: int,
@@ -232,7 +232,6 @@ def run_ensemble_qsd(kind: str, s: Scenario, t_max: float, n_traj: int,
                      keep_states: bool = False,
                      workers: int = 1) -> list[TrajectoryRecord]:
     """Ensemble of diffusive trajectories; bit-stable for fixed (seed, n_traj)."""
-    return run_batches(partial(_run_batch_qsd, kind, s, t_max=t_max, dt=dt,
-                               record_grid=record_grid,
-                               keep_states=keep_states),
+    return run_batches(partial(_run_batch_qsd, kind, s, t_max, dt,
+                               record_grid, keep_states),
                        seed, n_traj, workers)

@@ -1,24 +1,126 @@
-"""Ensemble reduction and exponential rate estimation.
+"""The ensemble driver, ensemble reduction and exponential rate estimation.
 
-Averaging is done centrally over the per-trajectory series, stacked in
-trajectory order, so results do not depend on how the ensemble was split
-across batches or worker processes.
+`run_batches` runs a batch kernel, a pure array function, over trajectories
+0..N-1 in fixed batches, split over worker processes if asked, and builds the
+`TrajectoryRecord`s from the returned arrays in the calling process.
+Trajectory k of a run with master seed s draws only from its own substream
+`trajectory_rng(s, k)`, so the records and their averages are identical for
+any worker count and bit-stable for a given (seed, n_traj).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FitWindowError
-from .quantum_jump import TrajectoryRecord
 
-__all__ = ["EnsembleSummary", "RateFit", "average", "empirical_density",
-           "fit_rate", "fit_rate_series"]
+__all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "TrajectoryRecord",
+           "average", "empirical_density", "fit_rate", "fit_rate_series",
+           "record_times", "run_batches", "run_one", "trajectory_rng"]
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
+_BATCH = 512  # fixed internal batch width; keeps results worker-independent
+
+
+class JumpEvent(NamedTuple):
+    time: float
+    channel_id: str
+
+
+@dataclass
+class TrajectoryRecord:
+    """One trajectory sampled on a uniform grid."""
+    seed: int
+    index: int
+    times: np.ndarray
+    concurrences: np.ndarray
+    events: tuple[JumpEvent, ...] = ()
+    states: np.ndarray | None = field(default=None, repr=False)
+
+
+def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
+    """Independent generator for trajectory k of a run seeded with master_seed."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed,
+                                                        spawn_key=(k,)))
+
+
+def record_times(t_max: float, record_grid: float | None) -> np.ndarray:
+    """Record points 0, g, ..., t_max; g defaults to t_max / 100."""
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if record_grid is None:
+        record_grid = t_max / 100.0
+    if not 0 < record_grid <= t_max + 1e-12:
+        raise ValueError("need 0 < record_grid <= t_max")
+    n_rec = int(round(t_max / record_grid))
+    if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
+        raise ValueError("record_grid must divide t_max")
+    return (t_max / n_rec) * np.arange(n_rec + 1)
+
+
+def _records(seed: int, k0: int, times: np.ndarray, conc: np.ndarray,
+             states: np.ndarray | None,
+             clicks: tuple | None) -> list[TrajectoryRecord]:
+    """One batch's records, as views of its arrays.  The clicks come in round
+    order, so a stable sort by row groups each row's clicks in time order."""
+    b = len(conc)
+    events = [()] * b
+    if clicks is not None:
+        row, t, channel = clicks
+        order = np.argsort(row, kind="stable")
+        flat = list(map(JumpEvent._make,
+                        zip(t[order].tolist(), channel[order].tolist())))
+        ends = np.cumsum(np.bincount(row, minlength=b)).tolist()
+        events = [tuple(flat[i:j]) for i, j in zip([0] + ends, ends)]
+    return [TrajectoryRecord(seed=seed, index=k0 + i, times=times,
+                             concurrences=conc[i], events=events[i],
+                             states=None if states is None else states[i])
+            for i in range(b)]
+
+
+def run_one(kernel, seed: int, index: int) -> TrajectoryRecord:
+    """Trajectory ``index`` of ``kernel``, equal to that record of a run."""
+    return _records(seed, index, *kernel(seed, [index]))[0]
+
+
+def _chunk(kernel, seed: int, k0: int, k1: int) -> list[tuple]:
+    return [kernel(seed, range(b0, min(b0 + _BATCH, k1)))
+            for b0 in range(k0, k1, _BATCH)]
+
+
+def run_batches(kernel, seed: int, n_traj: int,
+                workers: int) -> list[TrajectoryRecord]:
+    """Trajectories 0..n_traj-1 of ``kernel(seed, indices)``, _BATCH at a time.
+
+    A kernel returns ``(times, conc, states, clicks)``: the record points, the
+    (B, G) concurrences, the (B, G, 4) states or None, and the clicks as
+    (row, time, channel id) arrays or None.  Workers split the index range on
+    fixed batch boundaries and return these arrays, so the records are the
+    same for any ``workers``; ``kernel`` must pickle (e.g. a partial of a
+    module-level function).  All records share the first batch's grid.
+    """
+    if n_traj <= 0:
+        raise ValueError("n_traj must be positive")
+    if workers <= 1 or n_traj <= _BATCH:
+        batches = _chunk(kernel, seed, 0, n_traj)
+    else:
+        n_batches = -(-n_traj // _BATCH)
+        span = -(-n_batches // workers) * _BATCH  # trajectories per worker
+        starts = range(0, n_traj, span)
+        ends = [min(k0 + span, n_traj) for k0 in starts]
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=len(ends))
+        with pool as ex:
+            chunks = ex.map(_chunk, repeat(kernel), repeat(seed), starts, ends)
+            batches = [batch for chunk in chunks for batch in chunk]
+    times = batches[0][0]
+    return [r for k0, batch in zip(range(0, n_traj, _BATCH), batches)
+            for r in _records(seed, k0, times, *batch[1:])]
 
 
 @dataclass(frozen=True)
@@ -34,13 +136,9 @@ class EnsembleSummary:
 def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
     if not records:
         raise ValueError("cannot average an empty ensemble")
-    t0 = seen = records[0].times
-    for r in records[1:]:
-        if r.times is seen:  # the records of one batch share their grid
-            continue
-        if r.times.shape != t0.shape or not np.array_equal(r.times, t0):
-            raise ValueError("trajectory records lie on different time grids")
-        seen = r.times
+    t0 = records[0].times
+    if not all(r.times is t0 or np.array_equal(r.times, t0) for r in records):
+        raise ValueError("trajectory records lie on different time grids")
     return t0
 
 

@@ -14,13 +14,10 @@ import numpy as np
 
 __all__ = [
     "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_PLUS", "SIGMA_MINUS",
-    "SYSY", "UP", "DOWN",
+    "SYSY",
     "kron2", "dag", "det2", "trace2", "expm",
     "require_finite", "normalized",
 ]
-
-UP = 0
-DOWN = 1
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

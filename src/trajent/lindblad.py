@@ -11,7 +11,7 @@ is linear with the static 16x16 generator L of
 P = expm(L g) over one record interval g is computed once (`linalg.expm`,
 scaling and squaring with a Pade [13/13] step), and
 vec rho_{k+1} = P vec rho_k (column-stacked) on the record points of
-`quantum_jump.record_times`, the grid of the trajectory engines.  There is no
+`ensemble.record_times`, the grid of the trajectory engines.  There is no
 time step and the trace is not renormalized.  Trace drift and the smallest
 eigenvalue are reported over the record points: eigenvalues in [-1e-8, 0)
 are tolerated as roundoff, anything below -1e-6 aborts the run.
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import record_times
 from .entanglement import concurrence_mixed
 from .errors import PositivityError
 from .linalg import dag, expm, require_finite
 from .models import Scenario, lindblad_superoperator
-from .quantum_jump import record_times
 
 __all__ = ["DensityEvolution", "density_from_state", "validate_density_matrix",
            "evolve_rho", "concurrence_series"]

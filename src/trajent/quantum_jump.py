@@ -15,80 +15,39 @@ round solves S(tau) = r for every active row over its remaining horizon
 [t_last, t_max] by a safeguarded Newton iteration; the record points are then
 filled from each row's last click at or before them by the exact propagator.
 
-Reproducibility: trajectory k of a run with master seed s draws all its
-randomness from the dedicated substream SeedSequence(s, spawn_key=(k,)), in
-blocks of _DRAW_BLOCK uniforms: the first threshold, then per click the
-channel draw and the next threshold.  Trajectories are therefore independent
-of batch layout and worker count, and an ensemble is bit-stable for a given
-(seed, n_traj).
+Reproducibility: the batch kernel returns arrays (record points,
+concurrences, optional states, clicks as (row, time, channel)), from which
+`ensemble.run_batches` builds the records.  Trajectory k of a run with master
+seed s draws only from `ensemble.trajectory_rng(s, k)`, in blocks of
+_DRAW_BLOCK uniforms: the first threshold, then per click the channel draw and
+the next threshold, so it does not depend on batch layout or worker count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
+from .ensemble import (TrajectoryRecord, record_times, run_batches, run_one,
+                       trajectory_rng)
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
 from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
 
-__all__ = ["JumpEvent", "TrajectoryRecord", "run_trajectory", "run_ensemble",
-           "trajectory_rng"]
+__all__ = ["run_trajectory", "run_ensemble"]
 
-_BATCH = 512  # fixed internal batch width; keeps results worker-independent
 _DRAW_BLOCK = 32  # uniforms a trajectory draws from its substream at a time
 _TAU_TOL = 1e-13  # accuracy of a sampled click time, relative to max(1, span)
 _NEWTON_ITERS = 30  # Newton steps before a click-time search only bisects
 _MAX_ITERS = _NEWTON_ITERS + 80  # enough bisections to reach _TAU_TOL
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    channel_id: str
-
-
-@dataclass
-class TrajectoryRecord:
-    """One trajectory sampled on a uniform grid."""
-    seed: int
-    index: int
-    times: np.ndarray
-    concurrences: np.ndarray
-    events: tuple[JumpEvent, ...] = ()
-    states: np.ndarray | None = field(default=None, repr=False)
-
-
-def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
-    """Independent generator for trajectory k of a run seeded with master_seed."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed,
-                                                        spawn_key=(k,)))
-
-
-def record_times(t_max: float, record_grid: float | None) -> np.ndarray:
-    """Record points 0, g, ..., t_max; g defaults to t_max / 100."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if record_grid is None:
-        record_grid = t_max / 100.0
-    if not 0 < record_grid <= t_max + 1e-12:
-        raise ValueError("need 0 < record_grid <= t_max")
-    n_rec = int(round(t_max / record_grid))
-    if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError("record_grid must divide t_max")
-    return (t_max / n_rec) * np.arange(n_rec + 1)
-
-
 class _Uniforms:
     """Each row's uniforms, drawn in fixed blocks from its own substream."""
 
-    def __init__(self, seeds: list[int], indices: list[int]):
-        self.gens = [trajectory_rng(seed, k)
-                     for seed, k in zip(seeds, indices)]
+    def __init__(self, seed: int, indices):
+        self.gens = [trajectory_rng(seed, k) for k in indices]
         self.buf = np.array([g.random(_DRAW_BLOCK) for g in self.gens])
         self.pos = np.zeros(len(self.gens), dtype=int)
 
@@ -174,14 +133,14 @@ def _jump(s: Scenario, psi: np.ndarray, t: np.ndarray,
     return after / norm[:, None], m
 
 
-def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
-               t_max: float, record_grid: float | None,
-               keep_states: bool) -> list[TrajectoryRecord]:
+def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
+               keep_states: bool, seed: int, indices) -> tuple:
     """Exact waiting-time kernel evolving a batch of trajectories together.
 
     Each round takes every active row's next click, and a row's segments
     (post-click W^-1 psi, click time) then fill its record points.  A row
     draws only from its own substream, so it does not depend on its batch.
+    Returns the columns `ensemble.run_batches` takes.
     """
     times = record_times(t_max, record_grid)
     if (drift := kernel_oscillation(s)) > KERNEL_DRIFT_TOL:
@@ -193,15 +152,15 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
         raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
                              "do not give a stable no-click propagator")
     w_inv = np.linalg.inv(w)
-    b = len(seeds)
+    b = len(indices)
 
-    draws = _Uniforms(seeds, indices)
+    draws = _Uniforms(seed, indices)
     threshold = draws.take(np.arange(b))
     act = np.arange(b)
     c = np.tile(w_inv @ s.initial / np.linalg.norm(s.initial), (b, 1))
     t_last = np.zeros(b)
     segs = [(act, c, t_last)]
-    events: list[list[JumpEvent]] = [[] for _ in range(b)]
+    channels = [np.zeros(0, dtype=int)]  # each round's click channels
     while True:
         more = _norm2(_evolve(c, lam, w, t_max - t_last)) <= threshold[act]
         act, c, t_last = act[more], c[more], t_last[more]
@@ -213,8 +172,7 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
         at = _evolve(c, lam, w, tau)
         at /= np.sqrt(_norm2(at))[:, None]
         after, m = _jump(s, at, t_last, draws.take(act))
-        for i, mi, tc in zip(act.tolist(), m.tolist(), t_last.tolist()):
-            events[i].append(JumpEvent(time=tc, channel_id=s.channels[mi].id))
+        channels.append(m)
         threshold[act] = draws.take(act)
         c = after @ w_inv.T
         segs.append((act, c, t_last))
@@ -223,6 +181,8 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
     # record point at or after its start (clipped: a click may round past
     # t_max).  cur[i, k] - 1 indexes row i's current segment at point k.
     seg_row, seg_c, seg_t = map(np.concatenate, zip(*segs))
+    ids = np.array([ch.id for ch in s.channels], dtype=object)
+    clicks = seg_row[b:], seg_t[b:], ids[np.concatenate(channels)]
     order = np.argsort(seg_row, kind="stable")
     seg_c, seg_t = seg_c[order], seg_t[order]
     g = len(times)
@@ -241,47 +201,15 @@ def _run_batch(s: Scenario, seeds: list[int], indices: list[int],
         if keep_states:
             states[:, k] = psi
 
-    return [TrajectoryRecord(seed=seeds[i], index=indices[i], times=times,
-                             concurrences=conc[i], events=tuple(events[i]),
-                             states=states[i] if keep_states else None)
-            for i in range(b)]
+    return times, conc, states, clicks
 
 
 def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,
                    record_grid: float | None = None,
                    keep_states: bool = False) -> TrajectoryRecord:
     """Single trajectory, deterministic for a given (seed, index)."""
-    return _run_batch(s, [seed], [index], t_max, record_grid, keep_states)[0]
-
-
-def _chunk(kernel, seed: int, k0: int, k1: int) -> list[TrajectoryRecord]:
-    out = []
-    for b0 in range(k0, k1, _BATCH):
-        b1 = min(b0 + _BATCH, k1)
-        out.extend(kernel([seed] * (b1 - b0), list(range(b0, b1))))
-    return out
-
-
-def run_batches(kernel, seed: int, n_traj: int,
-                workers: int) -> list[TrajectoryRecord]:
-    """Trajectories 0..n_traj-1 of ``kernel(seeds, indices)``, _BATCH at a time.
-
-    Worker processes split the index range on fixed batch boundaries, so the
-    returned records are identical for any ``workers`` value.  ``kernel`` is
-    sent to the workers, so it must pickle (e.g. a partial of a module-level
-    batch function).
-    """
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
-    if workers <= 1 or n_traj <= _BATCH:
-        return _chunk(kernel, seed, 0, n_traj)
-    n_batches = -(-n_traj // _BATCH)
-    span = -(-n_batches // workers) * _BATCH  # trajectories per worker
-    starts = range(0, n_traj, span)
-    ends = [min(k0 + span, n_traj) for k0 in starts]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(ends)) as ex:
-        chunks = ex.map(_chunk, repeat(kernel), repeat(seed), starts, ends)
-        return [r for c in chunks for r in c]
+    return run_one(partial(_run_batch, s, t_max, record_grid, keep_states),
+                   seed, index)
 
 
 def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
@@ -291,7 +219,5 @@ def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
 
     The records are identical for any ``workers`` value (`run_batches`).
     """
-    return run_batches(partial(_run_batch, s, t_max=t_max,
-                               record_grid=record_grid,
-                               keep_states=keep_states),
+    return run_batches(partial(_run_batch, s, t_max, record_grid, keep_states),
                        seed, n_traj, workers)

@@ -204,6 +204,13 @@ def test_config_and_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--tmax", "1.0",
                  "--grid", "2.0"]) == 2
     assert main(["simulate", "--config", cfg, "--tmax", "-1.0"]) == 2
+    # a grid that does not divide tmax, or is zero, fails the one grid rule
+    for grid in ("0.3", "0"):
+        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
+                     "5", "--grid", grid]) == 2
+        assert main(["master", "--config", cfg, "--tmax", "1.0",
+                     "--grid", grid]) == 2
+    assert "record_grid" in capsys.readouterr().err
     # fewer than one worker process is an error, not a serial run
     for threads in ("0", "-3"):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",

@@ -9,12 +9,11 @@ from trajent.diffusion import (_NOISE_VALUES, complex_wiener_increments,
                                run_ensemble_qsd,
                                run_trajectory_qsd, step_heterodyne,
                                step_homodyne, wiener_increments)
-from trajent.ensemble import average, fit_rate_series
+from trajent.ensemble import average, fit_rate_series, trajectory_rng
 from trajent.errors import StepSizeError
 from trajent.models import (preset_dephasing, preset_photon_counting,
                             state_from_amplitudes, with_heterodyne,
                             with_phase_rotation)
-from trajent.quantum_jump import trajectory_rng
 
 V_XY = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
 
@@ -109,11 +108,15 @@ def test_worker_count_invisible():
     s = preset_photon_counting(1.0, 1.0)
     for kind in ("homodyne", "heterodyne"):
         one = run_ensemble_qsd(kind, s, 0.5, 600, dt=0.005, seed=113,
-                               record_grid=0.05, workers=1)
+                               record_grid=0.05, keep_states=True, workers=1)
         two = run_ensemble_qsd(kind, s, 0.5, 600, dt=0.005, seed=113,
-                               record_grid=0.05, workers=2)
-        for ra, rb in zip(one, two):
+                               record_grid=0.05, keep_states=True, workers=2)
+        assert len(one) == len(two) == 600
+        for k, (ra, rb) in enumerate(zip(one, two)):
+            assert ra.index == rb.index == k
+            assert ra.seed == rb.seed == 113
             assert np.array_equal(ra.concurrences, rb.concurrences)
+            assert np.array_equal(ra.states, rb.states)
 
 
 def test_streamed_noise_is_independent_of_block_boundaries():

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from trajent.ensemble import (average, empirical_density, fit_rate,
-                              fit_rate_series)
+from trajent.ensemble import (TrajectoryRecord, average, empirical_density,
+                              fit_rate, fit_rate_series)
 from trajent.errors import FitWindowError
-from trajent.quantum_jump import TrajectoryRecord
 
 
 def _record(times, conc, states=None, index=0):

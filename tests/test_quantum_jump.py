@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from trajent import quantum_jump
 from trajent.config import bundled_scenario_path, load_scenario
+from trajent.ensemble import trajectory_rng
 from trajent.entanglement import concurrence_pure
 from trajent.lindblad import evolve_rho
 from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
@@ -14,7 +15,7 @@ from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
                             state_from_amplitudes, with_heterodyne,
                             with_homodyne_shift)
 from trajent.linalg import SIGMA_MINUS, SIGMA_X
-from trajent.quantum_jump import run_ensemble, run_trajectory, trajectory_rng
+from trajent.quantum_jump import run_ensemble, run_trajectory
 from trajent.rates import analytic_mean_concurrence
 
 from _oracles import survival_probability
@@ -98,13 +99,34 @@ def test_trajectory_deterministic_in_seed_and_index():
 
 def test_ensemble_worker_count_invisible():
     s = preset_photon_counting(1.0, 1.0)
-    one = run_ensemble(s, 1.0, 700, seed=5, record_grid=0.1, workers=1)
-    three = run_ensemble(s, 1.0, 700, seed=5, record_grid=0.1, workers=3)
+    one = run_ensemble(s, 1.0, 700, seed=5, record_grid=0.1, keep_states=True,
+                       workers=1)
+    three = run_ensemble(s, 1.0, 700, seed=5, record_grid=0.1,
+                         keep_states=True, workers=3)
     assert len(one) == len(three) == 700
-    for ra, rb in zip(one, three):
-        assert ra.index == rb.index
+    for k, (ra, rb) in enumerate(zip(one, three)):
+        assert ra.index == rb.index == k
+        assert ra.seed == rb.seed == 5
         assert np.array_equal(ra.concurrences, rb.concurrences)
+        assert np.array_equal(ra.states, rb.states)
         assert ra.events == rb.events
+
+
+def test_single_trajectory_equals_its_ensemble_record():
+    # ~25 clicks per row on displaced photon counting: the clicks of each
+    # row are grouped from the click rounds of its batch, across the batch
+    # boundary at 512 and into the short last batch of the second worker
+    s = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [2, 2])
+    recs = run_ensemble(s, 3.0, 1100, seed=7, record_grid=0.03,
+                        keep_states=True, workers=2)
+    assert np.mean([len(r.events) for r in recs]) > 20
+    for k in (0, 511, 512, 1099):
+        one = run_trajectory(s, 3.0, seed=7, index=k, record_grid=0.03,
+                             keep_states=True)
+        assert recs[k].index == one.index == k
+        assert recs[k].events == one.events
+        assert np.array_equal(recs[k].concurrences, one.concurrences)
+        assert np.array_equal(recs[k].states, one.states)
 
 
 def test_keep_states_normalized_and_consistent():
