@@ -20,6 +20,7 @@ seed reproduce byte-identical files regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -57,20 +58,20 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The ``--out`` stream: stdout for None or '-', else the named file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as stream:
+            yield stream
 
 
 def _write_json(doc, out_path: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    stream, close = _open_out(out_path)
-    try:
+    with _output(out_path) as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
 
 
 def cmd_simulate(args) -> int:
@@ -107,8 +108,7 @@ def cmd_simulate(args) -> int:
     analytic = analytic_mean_concurrence(s, unraveling, times)
     log.info("simulate: done in %.2f s", time.perf_counter() - t0)
 
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(["t", "mean_C", "stderr_C", "analytic_C", "C_rho"])
         for i, t in enumerate(times):
@@ -119,9 +119,6 @@ def cmd_simulate(args) -> int:
                 _fmt(analytic[i]) if analytic is not None else "",
                 _fmt(c_rho[i]),
             ])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -129,29 +126,17 @@ def cmd_master(args) -> int:
     s = load_scenario(args.config)
     evo = evolve_rho(s, args.tmax, record_grid=args.grid)
     c_rho = concurrence_series(evo)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(["t", "C_rho"])
         for t, c in zip(evo.times, c_rho):
             w.writerow([_fmt(t), _fmt(c)])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def cmd_rates(args) -> int:
     report = rate_report(load_scenario(args.config))
-    doc = {
-        "kappa_qj": report.kappa_qj,
-        "kappa_ho": report.kappa_ho,
-        "kappa_ho_opt": report.kappa_ho_opt,
-        "kappa_het": report.kappa_het,
-        "kappa_qj_opt_thermal": report.kappa_qj_opt_thermal,
-        "per_channel": [dataclasses.asdict(t) for t in report.per_channel],
-    }
-    _write_json(doc, args.out)
+    _write_json(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -230,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, traj=False):
+    def common(sp):
         sp.add_argument("--config", required=True,
                         help="scenario description file (JSON) or the name "
                              "of a bundled scenario")

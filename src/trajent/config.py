@@ -3,12 +3,15 @@
 A scenario file is a JSON object with up to four keys:
 
     preset           name of a built-in scenario family (see _PRESETS)
-    params           parameters of that preset, plus optional monitoring
-                     transformations applied afterwards:
-                       homodyne_shifts          [re, im] per channel
-                       heterodyne_amplitudes    positive float per channel
-                       heterodyne_frequencies   positive float per channel
-                       phases                   detector phase per channel
+    params           parameters of that preset (rates are numbers, v_a/v_b
+                     lists of 3 numbers, u_a/u_b N x 2 nested [re, im]
+                     pairs), plus optional monitoring transformations
+                     applied afterwards, each a list with one entry per
+                     channel or one for all:
+                       homodyne_shifts          [re, im] pairs
+                       heterodyne_amplitudes    positive floats
+                       heterodyne_frequencies   positive floats
+                       phases                   detector phases
     initial_state    four [re, im] amplitude pairs in the {uu,ud,du,dd}
                      basis; renormalized on load (a deviation larger than
                      1e-6 triggers a warning)
@@ -45,17 +48,6 @@ _CHANNEL_KEYS = {"id", "locality", "matrix", "rate", "shift", "het_freq"}
 _TRANSFORM_KEYS = {"homodyne_shifts", "heterodyne_amplitudes",
                    "heterodyne_frequencies", "phases"}
 
-_PRESET_PARAMS = {
-    "photon_counting": {"gamma_a", "gamma_b"},
-    "thermal": {"gamma_plus_a", "gamma_minus_a", "gamma_plus_b",
-                "gamma_minus_b"},
-    "dephasing": {"v_a", "v_b", "gamma_a", "gamma_b"},
-    "rotated_thermal": {"u_a", "u_b", "gamma_plus_a", "gamma_minus_a",
-                        "gamma_plus_b", "gamma_minus_b",
-                        "channel_rates_a", "channel_rates_b"},
-    "common_bath": {"gamma"},
-}
-
 
 def _complex(pair, where: str) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -79,46 +71,42 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _vector(value, where: str, parse=_number) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return [parse(x, where) for x in value]
+
+
+_THERMAL_RATES = dict.fromkeys(("gamma_plus_a", "gamma_minus_a",
+                                "gamma_plus_b", "gamma_minus_b"), _number)
+
+# preset name -> (builder, {parameter: parser}); the parameters are exactly
+# the builder's arguments without a default and are passed by keyword
+_PRESETS = {
+    "photon_counting": (preset_photon_counting,
+                        {"gamma_a": _number, "gamma_b": _number}),
+    "thermal": (preset_thermal, _THERMAL_RATES),
+    "dephasing": (preset_dephasing, {"v_a": _vector, "v_b": _vector,
+                                     "gamma_a": _number, "gamma_b": _number}),
+    "rotated_thermal": (preset_rotated_thermal,
+                        {"u_a": _complex_matrix, "u_b": _complex_matrix,
+                         **_THERMAL_RATES}),
+    "common_bath": (preset_common_bath, {"gamma": _number}),
+}
+
+
 def _build_preset(name: str, params: dict) -> Scenario:
-    if name not in _PRESET_PARAMS:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid presets: "
-                          f"{sorted(_PRESET_PARAMS)}")
+                          f"{sorted(_PRESETS)}")
+    build, parsers = _PRESETS[name]
     own = {k: v for k, v in params.items() if k not in _TRANSFORM_KEYS}
-    unknown = set(own) - _PRESET_PARAMS[name]
+    unknown = set(own) - set(parsers)
     if unknown:
         raise ConfigError(f"unknown parameter(s) {sorted(unknown)} for preset "
-                          f"{name!r}; accepted: {sorted(_PRESET_PARAMS[name])}")
+                          f"{name!r}; accepted: {sorted(parsers)}")
     try:
-        if name == "photon_counting":
-            return preset_photon_counting(_number(own["gamma_a"], "gamma_a"),
-                                          _number(own["gamma_b"], "gamma_b"))
-        if name == "thermal":
-            return preset_thermal(
-                _number(own["gamma_plus_a"], "gamma_plus_a"),
-                _number(own["gamma_minus_a"], "gamma_minus_a"),
-                _number(own["gamma_plus_b"], "gamma_plus_b"),
-                _number(own["gamma_minus_b"], "gamma_minus_b"))
-        if name == "dephasing":
-            return preset_dephasing(
-                [_number(x, "v_a") for x in own["v_a"]],
-                [_number(x, "v_b") for x in own["v_b"]],
-                _number(own["gamma_a"], "gamma_a"),
-                _number(own["gamma_b"], "gamma_b"))
-        if name == "rotated_thermal":
-            kw = {}
-            for side in ("a", "b"):
-                cr = own.get(f"channel_rates_{side}")
-                if cr is not None:
-                    kw[f"channel_rates_{side}"] = [
-                        _number(x, f"channel_rates_{side}") for x in cr]
-            return preset_rotated_thermal(
-                _complex_matrix(own["u_a"], "u_a"),
-                _complex_matrix(own["u_b"], "u_b"),
-                _number(own["gamma_plus_a"], "gamma_plus_a"),
-                _number(own["gamma_minus_a"], "gamma_minus_a"),
-                _number(own["gamma_plus_b"], "gamma_plus_b"),
-                _number(own["gamma_minus_b"], "gamma_minus_b"), **kw)
-        return preset_common_bath(_number(own["gamma"], "gamma"))
+        return build(**{k: parse(own[k], k) for k, parse in parsers.items()})
     except KeyError as exc:
         raise ConfigError(f"preset {name!r} is missing parameter {exc}") from exc
     except ValueError as exc:
@@ -128,12 +116,10 @@ def _build_preset(name: str, params: dict) -> Scenario:
 def _apply_transforms(s: Scenario, params: dict) -> Scenario:
     try:
         if "phases" in params:
-            s = with_phase_rotation(s, [_number(x, "phases")
-                                        for x in params["phases"]])
+            s = with_phase_rotation(s, _vector(params["phases"], "phases"))
         if "homodyne_shifts" in params:
-            shifts = [_complex(x, "homodyne_shifts")
-                      for x in params["homodyne_shifts"]]
-            s = with_homodyne_shift(s, shifts)
+            s = with_homodyne_shift(s, _vector(params["homodyne_shifts"],
+                                               "homodyne_shifts", _complex))
         has_amp = "heterodyne_amplitudes" in params
         has_freq = "heterodyne_frequencies" in params
         if has_amp != has_freq:
@@ -141,10 +127,10 @@ def _apply_transforms(s: Scenario, params: dict) -> Scenario:
                               "heterodyne_frequencies must be given together")
         if has_amp:
             s = with_heterodyne(
-                s, [_number(x, "heterodyne_amplitudes")
-                    for x in params["heterodyne_amplitudes"]],
-                [_number(x, "heterodyne_frequencies")
-                 for x in params["heterodyne_frequencies"]])
+                s, _vector(params["heterodyne_amplitudes"],
+                           "heterodyne_amplitudes"),
+                _vector(params["heterodyne_frequencies"],
+                        "heterodyne_frequencies"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return s

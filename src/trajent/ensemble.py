@@ -162,9 +162,8 @@ def empirical_density(records: list[TrajectoryRecord]) -> np.ndarray:
     _common_grid(records)
     if any(r.states is None for r in records):
         raise ValueError("records were produced without keep_states")
-    states = np.stack([r.states for r in records])          # (N, G, 4)
-    return np.einsum("ngi,ngj->gij", states, np.conjugate(states)) \
-        / states.shape[0]
+    states = np.stack([r.states for r in records], axis=1)  # (G, N, 4)
+    return states.transpose(0, 2, 1) @ np.conjugate(states) / states.shape[1]
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,13 @@ __all__ = [
     "preset_rotated_thermal", "preset_common_bath",
     "with_homodyne_shift", "with_heterodyne", "with_phase_rotation",
     "scenario_from_channels", "kernel_oscillation", "lindblad_superoperator",
-    "validate_scenario",
+    "validate_scenario", "COLLECTIVE_DECAY",
 ]
 
 ID4 = np.eye(4, dtype=complex)
 KERNEL_DRIFT_TOL = 1e-10  # largest allowed oscillating coefficient of K(t)
 GEN_TOL = 1e-10  # entrywise ensemble-generator deviation from a reference
+COLLECTIVE_DECAY = kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS)
 
 _LOCALITIES = ("A", "B", "joint")
 
@@ -268,7 +269,6 @@ def preset_dephasing(v_a, v_b, gamma_a: float, gamma_b: float,
 def preset_rotated_thermal(u_a, u_b,
                            gamma_plus_a: float, gamma_minus_a: float,
                            gamma_plus_b: float, gamma_minus_b: float,
-                           channel_rates_a=None, channel_rates_b=None,
                            initial: np.ndarray | None = None) -> Scenario:
     """Thermal baths monitored in a rotated channel basis.
 
@@ -278,16 +278,15 @@ def preset_rotated_thermal(u_a, u_b,
         J_mu = sum_m sqrt(gamma_m / g_mu) u_{mu m} sigma_m,   m in {+, -},
 
     where the N x 2 matrix u has orthonormal columns (u^dag u = 1).  The
-    ensemble generator is invariant for *any* positive channel rates g_mu
-    (they cancel against the operator normalization), so the g_mu are free
-    parameters; by default g_mu = sum_m gamma_m |u_{mu m}|^2, which keeps the
-    channel operators near unit scale.
+    channel rates are fixed by the mixing, g_mu = sum_m gamma_m |u_{mu m}|^2,
+    which keeps the channel operators near unit scale.  Any other positive
+    g_mu would be a pure reparametrization: the ensemble generator, the click
+    statistics and the post-click states depend only on g_mu J_mu^dag J_mu.
     """
     _check_rates(gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b)
     channels = []
-    for qubit, u, gp, gm, crates in (
-            ("A", u_a, gamma_plus_a, gamma_minus_a, channel_rates_a),
-            ("B", u_b, gamma_plus_b, gamma_minus_b, channel_rates_b)):
+    for qubit, u, gp, gm in (("A", u_a, gamma_plus_a, gamma_minus_a),
+                             ("B", u_b, gamma_plus_b, gamma_minus_b)):
         u = np.asarray(u, dtype=complex)
         if u.ndim != 2 or u.shape[1] != 2 or u.shape[0] < 2:
             raise ValueError(f"mixing matrix for qubit {qubit} must be N x 2 "
@@ -296,17 +295,11 @@ def preset_rotated_thermal(u_a, u_b,
         if np.max(np.abs(gram - np.eye(2))) > 1e-10:
             raise ValueError(f"mixing matrix for qubit {qubit} must have "
                              "orthonormal columns (u^dag u = 1 within 1e-10)")
-        n = u.shape[0]
-        if crates is None:
-            crates = [gp * abs(u[mu, 0]) ** 2 + gm * abs(u[mu, 1]) ** 2
-                      for mu in range(n)]
-        crates = [float(g) for g in crates]
-        if len(crates) != n:
-            raise ValueError(f"need {n} channel rates for qubit {qubit}")
+        crates = [float(gp * abs(u[mu, 0]) ** 2 + gm * abs(u[mu, 1]) ** 2)
+                  for mu in range(u.shape[0])]
         if any(g <= 0 for g in crates):
             raise ValueError("rotated channel rates must be positive")
-        for mu in range(n):
-            g_mu = crates[mu]
+        for mu, g_mu in enumerate(crates):
             op = (np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
                   + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
             channels.append(JumpChannel(f"mix{mu + 1}-{qubit}", qubit, op, g_mu))
@@ -319,9 +312,38 @@ def preset_common_bath(gamma: float,
                        initial: np.ndarray | None = None) -> Scenario:
     """Both qubits coupled to one bath: single joint channel sigma_- + sigma_-."""
     _check_rates(gamma)
-    op = kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS)
-    channels = (JumpChannel("collective-decay", "joint", op, gamma),)
+    channels = (JumpChannel("collective-decay", "joint", COLLECTIVE_DECAY,
+                            gamma),)
     return scenario_from_channels(channels, initial, preset="common_bath")
+
+
+def _per_channel(values, s: Scenario, what: str, cast) -> list:
+    """One value per channel of ``s``, or one value for all of them."""
+    values = [cast(x) for x in np.atleast_1d(values)]
+    if len(values) == 1:
+        values = values * len(s.channels)
+    if len(values) != len(s.channels):
+        raise ValueError(f"need one {what} per channel "
+                         f"({len(s.channels)}), got {len(values)}")
+    return values
+
+
+def _displaced(s: Scenario, shifts, freqs, tag: str, suffix: str) -> Scenario:
+    """Split each channel into (J +/- alpha e^{i Omega t}, gamma/2) pairs with
+    ids ``~{tag}p``/``~{tag}m``; Omega is None for a static displacement."""
+    channels = []
+    for ch, a, w in zip(s.channels, shifts, freqs):
+        if ch.locality == "joint":
+            raise ValueError(f"channel {ch.id!r} is non-local; displaced "
+                             "monitoring is defined per qubit only")
+        if ch.shift is not None:
+            raise ValueError(f"channel {ch.id!r} already carries a displacement")
+        for sign, pm in ((+1, "p"), (-1, "m")):
+            channels.append(JumpChannel(f"{ch.id}~{tag}{pm}", ch.locality,
+                                        ch.op, ch.rate / 2.0, shift=sign * a,
+                                        het_freq=w))
+    return replace(s, channels=tuple(channels),
+                   preset=f"{s.preset}+{suffix}" if s.preset else None)
 
 
 def with_homodyne_shift(s: Scenario, shifts) -> Scenario:
@@ -331,24 +353,8 @@ def with_homodyne_shift(s: Scenario, shifts) -> Scenario:
     the jump statistics and the jump-conditioned concurrence.  Only local
     channels may be displaced.
     """
-    shifts = [complex(a) for a in np.atleast_1d(shifts)]
-    if len(shifts) == 1:
-        shifts = shifts * len(s.channels)
-    if len(shifts) != len(s.channels):
-        raise ValueError(f"need one displacement per channel "
-                         f"({len(s.channels)}), got {len(shifts)}")
-    channels = []
-    for ch, a in zip(s.channels, shifts):
-        if ch.locality == "joint":
-            raise ValueError(f"channel {ch.id!r} is non-local; displaced "
-                             "monitoring is defined per qubit only")
-        if ch.shift is not None:
-            raise ValueError(f"channel {ch.id!r} already carries a displacement")
-        for sign, tag in ((+1, "p"), (-1, "m")):
-            channels.append(JumpChannel(f"{ch.id}~{tag}", ch.locality, ch.op,
-                                        ch.rate / 2.0, shift=sign * a))
-    return replace(s, channels=tuple(channels),
-                   preset=f"{s.preset}+shift" if s.preset else None)
+    shifts = _per_channel(shifts, s, "displacement", complex)
+    return _displaced(s, shifts, [None] * len(shifts), "", "shift")
 
 
 def with_heterodyne(s: Scenario, amplitudes, frequencies) -> Scenario:
@@ -359,40 +365,18 @@ def with_heterodyne(s: Scenario, amplitudes, frequencies) -> Scenario:
     `with_homodyne_shift`.  K and H_eff stay time independent because the
     +/- pair cross terms cancel at every instant.
     """
-    amps = [float(a) for a in np.atleast_1d(amplitudes)]
-    freqs = [float(w) for w in np.atleast_1d(frequencies)]
-    if len(amps) == 1:
-        amps = amps * len(s.channels)
-    if len(freqs) == 1:
-        freqs = freqs * len(s.channels)
-    if len(amps) != len(s.channels) or len(freqs) != len(s.channels):
-        raise ValueError("need one amplitude and one frequency per channel")
+    amps = _per_channel(amplitudes, s, "amplitude", float)
+    freqs = _per_channel(frequencies, s, "frequency", float)
     if any(a <= 0 for a in amps):
         raise ValueError("heterodyne amplitudes must be positive")
     if any(w <= 0 for w in freqs):
         raise ValueError("heterodyne frequencies must be positive")
-    channels = []
-    for ch, a, w in zip(s.channels, amps, freqs):
-        if ch.locality == "joint":
-            raise ValueError(f"channel {ch.id!r} is non-local; displaced "
-                             "monitoring is defined per qubit only")
-        if ch.shift is not None:
-            raise ValueError(f"channel {ch.id!r} already carries a displacement")
-        for sign, tag in ((+1, "p"), (-1, "m")):
-            channels.append(JumpChannel(f"{ch.id}~het{tag}", ch.locality, ch.op,
-                                        ch.rate / 2.0, shift=sign * a,
-                                        het_freq=w))
-    return replace(s, channels=tuple(channels),
-                   preset=f"{s.preset}+het" if s.preset else None)
+    return _displaced(s, amps, freqs, "het", "het")
 
 
 def with_phase_rotation(s: Scenario, thetas) -> Scenario:
     """Rotate channel operators J -> e^{-i theta} J (monitoring phase choice)."""
-    thetas = [float(t) for t in np.atleast_1d(thetas)]
-    if len(thetas) == 1:
-        thetas = thetas * len(s.channels)
-    if len(thetas) != len(s.channels):
-        raise ValueError("need one phase per channel")
+    thetas = _per_channel(thetas, s, "phase", float)
     channels = tuple(
         replace(ch, op=np.exp(-1j * th) * ch.op)
         for ch, th in zip(s.channels, thetas))
@@ -496,9 +480,7 @@ def validate_scenario(s: Scenario, reference: Scenario | np.ndarray | None = Non
             kw = np.linalg.eigvalsh(0.5 * (s.k_op + dag(s.k_op)))
             if kw[0] < -1e-10:
                 v.append(f"damping kernel K has negative eigenvalue {kw[0]:.3e}")
-            if np.max(np.abs(s.h_eff - (s.h0 - 1j * s.k_op))) > 1e-12:
-                v.append("H_eff does not equal H0 - iK")
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        except np.linalg.LinAlgError as exc:
             v.append(f"could not diagonalize K: {exc}")
         drift = kernel_oscillation(s)
         if drift > KERNEL_DRIFT_TOL:

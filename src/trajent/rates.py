@@ -32,7 +32,7 @@ import numpy as np
 
 from .entanglement import concurrence_pure
 from .linalg import dag, det2, require_finite, trace2
-from .models import Scenario
+from .models import COLLECTIVE_DECAY, Scenario
 
 __all__ = [
     "ChannelRateTerms", "RateReport", "CommonBathCurve",
@@ -53,32 +53,20 @@ def _local_rate_ops(s: Scenario) -> list[tuple[float, np.ndarray, str]]:
     return ops
 
 
-def _qj_term(j: np.ndarray) -> float:
-    jj = dag(j) @ j
-    return 0.5 * trace2(jj).real - abs(det2(j))
-
-
-def _ho_term(j: np.ndarray) -> float:
-    jj = dag(j) @ j
-    return (0.5 * trace2(jj).real - det2(j).real
-            - 0.5 * trace2(j).imag ** 2)
-
-
-def _ho_opt_term(j: np.ndarray) -> float:
-    jj = dag(j) @ j
+def _channel_terms(j: np.ndarray) -> tuple[float, float, float, float]:
+    """The (qj, ho, ho_opt, het) brackets of the module docstring for J."""
+    half = 0.5 * trace2(dag(j) @ j).real
+    det = det2(j)
     tr = trace2(j)
-    return (0.5 * trace2(jj).real - abs(det2(j) - 0.25 * tr * tr)
-            - 0.25 * abs(tr) ** 2)
-
-
-def _het_term(j: np.ndarray) -> float:
-    jj = dag(j) @ j
-    return 0.5 * trace2(jj).real - 0.25 * abs(trace2(j)) ** 2
+    return (half - abs(det),
+            half - det.real - 0.5 * tr.imag ** 2,
+            half - abs(det - 0.25 * tr * tr) - 0.25 * abs(tr) ** 2,
+            half - 0.25 * abs(tr) ** 2)
 
 
 def kappa_qj(s: Scenario) -> float:
     """Mean-concurrence decay rate under jump counting."""
-    return float(sum(g * _qj_term(j) for g, j, _ in _local_rate_ops(s)))
+    return rate_report(s).kappa_qj
 
 
 def kappa_opt_thermal(gamma_plus_a: float, gamma_minus_a: float,
@@ -96,17 +84,17 @@ def kappa_opt_thermal(gamma_plus_a: float, gamma_minus_a: float,
 
 def kappa_ho(s: Scenario) -> float:
     """Mean-concurrence decay rate under homodyne-type diffusion."""
-    return float(sum(g * _ho_term(j) for g, j, _ in _local_rate_ops(s)))
+    return rate_report(s).kappa_ho
 
 
 def kappa_ho_opt(s: Scenario) -> float:
     """Homodyne rate minimized over the monitoring phase of each channel."""
-    return float(sum(g * _ho_opt_term(j) for g, j, _ in _local_rate_ops(s)))
+    return rate_report(s).kappa_ho_opt
 
 
 def kappa_het(s: Scenario) -> float:
     """Mean-concurrence decay rate under heterodyne-type diffusion."""
-    return float(sum(g * _het_term(j) for g, j, _ in _local_rate_ops(s)))
+    return rate_report(s).kappa_het
 
 
 @dataclass(frozen=True)
@@ -137,12 +125,8 @@ class RateReport:
 
 
 def rate_report(s: Scenario) -> RateReport:
-    terms = []
-    for g, j, cid in _local_rate_ops(s):
-        terms.append(ChannelRateTerms(
-            channel_id=cid, rate=g,
-            qj=g * _qj_term(j), ho=g * _ho_term(j),
-            ho_opt=g * _ho_opt_term(j), het=g * _het_term(j)))
+    terms = [ChannelRateTerms(cid, g, *(g * x for x in _channel_terms(j)))
+             for g, j, cid in _local_rate_ops(s)]
     opt = None
     if s.thermal_rates is not None:
         opt = kappa_opt_thermal(*s.thermal_rates)
@@ -267,11 +251,9 @@ def analytic_mean_concurrence(s: Scenario, unraveling: str, times
     joint = [ch for ch in s.channels if ch.locality == "joint"]
     if joint:
         if len(joint) == 1 and len(s.channels) == 1 and unraveling == "qj":
-            from .linalg import ID2, SIGMA_MINUS, kron2
-            collective = kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS)
             ch = joint[0]
             if (ch.shift is None and np.max(np.abs(s.h0)) == 0.0
-                    and np.allclose(ch.op, collective, atol=1e-12)):
+                    and np.allclose(ch.op, COLLECTIVE_DECAY, atol=1e-12)):
                 curve = CommonBathCurve.from_state(s.initial, ch.rate)
                 return common_bath_mean(curve, times)
         return None

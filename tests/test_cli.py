@@ -238,6 +238,11 @@ def test_config_and_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(lone), "--tmax", "1.0",
                  "--traj", "5"]) == 2
     assert "oscillates" in capsys.readouterr().err
+    # a number where a list is expected is a configuration error naming the key
+    scalar = _write_config(tmp_path, params={"gamma_a": 1.0, "gamma_b": 1.0,
+                                             "phases": 0.5})
+    assert main(["rates", "--config", scalar]) == 2
+    assert "phases: expected a list" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad), "--tmax", "1.0"]) == 2

@@ -1,16 +1,23 @@
 """Scenario file parsing: schema strictness, transforms, bundled files."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from trajent.config import (
-    bundled_scenario_names, bundled_scenario_path, load_scenario,
+    _PRESETS, bundled_scenario_names, bundled_scenario_path, load_scenario,
     scenario_from_dict,
 )
 from trajent.errors import ConfigError
-from trajent.models import preset_photon_counting, validate_scenario
+from trajent.models import (
+    preset_common_bath, preset_dephasing, preset_photon_counting,
+    preset_rotated_thermal, preset_thermal, validate_scenario,
+    with_homodyne_shift,
+)
+
+S2 = 1 / np.sqrt(2)
 
 
 def test_preset_roundtrip():
@@ -148,6 +155,23 @@ def test_malformed_values():
     with pytest.raises(ConfigError, match="number"):
         scenario_from_dict({"preset": "photon_counting",
                             "params": {"gamma_a": "one", "gamma_b": 1}})
+    # a number where a list is expected names the key instead of crashing
+    dephasing = {"v_a": [1.0, 0.0, 0.0], "v_b": [0.0, 0.0, 1.0],
+                 "gamma_a": 1.0, "gamma_b": 1.0}
+    counting = {"gamma_a": 1.0, "gamma_b": 1.0,
+                "heterodyne_amplitudes": [0.5], "heterodyne_frequencies": [3.0]}
+    for preset, params, key in (("dephasing", dephasing, "v_a"),
+                                ("dephasing", dephasing, "v_b"),
+                                ("dephasing", dephasing, "phases"),
+                                ("photon_counting", counting,
+                                 "heterodyne_amplitudes"),
+                                ("photon_counting", counting,
+                                 "heterodyne_frequencies"),
+                                ("photon_counting", counting,
+                                 "homodyne_shifts")):
+        with pytest.raises(ConfigError, match=f"{key}: expected a list"):
+            scenario_from_dict({"preset": preset,
+                                "params": dict(params, **{key: 1.0})})
 
 
 def test_load_scenario_errors(tmp_path):
@@ -180,6 +204,37 @@ def test_bundled_scenarios_all_load():
     for name in names:
         s = load_scenario(bundled_scenario_path(name))
         assert validate_scenario(s).ok, name
+
+
+def test_preset_table_matches_builders():
+    # a renamed builder argument must fail here, not crash the command line
+    for name, (build, parsers) in _PRESETS.items():
+        required = [p.name for p in inspect.signature(build).parameters.values()
+                    if p.default is inspect.Parameter.empty]
+        assert list(parsers) == required, name
+    u_bal = [[S2, S2], [S2, -S2]]
+    by_hand = {
+        "common_bath_revival": preset_common_bath(1.0),
+        "common_bath_single_excitation": preset_common_bath(1.0),
+        "dephasing_phi0": preset_dephasing([S2, S2, 0.0], [S2, S2, 0.0],
+                                           1.0, 1.0),
+        "dephasing_phi_half_pi": preset_dephasing([S2, S2, 0.0],
+                                                  [S2, S2, 0.0], 1.0, 1.0),
+        "photon_counting": preset_photon_counting(1.0, 1.0),
+        "photon_counting_shifted": with_homodyne_shift(
+            preset_photon_counting(1.0, 1.0), [0.8, 0.8]),
+        "thermal_bell": preset_thermal(1.0, 2.0, 1.0, 2.0),
+        "thermal_optimal": preset_rotated_thermal(u_bal, u_bal,
+                                                  1.0, 2.0, 1.0, 2.0),
+    }
+    assert sorted(by_hand) == bundled_scenario_names()
+    for name, ref in by_hand.items():
+        s = load_scenario(name)
+        assert s.preset == ref.preset, name
+        assert [c.id for c in s.channels] == [c.id for c in ref.channels]
+        for c, r in zip(s.channels, ref.channels):
+            assert np.array_equal(c.op, r.op), (name, c.id)
+            assert (c.rate, c.shift) == (r.rate, r.shift), (name, c.id)
 
 
 def test_bundled_scenario_path_rejects_unknown():
