@@ -76,12 +76,14 @@ def _write_json(doc, out_path: str | None) -> None:
 
 def cmd_simulate(args) -> int:
     unraveling = args.unraveling
-    if unraveling == "qj" and args.dt is not None:
-        raise ConfigError("--dt applies to the qsd unravelings only; the qj "
-                          "engine samples click times exactly and takes no "
-                          "time step")
+    if unraveling in ("qj", "master") and args.dt is not None:
+        raise ConfigError("--dt applies to the qsd unravelings only; the "
+                          f"{unraveling} engine is exact and takes no time "
+                          "step")
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     s = load_scenario(args.config)
     t_max, grid = args.tmax, args.grid
     t0 = time.perf_counter()

@@ -3,9 +3,15 @@
 `run_batches` runs a batch kernel, a pure array function, over trajectories
 0..N-1 in fixed batches, split over worker processes if asked, and builds the
 `TrajectoryRecord`s from the returned arrays in the calling process.
-Trajectory k of a run with master seed s draws only from its own substream
-`trajectory_rng(s, k)`, so the records and their averages are identical for
-any worker count and bit-stable for a given (seed, n_traj).
+Trajectory k of a run with master seed s draws only from its own substream,
+so the records and their averages are identical for any worker count and
+bit-stable for a given (seed, n_traj).
+
+A substream is PCG64 seeded by SeedSequence(s, spawn_key=(k,)), and it has
+two readers: `trajectory_rng(s, k)`, a numpy Generator (the QSD engine draws
+its normals from it), and `Substreams(s, indices)`, which reads the same
+uniforms for a whole batch as arrays, without a Generator per trajectory (the
+jump engine).
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ import numpy as np
 
 from .errors import FitWindowError
 
-__all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "TrajectoryRecord",
-           "average", "empirical_density", "fit_rate", "fit_rate_series",
-           "record_times", "run_batches", "run_one", "trajectory_rng"]
+__all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
+           "TrajectoryRecord", "average", "empirical_density", "fit_rate",
+           "fit_rate_series", "record_times", "run_batches", "run_one",
+           "trajectory_rng"]
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
@@ -48,6 +55,118 @@ def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
     """Independent generator for trajectory k of a run seeded with master_seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed,
                                                         spawn_key=(k,)))
+
+
+# numpy's SeedSequence constants (a pool of 4 uint32 words), and PCG64's
+# 128-bit LCG multiplier as 64-bit limbs, the low limb also as 32-bit halves
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875,
+                                      0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MUL_HI, _MUL_LO = 2549297995355413924, 4865540595714422341
+_MUL_LO0, _MUL_LO1 = _MUL_LO & _M32, _MUL_LO >> 32
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of an integer, low word first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+class _Hash:
+    """SeedSequence's running hash of uint32 columns: xor with the constant,
+    advance it, multiply by it and fold the high half down."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _M32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return z ^ (z >> 16)
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+          inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 LCG step, state * multiplier + inc mod 2^128, on uint64 limbs.
+
+    The high 64 bits of lo * _MUL_LO come from 32-bit halves, whose partial
+    products and sums stay below 2^64.
+    """
+    lo0, lo1 = lo & np.uint64(_M32), lo >> np.uint64(32)
+    t = lo0 * np.uint64(_MUL_LO0)
+    u = lo1 * np.uint64(_MUL_LO0) + (t >> np.uint64(32))
+    v = lo0 * np.uint64(_MUL_LO1) + (u & np.uint64(_M32))
+    carry_hi = (lo1 * np.uint64(_MUL_LO1) + (u >> np.uint64(32))
+                + (v >> np.uint64(32)))
+    new_lo = lo * np.uint64(_MUL_LO) + inc_lo
+    new_hi = (carry_hi + hi * np.uint64(_MUL_LO) + lo * np.uint64(_MUL_HI)
+              + inc_hi + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+class Substreams:
+    """The uniforms of ``trajectory_rng(seed, k).random()`` for a batch of k.
+
+    Row i reads the substream of ``indices[i]`` with no Generator: numpy's
+    SeedSequence(seed, spawn_key=(k,)) is mixed for every row at once in
+    uint32 columns, PCG64 is seeded from it as numpy does, and each draw
+    advances only the rows it is asked for, with the XSL-RR output and
+    numpy's 53-bit double.  Indices must be below 2^64.
+    """
+
+    def __init__(self, seed: int, indices):
+        keys = np.asarray(indices)
+        if keys.size and keys.min() < 0:
+            raise ValueError("expected non-negative integer")
+        keys = keys.astype(np.uint64)
+        run = _uint32_words(int(seed))
+        run += [0] * (4 - len(run))  # numpy pads the seed when spawned
+        b = len(keys)
+        entropy = [np.full(b, w, dtype=np.uint32) for w in run]
+        entropy += [(keys & np.uint64(_M32)).astype(np.uint32),
+                    (keys >> np.uint64(32)).astype(np.uint32)]
+        # only rows with k >= 2^32 have the last word, a key's second
+        has_word = [True] * (len(entropy) - 1) + [keys > _M32]
+        hash_ = _Hash(_INIT_A, _MULT_A)
+        pool = [hash_(w) for w in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_(pool[src]))
+        for w, has in zip(entropy[4:], has_word[4:]):
+            for dst in range(4):
+                pool[dst] = np.where(has, _mix(pool[dst], hash_(w)), pool[dst])
+        # generate_state(4, uint64): 8 hashed pool words, low word first
+        hash_ = _Hash(_INIT_B, _MULT_B)
+        state = [hash_(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        s_hi, s_lo, q_hi, q_lo = (state[2 * j] | state[2 * j + 1]
+                                  << np.uint64(32) for j in range(4))
+        # PCG64 seeding: inc = 2 initseq + 1, state = 0, step, add, step
+        self.inc_hi = q_hi << np.uint64(1) | q_lo >> np.uint64(63)
+        self.inc_lo = q_lo << np.uint64(1) | np.uint64(1)
+        lo = self.inc_lo + s_lo
+        hi = self.inc_hi + s_hi + (lo < s_lo)
+        self.hi, self.lo = _step(hi, lo, self.inc_hi, self.inc_lo)
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform in [0, 1) of each row in ``rows`` (distinct)."""
+        hi, lo = _step(self.hi[rows], self.lo[rows], self.inc_hi[rows],
+                       self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+        return (x >> np.uint64(11)) * 2.0 ** -53
 
 
 def record_times(t_max: float, record_grid: float | None) -> np.ndarray:

@@ -18,9 +18,10 @@ filled from each row's last click at or before them by the exact propagator.
 Reproducibility: the batch kernel returns arrays (record points,
 concurrences, optional states, clicks as (row, time, channel)), from which
 `ensemble.run_batches` builds the records.  Trajectory k of a run with master
-seed s draws only from `ensemble.trajectory_rng(s, k)`, in blocks of
-_DRAW_BLOCK uniforms: the first threshold, then per click the channel draw and
-the next threshold, so it does not depend on batch layout or worker count.
+seed s draws only from its substream `ensemble.trajectory_rng(s, k)`, read
+for the whole batch by `ensemble.Substreams`: the first threshold, then per
+click the channel draw and the next threshold, so it does not depend on batch
+layout or worker count.
 """
 
 from __future__ import annotations
@@ -29,36 +30,17 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import (TrajectoryRecord, record_times, run_batches, run_one,
-                       trajectory_rng)
+from .ensemble import (Substreams, TrajectoryRecord, record_times, run_batches,
+                       run_one)
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
 from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
 
 __all__ = ["run_trajectory", "run_ensemble"]
 
-_DRAW_BLOCK = 32  # uniforms a trajectory draws from its substream at a time
 _TAU_TOL = 1e-13  # accuracy of a sampled click time, relative to max(1, span)
 _NEWTON_ITERS = 30  # Newton steps before a click-time search only bisects
 _MAX_ITERS = _NEWTON_ITERS + 80  # enough bisections to reach _TAU_TOL
-
-
-class _Uniforms:
-    """Each row's uniforms, drawn in fixed blocks from its own substream."""
-
-    def __init__(self, seed: int, indices):
-        self.gens = [trajectory_rng(seed, k) for k in indices]
-        self.buf = np.array([g.random(_DRAW_BLOCK) for g in self.gens])
-        self.pos = np.zeros(len(self.gens), dtype=int)
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next uniform of each row in ``rows`` (distinct indices)."""
-        for i in rows[self.pos[rows] == _DRAW_BLOCK]:
-            self.buf[i] = self.gens[i].random(_DRAW_BLOCK)
-            self.pos[i] = 0
-        out = self.buf[rows, self.pos[rows]]
-        self.pos[rows] += 1
-        return out
 
 
 def _norm2(psi: np.ndarray) -> np.ndarray:
@@ -154,8 +136,8 @@ def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
     w_inv = np.linalg.inv(w)
     b = len(indices)
 
-    draws = _Uniforms(seed, indices)
-    threshold = draws.take(np.arange(b))
+    draws = Substreams(seed, indices)
+    threshold = draws.random(np.arange(b))
     act = np.arange(b)
     c = np.tile(w_inv @ s.initial / np.linalg.norm(s.initial), (b, 1))
     t_last = np.zeros(b)
@@ -171,9 +153,9 @@ def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
         t_last = t_last + tau
         at = _evolve(c, lam, w, tau)
         at /= np.sqrt(_norm2(at))[:, None]
-        after, m = _jump(s, at, t_last, draws.take(act))
+        after, m = _jump(s, at, t_last, draws.random(act))
         channels.append(m)
-        threshold[act] = draws.take(act)
+        threshold[act] = draws.random(act)
         c = after @ w_inv.T
         segs.append((act, c, t_last))
 

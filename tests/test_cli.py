@@ -216,11 +216,18 @@ def test_config_and_argument_errors(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
                      "5", "--threads", threads]) == 2
     assert "--threads" in capsys.readouterr().err
-    # the jump engine has no time step to bound
-    assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj", "5",
-                 "--dt", "0.01"]) == 2
-    assert "--dt" in capsys.readouterr().err
-    # nor has the master equation, which is solved exactly
+    # a negative seed is named, for the trajectory engines and the master one
+    for unraveling in ("qj", "master"):
+        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
+                     "5", "--seed", "-1", "--unraveling", unraveling]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+    # neither the jump engine nor the master equation has a time step to bound
+    for unraveling in ("qj", "master"):
+        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
+                     "5", "--dt", "0.01", "--unraveling", unraveling]) == 2
+        assert "--dt applies to the qsd unravelings only" in \
+            capsys.readouterr().err
+    # and `trajent master` has no --dt flag at all
     with pytest.raises(SystemExit) as exc:
         main(["master", "--config", cfg, "--tmax", "1.0", "--dt", "0.01"])
     assert exc.value.code == 2

@@ -1,10 +1,11 @@
-"""Ensemble reduction and rate fitting on synthetic inputs."""
+"""Ensemble substreams, reduction and rate fitting on synthetic inputs."""
 
 import numpy as np
 import pytest
 
-from trajent.ensemble import (TrajectoryRecord, average, empirical_density,
-                              fit_rate, fit_rate_series)
+from trajent.ensemble import (Substreams, TrajectoryRecord, average,
+                              empirical_density, fit_rate, fit_rate_series,
+                              trajectory_rng)
 from trajent.errors import FitWindowError
 
 
@@ -13,6 +14,29 @@ def _record(times, conc, states=None, index=0):
                             times=np.asarray(times, dtype=float),
                             concurrences=np.asarray(conc, dtype=float),
                             states=states)
+
+
+def test_substreams_read_exactly_what_trajectory_rng_gives():
+    # the array reader against numpy's own Generator, with no tolerance:
+    # one- and multi-word seeds, one- and two-word spawn keys, and rows drawn
+    # in a scattered, uneven order across calls
+    indices = [0, 511, 512, 5999, 2**32 + 5]
+    order = [[0, 1, 2, 3, 4], [4, 1], [3], [4, 0, 3], [1, 4], [4, 2], [4]]
+    for seed in (0, 7, 2**32 + 3, 2**70 + 11):
+        reader = Substreams(seed, indices)
+        got = [[] for _ in indices]
+        for rows in order:
+            for row, u in zip(rows, reader.random(np.array(rows))):
+                got[row].append(u)
+        for k, drawn in zip(indices, got):
+            want = trajectory_rng(seed, k).random(len(drawn))
+            assert np.array_equal(np.array(drawn), want), (seed, k)
+    # as SeedSequence, a negative seed or index is an error
+    for seed, indices in ((-1, [0]), (3, [2, -1])):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence(seed, spawn_key=(min(indices),))
+        with pytest.raises(ValueError, match="non-negative"):
+            Substreams(seed, indices)
 
 
 def test_average_recovers_mean_and_stderr():
