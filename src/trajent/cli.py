@@ -34,13 +34,13 @@ import numpy as np
 
 from . import __version__
 from .config import bundled_scenario_names, load_scenario
-from .diffusion import run_ensemble_qsd
-from .ensemble import average, fit_rate_series
+from .diffusion import batch_kernel_qsd
+from .ensemble import fit_rate_series, run_average
 from .errors import ConfigError, NumericalError
 from .lindblad import concurrence_series, evolve_rho
 from .models import Scenario
 from .optimize import optimize_unraveling
-from .quantum_jump import run_ensemble
+from .quantum_jump import batch_kernel
 from .rates import analytic_mean_concurrence, rate_report
 
 log = logging.getLogger("trajent")
@@ -96,14 +96,11 @@ def cmd_simulate(args) -> int:
         times = evo.times
     else:
         if unraveling == "qj":
-            records = run_ensemble(s, t_max, args.traj, seed=args.seed,
-                                   record_grid=grid, workers=args.threads)
+            kernel = batch_kernel(s, t_max, grid)
         else:
-            kind = unraveling.split("-", 1)[1]
-            records = run_ensemble_qsd(kind, s, t_max, args.traj, dt=args.dt,
-                                       seed=args.seed, record_grid=grid,
-                                       workers=args.threads)
-        summary = average(records)
+            kernel = batch_kernel_qsd(unraveling.split("-", 1)[1], s, t_max,
+                                      args.dt, grid)
+        summary = run_average(kernel, args.seed, args.traj, args.threads)
         times, mean, stderr = summary.times, summary.mean_c, summary.stderr
 
     c_rho = concurrence_series(evo)

@@ -35,8 +35,8 @@ rotating the channel operators J -> e^{-i theta} J before the run (see
 `models.with_phase_rotation`).
 
 The batch kernel is a pure array function: it returns the batch's record
-points, concurrences and optional states, and `ensemble.run_batches` builds
-the records from them.  Trajectory k of a run draws only from its own
+points, concurrences and optional states, which `ensemble` turns into
+records or reduces to moments.  Trajectory k of a run draws only from its own
 substream `ensemble.trajectory_rng(seed, k)`, so ensembles are bit-stable for
 a given (seed, n_traj) regardless of batching or workers.
 The kernel streams the noise: each row draws the next block of steps from
@@ -52,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import (TrajectoryRecord, record_times, run_batches, run_one,
+from .ensemble import (TrajectoryRecord, record_times, run_one, run_records,
                        trajectory_rng)
 from .entanglement import concurrence_batch
 from .errors import StepSizeError
@@ -60,7 +60,7 @@ from .models import Scenario
 
 __all__ = ["MAX_DIFFUSION_STEP", "wiener_increments", "complex_wiener_increments",
            "step_homodyne", "step_heterodyne",
-           "run_trajectory_qsd", "run_ensemble_qsd"]
+           "batch_kernel_qsd", "run_trajectory_qsd", "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
 _NOISE_VALUES = 1 << 18  # normals a batch buffers at a time (2 MB)
@@ -217,13 +217,21 @@ def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
     return times, conc, states, None
 
 
+def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
+                     dt: float | None = None, record_grid: float | None = None,
+                     keep_states: bool = False):
+    """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`."""
+    return partial(_run_batch_qsd, kind, s, t_max, dt, record_grid,
+                   keep_states)
+
+
 def run_trajectory_qsd(kind: str, s: Scenario, t_max: float,
                        dt: float | None = None, seed: int = 0, index: int = 0,
                        record_grid: float | None = None,
                        keep_states: bool = False) -> TrajectoryRecord:
     """Single diffusive trajectory, deterministic for a given (seed, index)."""
-    return run_one(partial(_run_batch_qsd, kind, s, t_max, dt, record_grid,
-                           keep_states), seed, index)
+    return run_one(batch_kernel_qsd(kind, s, t_max, dt, record_grid,
+                                    keep_states), seed, index)
 
 
 def run_ensemble_qsd(kind: str, s: Scenario, t_max: float, n_traj: int,
@@ -232,6 +240,5 @@ def run_ensemble_qsd(kind: str, s: Scenario, t_max: float, n_traj: int,
                      keep_states: bool = False,
                      workers: int = 1) -> list[TrajectoryRecord]:
     """Ensemble of diffusive trajectories; bit-stable for fixed (seed, n_traj)."""
-    return run_batches(partial(_run_batch_qsd, kind, s, t_max, dt,
-                               record_grid, keep_states),
-                       seed, n_traj, workers)
+    return run_records(batch_kernel_qsd(kind, s, t_max, dt, record_grid,
+                                        keep_states), seed, n_traj, workers)

@@ -1,11 +1,18 @@
 """The ensemble driver, ensemble reduction and exponential rate estimation.
 
 `run_batches` runs a batch kernel, a pure array function, over trajectories
-0..N-1 in fixed batches, split over worker processes if asked, and builds the
-`TrajectoryRecord`s from the returned arrays in the calling process.
-Trajectory k of a run with master seed s draws only from its own substream,
-so the records and their averages are identical for any worker count and
-bit-stable for a given (seed, n_traj).
+0..N-1 in fixed batches, split over worker processes if asked, and applies a
+per-batch step where each batch is computed.  There are two steps:
+- keep the arrays: `run_records` builds the `TrajectoryRecord`s from them in
+  the calling process (the library path; memory grows with N);
+- reduce the (B, G) concurrences to their count, sum and summed squared
+  deviation: `run_average` merges these in batch order by the Chan-Golub-
+  LeVeque update into the `EnsembleSummary`, with no records (the CLI path;
+  memory is one batch per worker).
+`average` reduces records by the same moment formula.  Trajectory k of a run
+with master seed s draws only from its own substream, and batches are merged
+in a fixed order, so records and summaries are identical for any worker
+count and bit-stable for a given (seed, n_traj).
 
 A substream is PCG64 seeded by SeedSequence(s, spawn_key=(k,)), and it has
 two readers: `trajectory_rng(s, k)`, a numpy Generator (the QSD engine draws
@@ -17,6 +24,9 @@ jump engine).
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import logging
+import time
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -27,12 +37,14 @@ from .errors import FitWindowError
 
 __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
            "TrajectoryRecord", "average", "empirical_density", "fit_rate",
-           "fit_rate_series", "record_times", "run_batches", "run_one",
-           "trajectory_rng"]
+           "fit_rate_series", "record_times", "run_average", "run_batches",
+           "run_one", "run_records", "trajectory_rng"]
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
 _BATCH = 512  # fixed internal batch width; keeps results worker-independent
+
+log = logging.getLogger("trajent")
 
 
 class JumpEvent(NamedTuple):
@@ -208,40 +220,6 @@ def run_one(kernel, seed: int, index: int) -> TrajectoryRecord:
     return _records(seed, index, *kernel(seed, [index]))[0]
 
 
-def _chunk(kernel, seed: int, k0: int, k1: int) -> list[tuple]:
-    return [kernel(seed, range(b0, min(b0 + _BATCH, k1)))
-            for b0 in range(k0, k1, _BATCH)]
-
-
-def run_batches(kernel, seed: int, n_traj: int,
-                workers: int) -> list[TrajectoryRecord]:
-    """Trajectories 0..n_traj-1 of ``kernel(seed, indices)``, _BATCH at a time.
-
-    A kernel returns ``(times, conc, states, clicks)``: the record points, the
-    (B, G) concurrences, the (B, G, 4) states or None, and the clicks as
-    (row, time, channel id) arrays or None.  Workers split the index range on
-    fixed batch boundaries and return these arrays, so the records are the
-    same for any ``workers``; ``kernel`` must pickle (e.g. a partial of a
-    module-level function).  All records share the first batch's grid.
-    """
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
-    if workers <= 1 or n_traj <= _BATCH:
-        batches = _chunk(kernel, seed, 0, n_traj)
-    else:
-        n_batches = -(-n_traj // _BATCH)
-        span = -(-n_batches // workers) * _BATCH  # trajectories per worker
-        starts = range(0, n_traj, span)
-        ends = [min(k0 + span, n_traj) for k0 in starts]
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=len(ends))
-        with pool as ex:
-            chunks = ex.map(_chunk, repeat(kernel), repeat(seed), starts, ends)
-            batches = [batch for chunk in chunks for batch in chunk]
-    times = batches[0][0]
-    return [r for k0, batch in zip(range(0, n_traj, _BATCH), batches)
-            for r in _records(seed, k0, times, *batch[1:])]
-
-
 @dataclass(frozen=True)
 class EnsembleSummary:
     """Pointwise ensemble statistics of the concurrence on a shared grid."""
@@ -250,6 +228,110 @@ class EnsembleSummary:
     stderr: np.ndarray
     n_traj: int
     empirical_rho: np.ndarray | None = field(default=None, repr=False)
+
+
+class _Moments(NamedTuple):
+    """Count, sum and summed squared deviation of concurrences per grid point."""
+    n: int
+    total: np.ndarray
+    m2: np.ndarray
+
+
+def _moments(conc: np.ndarray) -> _Moments:
+    """The moments of (B, G) concurrences, two-pass as numpy's mean and std."""
+    n, total = len(conc), conc.sum(axis=0)
+    return _Moments(n, total, ((conc - total / n) ** 2).sum(axis=0))
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """Chan, Golub & LeVeque's pairwise update (Am. Stat. 37, 242 (1983))."""
+    n = a.n + b.n
+    delta = b.total / b.n - a.total / a.n
+    return _Moments(n, a.total + b.total,
+                    a.m2 + b.m2 + delta ** 2 * (a.n * b.n / n))
+
+
+def _summary(times: np.ndarray, m: _Moments,
+             rho: np.ndarray | None = None) -> EnsembleSummary:
+    mean = m.total / m.n
+    stderr = np.sqrt(m.m2 / (m.n - 1)) / np.sqrt(m.n) if m.n > 1 \
+        else np.zeros_like(mean)
+    return EnsembleSummary(times=times, mean_c=mean, stderr=stderr, n_traj=m.n,
+                           empirical_rho=rho)
+
+
+def _keep(batch: tuple) -> tuple:
+    """The records step: a batch's arrays, as the kernel returned them."""
+    return batch
+
+
+def _reduce(batch: tuple) -> tuple:
+    """The streamed step: a batch's record points and concurrence moments."""
+    return batch[0], _moments(batch[1])
+
+
+def _chunk(kernel, step, seed: int, k0: int, k1: int) -> list:
+    return [step(kernel(seed, range(b0, min(b0 + _BATCH, k1))))
+            for b0 in range(k0, k1, _BATCH)]
+
+
+def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
+    """Yield ``step(kernel(seed, indices))`` for trajectories 0..n_traj-1,
+    _BATCH at a time, in batch order.
+
+    A kernel returns ``(times, conc, states, clicks)``: the record points, the
+    (B, G) concurrences, the (B, G, 4) states or None, and the clicks as
+    (row, time, channel id) arrays or None.  ``step`` runs where the batch is
+    computed: `_keep` passes the arrays on, `_reduce` makes them moments.
+    Workers split the index range on fixed batch boundaries, so the batches
+    are the same for any ``workers``; ``kernel`` must pickle (e.g. a partial
+    of a module-level function).  Progress is logged at INFO as each batch,
+    or each worker's share, arrives.
+    """
+    if n_traj <= 0:
+        raise ValueError("n_traj must be positive")
+    span = _BATCH  # trajectories per chunk: one batch, or a worker's share
+    if workers > 1:
+        span *= -(-n_traj // _BATCH // workers)
+    starts = range(0, n_traj, span)
+    ends = [min(k0 + span, n_traj) for k0 in starts]
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=len(ends))
+            if workers > 1 and len(ends) > 1 else None)
+    t0 = time.perf_counter()
+    with pool or contextlib.nullcontext():
+        chunks = (pool.map if pool else map)(
+            _chunk, repeat(kernel), repeat(step), repeat(seed), starts, ends)
+        for done, chunk in zip(ends, chunks):
+            elapsed = time.perf_counter() - t0
+            log.info("ensemble: %d/%d trajectories, %.2f s elapsed, ETA %.2f s",
+                     done, n_traj, elapsed, elapsed * (n_traj / done - 1))
+            yield from chunk
+
+
+def run_records(kernel, seed: int, n_traj: int,
+                workers: int) -> list[TrajectoryRecord]:
+    """The records path: every trajectory's record, built in this process
+    from the kept arrays.  All records share the first batch's grid."""
+    records = []
+    for times, *arrays in run_batches(kernel, seed, n_traj, workers):
+        records += _records(seed, len(records),
+                            records[0].times if records else times, *arrays)
+    return records
+
+
+def run_average(kernel, seed: int, n_traj: int,
+                workers: int) -> EnsembleSummary:
+    """The streamed path: `average` of `run_records` without the records.
+
+    Each batch is reduced to moments where it is computed, and the moments
+    are merged here in batch order, so the summary is bit-identical for any
+    ``workers`` and memory does not grow with ``n_traj``.
+    """
+    batches = run_batches(kernel, seed, n_traj, workers, step=_reduce)
+    times, acc = next(batches)
+    for _, m in batches:
+        acc = _merge(acc, m)
+    return _summary(times, acc)
 
 
 def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
@@ -264,16 +346,11 @@ def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
 def average(records: list[TrajectoryRecord]) -> EnsembleSummary:
     """Mean and standard error of the concurrence; empirical density if kept."""
     times = _common_grid(records)
-    c = np.stack([r.concurrences for r in records])
-    n = c.shape[0]
-    mean = c.mean(axis=0)
-    stderr = (c.std(axis=0, ddof=1) / np.sqrt(n)) if n > 1 \
-        else np.zeros_like(mean)
     rho = None
     if all(r.states is not None for r in records):
         rho = empirical_density(records)
-    return EnsembleSummary(times=times, mean_c=mean, stderr=stderr, n_traj=n,
-                           empirical_rho=rho)
+    return _summary(times, _moments(np.stack([r.concurrences for r in records])),
+                    rho)
 
 
 def empirical_density(records: list[TrajectoryRecord]) -> np.ndarray:

@@ -16,12 +16,12 @@ round solves S(tau) = r for every active row over its remaining horizon
 filled from each row's last click at or before them by the exact propagator.
 
 Reproducibility: the batch kernel returns arrays (record points,
-concurrences, optional states, clicks as (row, time, channel)), from which
-`ensemble.run_batches` builds the records.  Trajectory k of a run with master
-seed s draws only from its substream `ensemble.trajectory_rng(s, k)`, read
-for the whole batch by `ensemble.Substreams`: the first threshold, then per
-click the channel draw and the next threshold, so it does not depend on batch
-layout or worker count.
+concurrences, optional states, clicks as (row, time, channel)), which
+`ensemble` turns into records or reduces to moments.  Trajectory k of a run
+with master seed s draws only from its substream `ensemble.trajectory_rng(s,
+k)`, read for the whole batch by `ensemble.Substreams`: the first threshold,
+then per click the channel draw and the next threshold, so it does not
+depend on batch layout or worker count.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import (Substreams, TrajectoryRecord, record_times, run_batches,
-                       run_one)
+from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
+                       run_records)
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
 from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
 
-__all__ = ["run_trajectory", "run_ensemble"]
+__all__ = ["batch_kernel", "run_trajectory", "run_ensemble"]
 
 _TAU_TOL = 1e-13  # accuracy of a sampled click time, relative to max(1, span)
 _NEWTON_ITERS = 30  # Newton steps before a click-time search only bisects
@@ -186,12 +186,18 @@ def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
     return times, conc, states, clicks
 
 
+def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
+                 keep_states: bool = False):
+    """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`."""
+    return partial(_run_batch, s, t_max, record_grid, keep_states)
+
+
 def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,
                    record_grid: float | None = None,
                    keep_states: bool = False) -> TrajectoryRecord:
     """Single trajectory, deterministic for a given (seed, index)."""
-    return run_one(partial(_run_batch, s, t_max, record_grid, keep_states),
-                   seed, index)
+    return run_one(batch_kernel(s, t_max, record_grid, keep_states), seed,
+                   index)
 
 
 def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
@@ -201,5 +207,5 @@ def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
 
     The records are identical for any ``workers`` value (`run_batches`).
     """
-    return run_batches(partial(_run_batch, s, t_max, record_grid, keep_states),
+    return run_records(batch_kernel(s, t_max, record_grid, keep_states),
                        seed, n_traj, workers)

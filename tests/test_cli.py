@@ -268,6 +268,47 @@ def test_log_env_smoke(tmp_path, monkeypatch, capsys):
     assert out.exists()
 
 
+def test_progress_logged_per_batch_at_info(tmp_path, monkeypatch, caplog):
+    # 1100 trajectories in one process are three batches: 512, 512 and 76
+    monkeypatch.delenv("TRAJENT_LOG", raising=False)
+    cfg = _write_config(tmp_path)
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "run.csv"),
+            "--tmax", "0.2", "--traj", "1100"]
+
+    def progress():
+        return [r for r in caplog.records
+                if r.name == "trajent" and "trajectories" in r.getMessage()]
+
+    assert main(argv) == 0
+    assert progress() == []
+    caplog.set_level("INFO", logger="trajent")
+    assert main(argv) == 0
+    lines = [r.getMessage() for r in progress()]
+    assert len(lines) == 3
+    assert [line.split()[1] for line in lines] == ["512/1100", "1024/1100",
+                                                   "1100/1100"]
+    assert all("elapsed" in line and "ETA" in line for line in lines)
+
+
+def test_simulate_builds_no_records(tmp_path, monkeypatch):
+    from trajent import ensemble
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("simulate built trajectory records")
+
+    monkeypatch.setattr(ensemble, "_records", no_records)
+    cfg = _write_config(tmp_path)
+    for extra in (["--unraveling", "qj"],
+                  ["--unraveling", "qsd-heterodyne", "--dt", "0.005"]):
+        out = tmp_path / "run.csv"
+        out.unlink(missing_ok=True)
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--tmax",
+                     "0.5", "--traj", "600", "--seed", "3"] + extra) == 0
+        header, rows = _read_csv(out)
+        assert header[:3] == ["t", "mean_C", "stderr_C"] and len(rows) == 101
+        assert all(r[1] and r[2] for r in rows)
+
+
 def test_config_accepts_bundled_name(tmp_path):
     by_name, by_path = tmp_path / "name.json", tmp_path / "path.json"
     assert main(["rates", "--config", "thermal_bell", "--out",

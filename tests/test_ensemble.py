@@ -1,12 +1,18 @@
-"""Ensemble substreams, reduction and rate fitting on synthetic inputs."""
+"""Ensemble substreams, drivers, reduction and rate fitting."""
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
-                              trajectory_rng)
+                              run_average, trajectory_rng)
 from trajent.errors import FitWindowError
+from trajent.models import preset_photon_counting
+from trajent.quantum_jump import batch_kernel, run_ensemble
 
 
 def _record(times, conc, states=None, index=0):
@@ -64,6 +70,60 @@ def test_average_rejects_bad_input():
     b = _record([0.0, 2.0], [1.0, 0.5])
     with pytest.raises(ValueError, match="grid"):
         average([a, b])
+
+
+def _engines():
+    """Each engine's kernel and its records path, on the same scenario."""
+    s = preset_photon_counting(1.0, 0.6)
+    return {
+        "qj": (batch_kernel(s, 1.0, 0.05),
+               lambda n: run_ensemble(s, 1.0, n, seed=17, record_grid=0.05)),
+        "qsd": (batch_kernel_qsd("heterodyne", s, 1.0, 0.005, 0.05),
+                lambda n: run_ensemble_qsd("heterodyne", s, 1.0, n, dt=0.005,
+                                           seed=17, record_grid=0.05)),
+    }
+
+
+@pytest.mark.parametrize("engine", ["qj", "qsd"])
+def test_streamed_average_equals_average_of_records(engine):
+    # 1100 trajectories are batches of 512, 512 and 76: the moments of the
+    # short last batch are merged by the pairwise update, and the batch sums
+    # add in another order than one sum over all rows, so agreement is to
+    # rounding; one batch reduces exactly as `average` does
+    kernel, records = _engines()[engine]
+    for n in (1100, 300, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_average(kernel, 17, n, 1)
+        want = average(records(n))
+        assert got.n_traj == want.n_traj == n
+        assert np.array_equal(got.times, want.times)
+        if n > 512:
+            assert np.max(np.abs(got.mean_c - want.mean_c)) < 1e-12
+            assert np.max(np.abs(got.stderr - want.stderr)) < 1e-12
+            assert np.all(got.stderr[1:] > 0)
+            two = run_average(kernel, 17, n, 2)
+            assert np.array_equal(got.mean_c, two.mean_c)
+            assert np.array_equal(got.stderr, two.stderr)
+        else:
+            assert np.array_equal(got.mean_c, want.mean_c)
+            assert np.array_equal(got.stderr, want.stderr)
+    assert np.all(got.stderr == 0.0)                       # n == 1
+
+
+def test_streamed_memory_independent_of_n_traj():
+    # the records path holds every trajectory's row (6x here); the streamed
+    # path holds one batch at a time
+    kernel = batch_kernel(preset_photon_counting(1.0, 1.0), 1.0)
+    peaks = []
+    for n in (600, 6000):
+        tracemalloc.start()
+        try:
+            run_average(kernel, 3, n, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_empirical_density_by_hand():
