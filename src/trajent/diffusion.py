@@ -39,9 +39,10 @@ points, concurrences and optional states, which `ensemble` turns into
 records or reduces to moments.  Trajectory k of a run draws only from its own
 substream `ensemble.trajectory_rng(seed, k)`, so ensembles are bit-stable for
 a given (seed, n_traj) regardless of batching or workers.
-The kernel streams the noise: each row draws the next block of steps from
-its substream into a reused buffer of at most _NOISE_VALUES normals per
-batch, in the order of `wiener_increments`/`complex_wiener_increments`.
+The kernel steps its rows _ROWS at a time and streams the noise: each row
+draws the next block of steps from its substream into a reused buffer of at
+most _NOISE_VALUES normals per row block, in the order of
+`wiener_increments`/`complex_wiener_increments`.
 Consecutive draws continue one stream, so the increments are those of a
 single whole-horizon draw and memory does not grow with t_max.
 """
@@ -63,7 +64,8 @@ __all__ = ["MAX_DIFFUSION_STEP", "wiener_increments", "complex_wiener_increments
            "batch_kernel_qsd", "run_trajectory_qsd", "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
-_NOISE_VALUES = 1 << 18  # normals a batch buffers at a time (2 MB)
+_NOISE_VALUES = 1 << 18  # normals a row block buffers at a time (2 MB)
+_ROWS = 512  # rows stepped together; wider blocks are slower (cache, draws)
 
 KINDS = ("homodyne", "heterodyne")
 
@@ -153,15 +155,29 @@ def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
 def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
                    record_grid: float | None, keep_states: bool, seed: int,
                    indices) -> tuple:
-    """Fused Euler-Maruyama kernel on a (4, B) batch state; no clicks."""
+    """Fused Euler-Maruyama kernel, _ROWS rows at a time; no clicks."""
     if kind not in KINDS:
         raise ValueError(f"unraveling kind must be one of {KINDS}, got {kind!r}")
     times, n_sub, h = _grid(s, t_max, dt, record_grid)
     _check_scenario(s, h)
-    n_steps = (len(times) - 1) * n_sub
+    b = len(indices)
+    conc = np.empty((b, len(times)))
+    states = (np.empty((b, len(times), 4), dtype=complex) if keep_states
+              else None)
+    for i in range(0, b, _ROWS):
+        j = min(i + _ROWS, b)
+        _step_rows(kind == "heterodyne", s, n_sub, h, seed, indices[i:j],
+                   conc[i:j], None if states is None else states[i:j])
+    return times, conc, states, None
+
+
+def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
+               indices, conc: np.ndarray, states: np.ndarray | None) -> None:
+    """Step rows ``indices`` on a (4, B) state, filling their (B, G)
+    concurrences and, if given, (B, G, 4) states."""
+    n_steps = (conc.shape[1] - 1) * n_sub
     b = len(indices)
     m_ch = len(s.channels)
-    het = kind == "heterodyne"
     per_step = 2 * m_ch if het else m_ch   # normals per row and step
     block = max(1, min(n_steps, _NOISE_VALUES // (b * per_step)))
     gens = [trajectory_rng(seed, k) for k in indices]
@@ -179,11 +195,8 @@ def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
 
     psi = np.broadcast_to((s.initial / np.linalg.norm(s.initial))[:, None],
                           (4, b)).copy()                        # (4, B)
-    conc = np.empty((b, len(times)))
     conc[:, 0] = concurrence_batch(psi.T)
-    states = None
-    if keep_states:
-        states = np.empty((b, len(times), 4), dtype=complex)
+    if states is not None:
         states[:, 0] = psi.T
 
     for b0 in range(0, n_steps, block):
@@ -211,10 +224,8 @@ def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
             done, rem = divmod(b0 + k + 1, n_sub)
             if not rem:
                 conc[:, done] = concurrence_batch(psi.T)
-                if keep_states:
+                if states is not None:
                     states[:, done] = psi.T
-
-    return times, conc, states, None
 
 
 def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,

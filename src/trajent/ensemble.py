@@ -1,14 +1,16 @@
 """The ensemble driver, ensemble reduction and exponential rate estimation.
 
 `run_batches` runs a batch kernel, a pure array function, over trajectories
-0..N-1 in fixed batches, split over worker processes if asked, and applies a
-per-batch step where each batch is computed.  There are two steps:
+0..N-1, split over worker processes if asked.  A kernel call covers up to
+4096 rows (8 batches; a worker's share if that is less), and its arrays are
+cut into fixed 512-row batches, the unit of steps, merge order and progress.
+A per-batch step runs where the call is computed.  There are two steps:
 - keep the arrays: `run_records` builds the `TrajectoryRecord`s from them in
   the calling process (the library path; memory grows with N);
 - reduce the (B, G) concurrences to their count, sum and summed squared
   deviation: `run_average` merges these in batch order by the Chan-Golub-
   LeVeque update into the `EnsembleSummary`, with no records (the CLI path;
-  memory is one batch per worker).
+  memory is one kernel call, O(4096 G), per worker).
 `average` reduces records by the same moment formula.  Trajectory k of a run
 with master seed s draws only from its own substream, and batches are merged
 in a fixed order, so records and summaries are identical for any worker
@@ -42,7 +44,8 @@ __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
-_BATCH = 512  # fixed internal batch width; keeps results worker-independent
+_BATCH = 512  # rows per batch: the unit of steps, merges and progress
+_CALL_ROWS = 8 * _BATCH  # rows per kernel call at most
 
 log = logging.getLogger("trajent")
 
@@ -270,9 +273,22 @@ def _reduce(batch: tuple) -> tuple:
     return batch[0], _moments(batch[1])
 
 
+def _cut(arrays: tuple, i: int, j: int) -> tuple:
+    """Rows i..j-1 of a kernel call's arrays, with clicks re-based to row i."""
+    times, conc, states, clicks = arrays
+    if clicks is not None:
+        row, t, channel = clicks
+        mine = (row >= i) & (row < j)
+        clicks = row[mine] - i, t[mine], channel[mine]
+    return (times, conc[i:j], None if states is None else states[i:j],
+            clicks)
+
+
 def _chunk(kernel, step, seed: int, k0: int, k1: int) -> list:
-    return [step(kernel(seed, range(b0, min(b0 + _BATCH, k1))))
-            for b0 in range(k0, k1, _BATCH)]
+    """One kernel call over k0..k1-1, cut into batches, a step for each."""
+    arrays = kernel(seed, range(k0, k1))
+    return [step(_cut(arrays, i, min(i + _BATCH, k1 - k0)))
+            for i in range(0, k1 - k0, _BATCH)]
 
 
 def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
@@ -281,31 +297,39 @@ def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
 
     A kernel returns ``(times, conc, states, clicks)``: the record points, the
     (B, G) concurrences, the (B, G, 4) states or None, and the clicks as
-    (row, time, channel id) arrays or None.  ``step`` runs where the batch is
-    computed: `_keep` passes the arrays on, `_reduce` makes them moments.
-    Workers split the index range on fixed batch boundaries, so the batches
-    are the same for any ``workers``; ``kernel`` must pickle (e.g. a partial
-    of a module-level function).  Progress is logged at INFO as each batch,
-    or each worker's share, arrives.
+    (row, time, channel id) arrays or None.  A kernel call covers up to
+    _CALL_ROWS trajectories, a worker's share if that is less, and its arrays
+    are cut into batches; a row does not depend on the rows that share its
+    call, so the batches are the same for any ``workers``.  ``step`` runs
+    where the batch is computed: `_keep` passes the arrays on, `_reduce`
+    makes them moments.  The pool holds at most ``workers`` processes;
+    ``kernel`` must pickle (e.g. a partial of a module-level function).
+    Progress is logged at INFO as each batch is yielded.
     """
     if n_traj <= 0:
         raise ValueError("n_traj must be positive")
-    span = _BATCH  # trajectories per chunk: one batch, or a worker's share
-    if workers > 1:
-        span *= -(-n_traj // _BATCH // workers)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    share = -(-n_traj // _BATCH // workers)  # batches per worker
+    span = min(_BATCH * share, _CALL_ROWS)  # trajectories per kernel call
     starts = range(0, n_traj, span)
     ends = [min(k0 + span, n_traj) for k0 in starts]
-    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=len(ends))
-            if workers > 1 and len(ends) > 1 else None)
-    t0 = time.perf_counter()
+    n_proc = min(workers, len(ends))
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=n_proc)
+            if n_proc > 1 else None)
+    t0, done = time.perf_counter(), 0
     with pool or contextlib.nullcontext():
         chunks = (pool.map if pool else map)(
             _chunk, repeat(kernel), repeat(step), repeat(seed), starts, ends)
-        for done, chunk in zip(ends, chunks):
-            elapsed = time.perf_counter() - t0
-            log.info("ensemble: %d/%d trajectories, %.2f s elapsed, ETA %.2f s",
-                     done, n_traj, elapsed, elapsed * (n_traj / done - 1))
-            yield from chunk
+        for k1, chunk in zip(ends, chunks):
+            for batch in chunk:
+                # a call's rows are all computed before its first batch
+                done = min(done + _BATCH, n_traj)
+                elapsed = time.perf_counter() - t0
+                log.info("ensemble: %d/%d trajectories, %.2f s elapsed, "
+                         "ETA %.2f s", done, n_traj, elapsed,
+                         elapsed * (n_traj / k1 - 1))
+                yield batch
 
 
 def run_records(kernel, seed: int, n_traj: int,

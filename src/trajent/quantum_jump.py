@@ -10,7 +10,7 @@ S falls to r.  The click goes to channel m with probability proportional to
 gamma_m |J_m(t) psi|^2, and the post-click state J_m psi / |J_m psi| starts a
 new waiting time with a fresh threshold.
 
-There is no time step.  H_eff is diagonalized once per batch.  Each click
+There is no time step.  H_eff is diagonalized once per kernel call.  Each click
 round solves S(tau) = r for every active row over its remaining horizon
 [t_last, t_max] by a safeguarded Newton iteration; the record points are then
 filled from each row's last click at or before them by the exact propagator.
@@ -19,9 +19,9 @@ Reproducibility: the batch kernel returns arrays (record points,
 concurrences, optional states, clicks as (row, time, channel)), which
 `ensemble` turns into records or reduces to moments.  Trajectory k of a run
 with master seed s draws only from its substream `ensemble.trajectory_rng(s,
-k)`, read for the whole batch by `ensemble.Substreams`: the first threshold,
+k)`, read for the whole call by `ensemble.Substreams`: the first threshold,
 then per click the channel draw and the next threshold, so it does not
-depend on batch layout or worker count.
+depend on the rows that share its call or on the worker count.
 """
 
 from __future__ import annotations

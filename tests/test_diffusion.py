@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajent.diffusion import (_NOISE_VALUES, complex_wiener_increments,
-                               run_ensemble_qsd,
+from trajent import diffusion
+from trajent.diffusion import (_NOISE_VALUES, batch_kernel_qsd,
+                               complex_wiener_increments, run_ensemble_qsd,
                                run_trajectory_qsd, step_heterodyne,
                                step_homodyne, wiener_increments)
 from trajent.ensemble import average, fit_rate_series, trajectory_rng
@@ -137,6 +138,30 @@ def test_streamed_noise_is_independent_of_block_boundaries():
             assert np.max(np.abs(recs[k].states - one.states)) < 1e-10
             assert np.max(np.abs(recs[k].concurrences
                                  - one.concurrences)) < 1e-10
+
+
+def test_kernel_steps_rows_in_blocks_of_512(monkeypatch):
+    # a call of 1100 rows is stepped 512, 512 and 76 rows at a time, so it
+    # equals three calls of those sizes bit for bit
+    blocks = []
+
+    def step_rows(*args):
+        blocks.append(len(args[5]))
+        step(*args)
+
+    step = diffusion._step_rows
+    monkeypatch.setattr(diffusion, "_step_rows", step_rows)
+    kernel = batch_kernel_qsd("heterodyne", preset_photon_counting(1.0, 0.6),
+                              0.2, dt=0.005, record_grid=0.05,
+                              keep_states=True)
+    times, conc, states, clicks = kernel(23, range(1100))
+    assert blocks == [512, 512, 76]
+    parts = [kernel(23, range(i, j))
+             for i, j in ((0, 512), (512, 1024), (1024, 1100))]
+    assert clicks is None
+    assert np.array_equal(times, parts[0][0])
+    assert np.array_equal(conc, np.concatenate([p[1] for p in parts]))
+    assert np.array_equal(states, np.concatenate([p[2] for p in parts]))
 
 
 def test_memory_independent_of_t_max():

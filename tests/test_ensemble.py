@@ -1,11 +1,13 @@
 """Ensemble substreams, drivers, reduction and rate fitting."""
 
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from trajent import ensemble
 from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
@@ -112,11 +114,12 @@ def test_streamed_average_equals_average_of_records(engine):
 
 
 def test_streamed_memory_independent_of_n_traj():
-    # the records path holds every trajectory's row (6x here); the streamed
-    # path holds one batch at a time
+    # the records path holds every trajectory's row (3x here); the streamed
+    # path holds one kernel call, of at most span rows, at a time
+    span = ensemble._CALL_ROWS
     kernel = batch_kernel(preset_photon_counting(1.0, 1.0), 1.0)
     peaks = []
-    for n in (600, 6000):
+    for n in (span, 3 * span):
         tracemalloc.start()
         try:
             run_average(kernel, 3, n, 1)
@@ -124,6 +127,63 @@ def test_streamed_memory_independent_of_n_traj():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_pool_holds_at_most_workers_processes(monkeypatch):
+    # 20 kernel calls of span rows over 3 workers, on an in-process stand-in
+    # for the process pool
+    span = ensemble._CALL_ROWS
+    sizes, calls = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    def kernel(seed, indices):
+        calls.append(len(indices))
+        return np.zeros(1), np.ones((len(indices), 1)), None, None
+
+    monkeypatch.setattr(ensemble.concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    summary = run_average(kernel, 0, 20 * span, 3)
+    assert sizes == [3]
+    assert calls == [span] * 20
+    assert summary.n_traj == 20 * span
+    assert np.array_equal(summary.mean_c, [1.0])
+
+
+def test_progress_eta_counts_the_rows_computed(caplog):
+    # one kernel call computes all 1100 rows before its three batches are
+    # logged, so no time is left after the first
+    def kernel(seed, indices):
+        time.sleep(0.05)
+        return np.zeros(1), np.ones((len(indices), 1)), None, None
+
+    caplog.set_level("INFO", logger="trajent")
+    run_average(kernel, 0, 1100, 1)
+    lines = [r.getMessage() for r in caplog.records if r.name == "trajent"]
+    assert [line.split()[1] for line in lines] == ["512/1100", "1024/1100",
+                                                   "1100/1100"]
+    assert all(line.endswith("ETA 0.00 s") for line in lines)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_drivers_reject_workers_below_one(workers):
+    s = preset_photon_counting(1.0, 1.0)
+    with pytest.raises(ValueError, match="workers"):
+        run_ensemble(s, 1.0, 10, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_ensemble_qsd("homodyne", s, 1.0, 10, dt=0.005, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_average(batch_kernel(s, 1.0), 0, 10, workers)
 
 
 def test_empirical_density_by_hand():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trajent import quantum_jump
+from trajent import ensemble, quantum_jump
 from trajent.config import bundled_scenario_path, load_scenario
 from trajent.ensemble import trajectory_rng
 from trajent.entanglement import concurrence_pure
@@ -127,6 +127,31 @@ def test_single_trajectory_equals_its_ensemble_record():
         assert recs[k].events == one.events
         assert np.array_equal(recs[k].concurrences, one.concurrences)
         assert np.array_equal(recs[k].states, one.states)
+
+
+def test_records_equal_across_kernel_call_boundaries():
+    # span + 4 rows: one worker makes calls of span and 4 rows, two workers
+    # of 2560 and 1540, three of 1536, 1536 and 1028; a row's record does not
+    # depend on the call it shares, and its clicks are re-based to its batch
+    span = ensemble._CALL_ROWS
+    s = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [1, 1])
+    runs = [run_ensemble(s, 0.5, span + 4, seed=19, record_grid=0.05,
+                         keep_states=True, workers=w) for w in (1, 2, 3)]
+    assert np.mean([len(r.events) for r in runs[0]]) > 1
+    for recs in runs[1:]:
+        assert len(recs) == span + 4
+        for ra, rb in zip(runs[0], recs):
+            assert ra.index == rb.index
+            assert ra.events == rb.events
+            assert np.array_equal(ra.concurrences, rb.concurrences)
+            assert np.array_equal(ra.states, rb.states)
+    for k in (span - 1, span, span + 3):
+        one = run_trajectory(s, 0.5, seed=19, index=k, record_grid=0.05,
+                             keep_states=True)
+        assert runs[0][k].index == one.index == k
+        assert runs[0][k].events == one.events
+        assert np.array_equal(runs[0][k].concurrences, one.concurrences)
+        assert np.array_equal(runs[0][k].states, one.states)
 
 
 def test_keep_states_normalized_and_consistent():
