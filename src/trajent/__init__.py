@@ -8,8 +8,7 @@ together with the best channel mixing for thermal baths.
 """
 
 from .config import load_scenario, scenario_from_dict
-from .diffusion import (run_ensemble_qsd, run_trajectory_qsd, step_heterodyne,
-                        step_homodyne)
+from .diffusion import run_ensemble_qsd, run_trajectory_qsd
 from .ensemble import (EnsembleSummary, JumpEvent, RateFit, TrajectoryRecord,
                        average, empirical_density, fit_rate, fit_rate_series)
 from .entanglement import (concurrence_batch, concurrence_mixed,

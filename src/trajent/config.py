@@ -49,11 +49,16 @@ _TRANSFORM_KEYS = {"homodyne_shifts", "heterodyne_amplitudes",
                    "heterodyne_frequencies", "phases"}
 
 
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _complex(pair, where: str) -> complex:
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ConfigError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_number(pair[0], where), _number(pair[1], where))
 
 
 def _complex_matrix(rows, where: str) -> np.ndarray:
@@ -63,12 +68,6 @@ def _complex_matrix(rows, where: str) -> np.ndarray:
         return np.array([[_complex(x, where) for x in row] for row in rows])
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{where}: malformed matrix ({exc})") from exc
-
-
-def _number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
 
 
 def _vector(value, where: str, parse=_number) -> list:

@@ -41,10 +41,12 @@ substream `ensemble.trajectory_rng(seed, k)`, so ensembles are bit-stable for
 a given (seed, n_traj) regardless of batching or workers.
 The kernel steps its rows _ROWS at a time and streams the noise: each row
 draws the next block of steps from its substream into a reused buffer of at
-most _NOISE_VALUES normals per row block, in the order of
-`wiener_increments`/`complex_wiener_increments`.
-Consecutive draws continue one stream, so the increments are those of a
-single whole-horizon draw and memory does not grow with t_max.
+most _NOISE_VALUES normals per row block.  A row reads its normals step by
+step and, within a step, channel by channel: one normal z per channel for
+homodyne, dw_m = sqrt(h) z, and a pair for heterodyne,
+d xi_m = sqrt(h/2) (z' + i z''), with the pair of channel m read before that
+of channel m+1.  Consecutive draws continue one stream, so the increments
+are those of a single whole-horizon draw and memory does not grow with t_max.
 """
 
 from __future__ import annotations
@@ -59,32 +61,14 @@ from .entanglement import concurrence_batch
 from .errors import StepSizeError
 from .models import Scenario
 
-__all__ = ["MAX_DIFFUSION_STEP", "wiener_increments", "complex_wiener_increments",
-           "step_homodyne", "step_heterodyne",
-           "batch_kernel_qsd", "run_trajectory_qsd", "run_ensemble_qsd"]
+__all__ = ["MAX_DIFFUSION_STEP", "batch_kernel_qsd", "run_trajectory_qsd",
+           "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
 _NOISE_VALUES = 1 << 18  # normals a row block buffers at a time (2 MB)
 _ROWS = 512  # rows stepped together; wider blocks are slower (cache, draws)
 
 KINDS = ("homodyne", "heterodyne")
-
-
-def wiener_increments(rng: np.random.Generator, n_steps: int, n_channels: int,
-                      dt: float) -> np.ndarray:
-    """Real increments dw ~ N(0, dt), shape (n_steps, n_channels)."""
-    return np.sqrt(dt) * rng.standard_normal((n_steps, n_channels))
-
-
-def complex_wiener_increments(rng: np.random.Generator, n_steps: int,
-                              n_channels: int, dt: float) -> np.ndarray:
-    """Complex increments with <d xi d xi*> = dt and <d xi d xi> = 0.
-
-    Built as (dw1 + i dw2)/sqrt(2) from independent real N(0, dt) pairs;
-    the pair for channel m is consumed before the pair for channel m+1.
-    """
-    raw = rng.standard_normal((n_steps, n_channels, 2))
-    return np.sqrt(dt / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
 
 
 def _check_scenario(s: Scenario, dt: float) -> None:
@@ -110,46 +94,6 @@ def _grid(s: Scenario, t_max: float, dt: float | None,
         raise ValueError("need 0 < dt <= record_grid <= t_max")
     n_sub = max(1, int(np.ceil(record_grid / dt - 1e-9)))
     return times, n_sub, record_grid / n_sub
-
-
-def _drift_op(s: Scenario) -> np.ndarray:
-    return -1j * s.h0 - s.k_op
-
-
-def step_homodyne(psi: np.ndarray, s: Scenario, dt: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One Euler-Maruyama step of the homodyne equation; returns unit norm."""
-    _check_scenario(s, dt)
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    dw = wiener_increments(rng, 1, len(s.channels), dt)[0]
-    new = psi + _drift_op(s) @ psi * dt
-    for m, ch in enumerate(s.channels):
-        j = s.lifted_ops[m]
-        jpsi = j @ psi
-        ex = complex(np.vdot(psi, jpsi))
-        re = ex.real
-        new = new + ch.rate * (re * jpsi - 0.5 * re * re * psi) * dt
-        new = new + np.sqrt(ch.rate) * (jpsi - re * psi) * dw[m]
-    return new / np.linalg.norm(new)
-
-
-def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One Euler-Maruyama step of the heterodyne equation; returns unit norm."""
-    _check_scenario(s, dt)
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    dxi = complex_wiener_increments(rng, 1, len(s.channels), dt)[0]
-    new = psi + _drift_op(s) @ psi * dt
-    for m, ch in enumerate(s.channels):
-        j = s.lifted_ops[m]
-        jpsi = j @ psi
-        ex = complex(np.vdot(psi, jpsi))
-        new = new + 0.5 * ch.rate * (np.conjugate(ex) * jpsi
-                                     - 0.5 * abs(ex) ** 2 * psi) * dt
-        new = new + np.sqrt(ch.rate) * ((jpsi - 0.5 * ex * psi) * dxi[m]
-                                        - 0.5 * np.conjugate(ex)
-                                        * np.conjugate(dxi[m]) * psi)
-    return new / np.linalg.norm(new)
 
 
 def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
@@ -188,7 +132,8 @@ def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
     dn = np.empty((block, m_ch, b), dtype=dtype)        # dn[k] is (M, B)
     dn_scale = np.sqrt((0.5 * h if het else h) * s.rates)[:, None]
 
-    stack = np.concatenate([np.eye(4) + h * _drift_op(s), *s.lifted_ops])
+    stack = np.concatenate([np.eye(4) + h * (-1j * s.h0 - s.k_op),
+                            *s.lifted_ops])
     h_rates = h * s.rates[:, None]
     half_h_rates = 0.5 * h_rates
     quarter_h_rates = 0.25 * h_rates

@@ -7,14 +7,19 @@ cut into fixed 512-row batches, the unit of steps, merge order and progress.
 A per-batch step runs where the call is computed.  There are two steps:
 - keep the arrays: `run_records` builds the `TrajectoryRecord`s from them in
   the calling process (the library path; memory grows with N);
-- reduce the (B, G) concurrences to their count, sum and summed squared
-  deviation: `run_average` merges these in batch order by the Chan-Golub-
+- reduce the batch: `run_average` reduces each batch to one set of moments,
+  the count, the sum and summed squared deviation of the (B, G)
+  concurrences, and, if the kernel kept states, the projector sum
+  sum_k |psi_k><psi_k|.  It merges them in batch order by the Chan-Golub-
   LeVeque update into the `EnsembleSummary`, with no records (the CLI path;
   memory is one kernel call, O(4096 G), per worker).
-`average` reduces records by the same moment formula.  Trajectory k of a run
-with master seed s draws only from its own substream, and batches are merged
-in a fixed order, so records and summaries are identical for any worker
-count and bit-stable for a given (seed, n_traj).
+`average` and `empirical_density` stack records 512 at a time, as the batches
+are, and reduce and merge them the same way, so `average(run_records(...))`
+is `run_average(...)` bit for bit, and their memory does not grow with N
+beyond the records.  Trajectory k of a run with master seed s draws only from
+its own substream, and batches are merged in a fixed order, so records and
+summaries are identical for any worker count and bit-stable for a given
+(seed, n_traj).
 
 A substream is PCG64 seeded by SeedSequence(s, spawn_key=(k,)), and it has
 two readers: `trajectory_rng(s, k)`, a numpy Generator (the QSD engine draws
@@ -30,6 +35,7 @@ import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
 from typing import NamedTuple
 
@@ -234,16 +240,26 @@ class EnsembleSummary:
 
 
 class _Moments(NamedTuple):
-    """Count, sum and summed squared deviation of concurrences per grid point."""
+    """Count, sum and summed squared deviation of concurrences per grid point,
+    and the summed projectors sum_k |psi_k><psi_k| (G, 4, 4) if states were
+    kept."""
     n: int
     total: np.ndarray
     m2: np.ndarray
+    rho: np.ndarray | None = None
 
 
-def _moments(conc: np.ndarray) -> _Moments:
-    """The moments of (B, G) concurrences, two-pass as numpy's mean and std."""
+def _moments(conc: np.ndarray, states: np.ndarray | None = None) -> _Moments:
+    """The moments of (B, G) concurrences, two-pass as numpy's mean and std,
+    and the projector sum of (B, G, 4) states: per grid point one (4, B) by
+    (B, 4) matmul, on views that have the same strides for a kernel batch and
+    for a stack of records."""
     n, total = len(conc), conc.sum(axis=0)
-    return _Moments(n, total, ((conc - total / n) ** 2).sum(axis=0))
+    rho = None
+    if states is not None:
+        rho = (states.transpose(1, 2, 0)
+               @ np.conjugate(states).transpose(1, 0, 2))
+    return _Moments(n, total, ((conc - total / n) ** 2).sum(axis=0), rho)
 
 
 def _merge(a: _Moments, b: _Moments) -> _Moments:
@@ -251,16 +267,17 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     n = a.n + b.n
     delta = b.total / b.n - a.total / a.n
     return _Moments(n, a.total + b.total,
-                    a.m2 + b.m2 + delta ** 2 * (a.n * b.n / n))
+                    a.m2 + b.m2 + delta ** 2 * (a.n * b.n / n),
+                    None if a.rho is None else a.rho + b.rho)
 
 
-def _summary(times: np.ndarray, m: _Moments,
-             rho: np.ndarray | None = None) -> EnsembleSummary:
+def _summary(times: np.ndarray, m: _Moments) -> EnsembleSummary:
     mean = m.total / m.n
     stderr = np.sqrt(m.m2 / (m.n - 1)) / np.sqrt(m.n) if m.n > 1 \
         else np.zeros_like(mean)
     return EnsembleSummary(times=times, mean_c=mean, stderr=stderr, n_traj=m.n,
-                           empirical_rho=rho)
+                           empirical_rho=None if m.rho is None
+                           else m.rho / m.n)
 
 
 def _keep(batch: tuple) -> tuple:
@@ -269,8 +286,9 @@ def _keep(batch: tuple) -> tuple:
 
 
 def _reduce(batch: tuple) -> tuple:
-    """The streamed step: a batch's record points and concurrence moments."""
-    return batch[0], _moments(batch[1])
+    """The streamed step: a batch's record points and moments, with the
+    projector sum if the kernel kept states."""
+    return batch[0], _moments(batch[1], batch[2])
 
 
 def _cut(arrays: tuple, i: int, j: int) -> tuple:
@@ -349,13 +367,12 @@ def run_average(kernel, seed: int, n_traj: int,
 
     Each batch is reduced to moments where it is computed, and the moments
     are merged here in batch order, so the summary is bit-identical for any
-    ``workers`` and memory does not grow with ``n_traj``.
+    ``workers`` and to `average` of the records, and memory does not grow
+    with ``n_traj``.  A kernel that keeps states gives ``empirical_rho``.
     """
     batches = run_batches(kernel, seed, n_traj, workers, step=_reduce)
-    times, acc = next(batches)
-    for _, m in batches:
-        acc = _merge(acc, m)
-    return _summary(times, acc)
+    times, first = next(batches)
+    return _summary(times, reduce(_merge, (m for _, m in batches), first))
 
 
 def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
@@ -367,23 +384,32 @@ def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
     return t0
 
 
+def _record_moments(records: list[TrajectoryRecord],
+                    states: bool) -> _Moments:
+    """The records' moments, stacked and reduced _BATCH at a time as the
+    kernel batches are, and merged in order."""
+    blocks = (records[i:i + _BATCH] for i in range(0, len(records), _BATCH))
+    return reduce(_merge, (
+        _moments(np.stack([r.concurrences for r in block]),
+                 np.stack([r.states for r in block]) if states else None)
+        for block in blocks))
+
+
 def average(records: list[TrajectoryRecord]) -> EnsembleSummary:
-    """Mean and standard error of the concurrence; empirical density if kept."""
+    """Mean and standard error of the concurrence; empirical density if kept.
+
+    For records from `run_records` this is `run_average`, bit for bit."""
     times = _common_grid(records)
-    rho = None
-    if all(r.states is not None for r in records):
-        rho = empirical_density(records)
-    return _summary(times, _moments(np.stack([r.concurrences for r in records])),
-                    rho)
+    return _summary(times, _record_moments(
+        records, all(r.states is not None for r in records)))
 
 
 def empirical_density(records: list[TrajectoryRecord]) -> np.ndarray:
     """Mean projector (1/N) sum_k |psi_k(t)><psi_k(t)| on the grid, (G,4,4)."""
-    _common_grid(records)
+    times = _common_grid(records)
     if any(r.states is None for r in records):
         raise ValueError("records were produced without keep_states")
-    states = np.stack([r.states for r in records], axis=1)  # (G, N, 4)
-    return states.transpose(0, 2, 1) @ np.conjugate(states) / states.shape[1]
+    return _summary(times, _record_moments(records, True)).empirical_rho
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Each function recomputes something the package computes another way: a
 brute-force or differently factored closed form, an operator form of the
-concurrence, partial traces, and no-click propagators taken from
-``scipy.linalg.expm`` rather than the package's own Pade ``expm``.
+concurrence, partial traces, no-click propagators taken from
+``scipy.linalg.expm`` rather than the package's own Pade ``expm``, the
+one-trajectory loop form of the diffusion step, and the comparison of two
+scenarios' ensemble generators.
 """
 
 import numpy as np
@@ -11,10 +13,11 @@ from scipy.linalg import expm
 
 from trajent.entanglement import _check_state
 from trajent.linalg import SYSY, dag, det2, trace2
-from trajent.models import Scenario, preset_common_bath
+from trajent.models import Scenario, lindblad_superoperator, preset_common_bath
 from trajent.rates import CommonBathCurve, _local_rate_ops
 
 PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
+GEN_TOL = 1e-10  # entrywise ensemble-generator deviation between monitorings
 
 
 def trace4(m: np.ndarray) -> complex:
@@ -119,3 +122,62 @@ def common_bath_one_jump_pieces(psi: np.ndarray, gamma: float, t: float
     nj = abs(2.0 * (phi[1] * phi[2] - phi[0] * phi[3]))
     oj = 2.0 * abs(curve.c_uu) ** 2 * gamma * t * np.exp(-2.0 * gamma * t)
     return float(nj), float(oj)
+
+
+def generator_deviation(s: Scenario, reference: Scenario) -> float:
+    """Largest entrywise deviation of s's ensemble generator from the
+    reference's: below ``GEN_TOL`` for a displaced or rotated monitoring of
+    the same channels."""
+    return float(np.max(np.abs(lindblad_superoperator(s)
+                               - lindblad_superoperator(reference))))
+
+
+def wiener_increments(rng: np.random.Generator, n_steps: int, n_channels: int,
+                      dt: float) -> np.ndarray:
+    """Real increments dw ~ N(0, dt), shape (n_steps, n_channels)."""
+    return np.sqrt(dt) * rng.standard_normal((n_steps, n_channels))
+
+
+def complex_wiener_increments(rng: np.random.Generator, n_steps: int,
+                              n_channels: int, dt: float) -> np.ndarray:
+    """Complex increments with <d xi d xi*> = dt and <d xi d xi> = 0.
+
+    Built as (dw1 + i dw2)/sqrt(2) from independent real N(0, dt) pairs;
+    the pair for channel m is consumed before the pair for channel m+1.
+    """
+    raw = rng.standard_normal((n_steps, n_channels, 2))
+    return np.sqrt(dt / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
+
+
+def step_homodyne(psi: np.ndarray, s: Scenario, dt: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """One Euler-Maruyama step of the homodyne equation; returns unit norm."""
+    psi = np.asarray(psi, dtype=complex).reshape(4)
+    dw = wiener_increments(rng, 1, len(s.channels), dt)[0]
+    new = psi + (-1j * s.h0 - s.k_op) @ psi * dt
+    for m, ch in enumerate(s.channels):
+        j = s.lifted_ops[m]
+        jpsi = j @ psi
+        ex = complex(np.vdot(psi, jpsi))
+        re = ex.real
+        new = new + ch.rate * (re * jpsi - 0.5 * re * re * psi) * dt
+        new = new + np.sqrt(ch.rate) * (jpsi - re * psi) * dw[m]
+    return new / np.linalg.norm(new)
+
+
+def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One Euler-Maruyama step of the heterodyne equation; returns unit norm."""
+    psi = np.asarray(psi, dtype=complex).reshape(4)
+    dxi = complex_wiener_increments(rng, 1, len(s.channels), dt)[0]
+    new = psi + (-1j * s.h0 - s.k_op) @ psi * dt
+    for m, ch in enumerate(s.channels):
+        j = s.lifted_ops[m]
+        jpsi = j @ psi
+        ex = complex(np.vdot(psi, jpsi))
+        new = new + 0.5 * ch.rate * (np.conjugate(ex) * jpsi
+                                     - 0.5 * abs(ex) ** 2 * psi) * dt
+        new = new + np.sqrt(ch.rate) * ((jpsi - 0.5 * ex * psi) * dxi[m]
+                                        - 0.5 * np.conjugate(ex)
+                                        * np.conjugate(dxi[m]) * psi)
+    return new / np.linalg.norm(new)

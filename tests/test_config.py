@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from trajent.cli import main
 from trajent.config import (
     _PRESETS, bundled_scenario_names, bundled_scenario_path, load_scenario,
     scenario_from_dict,
@@ -16,6 +17,8 @@ from trajent.models import (
     preset_rotated_thermal, preset_thermal, validate_scenario,
     with_homodyne_shift,
 )
+
+from _oracles import GEN_TOL, generator_deviation
 
 S2 = 1 / np.sqrt(2)
 
@@ -106,7 +109,8 @@ def test_transforms_applied_in_order():
                          - np.exp(-0.5j) * np.array([[0, 0], [1, 0]]))) < 1e-14
     assert s.channels[0].shift_at(0.0) == 0.8
     ref = preset_photon_counting(1.0, 1.0)
-    assert validate_scenario(s, reference=ref).ok
+    assert validate_scenario(s).ok
+    assert generator_deviation(s, ref) < GEN_TOL
 
 
 def test_heterodyne_requires_both_keys():
@@ -172,6 +176,31 @@ def test_malformed_values():
         with pytest.raises(ConfigError, match=f"{key}: expected a list"):
             scenario_from_dict({"preset": preset,
                                 "params": dict(params, **{key: 1.0})})
+
+
+def test_json_booleans_are_not_numbers(tmp_path, capsys):
+    # true/false inside a [re, im] pair are rejected as in a plain number
+    flip = {"id": "x", "locality": "A",
+            "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "rate": 1.0}
+    docs = {
+        "initial_state": {"preset": "photon_counting",
+                          "params": {"gamma_a": 1, "gamma_b": 1},
+                          "initial_state": [[True, 0], [0, 0], [0, 0],
+                                            [0, False]]},
+        "matrix": {"custom_channels": [
+            dict(flip, matrix=[[[0, 0], [0, 0]], [[True, 0], [0, 0]]])]},
+        "shift": {"custom_channels": [dict(flip, shift=[0.5, False])]},
+    }
+    for key, doc in docs.items():
+        with pytest.raises(ConfigError, match=f"{key}.*expected a number"):
+            scenario_from_dict(doc)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["master", "--config", str(path), "--tmax", "1"]) == 2
+        assert "expected a number" in capsys.readouterr().err
+    # the same pairs with numbers load
+    assert scenario_from_dict(dict(docs["initial_state"], initial_state=[
+        [1, 0], [0, 0], [0, 0], [0, 0]])).initial[0] == 1.0
 
 
 def test_load_scenario_errors(tmp_path):

@@ -7,14 +7,15 @@ import pytest
 
 from trajent import diffusion
 from trajent.diffusion import (_NOISE_VALUES, batch_kernel_qsd,
-                               complex_wiener_increments, run_ensemble_qsd,
-                               run_trajectory_qsd, step_heterodyne,
-                               step_homodyne, wiener_increments)
+                               run_ensemble_qsd, run_trajectory_qsd)
 from trajent.ensemble import average, fit_rate_series, trajectory_rng
 from trajent.errors import StepSizeError
 from trajent.models import (preset_dephasing, preset_photon_counting,
                             state_from_amplitudes, with_heterodyne,
                             with_phase_rotation)
+
+from _oracles import (complex_wiener_increments, step_heterodyne,
+                      step_homodyne, wiener_increments)
 
 V_XY = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
 

@@ -11,7 +11,7 @@ from trajent import ensemble
 from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
-                              run_average, trajectory_rng)
+                              run_average, run_records, trajectory_rng)
 from trajent.errors import FitWindowError
 from trajent.models import preset_photon_counting
 from trajent.quantum_jump import batch_kernel, run_ensemble
@@ -74,13 +74,14 @@ def test_average_rejects_bad_input():
         average([a, b])
 
 
-def _engines():
+def _engines(keep_states=False):
     """Each engine's kernel and its records path, on the same scenario."""
     s = preset_photon_counting(1.0, 0.6)
     return {
-        "qj": (batch_kernel(s, 1.0, 0.05),
+        "qj": (batch_kernel(s, 1.0, 0.05, keep_states),
                lambda n: run_ensemble(s, 1.0, n, seed=17, record_grid=0.05)),
-        "qsd": (batch_kernel_qsd("heterodyne", s, 1.0, 0.005, 0.05),
+        "qsd": (batch_kernel_qsd("heterodyne", s, 1.0, 0.005, 0.05,
+                                 keep_states),
                 lambda n: run_ensemble_qsd("heterodyne", s, 1.0, n, dt=0.005,
                                            seed=17, record_grid=0.05)),
     }
@@ -88,10 +89,8 @@ def _engines():
 
 @pytest.mark.parametrize("engine", ["qj", "qsd"])
 def test_streamed_average_equals_average_of_records(engine):
-    # 1100 trajectories are batches of 512, 512 and 76: the moments of the
-    # short last batch are merged by the pairwise update, and the batch sums
-    # add in another order than one sum over all rows, so agreement is to
-    # rounding; one batch reduces exactly as `average` does
+    # 1100 trajectories are batches of 512, 512 and 76; `average` reduces
+    # the records in the same blocks, by the same formula and merge order
     kernel, records = _engines()[engine]
     for n in (1100, 300, 1):
         with warnings.catch_warnings():
@@ -100,17 +99,31 @@ def test_streamed_average_equals_average_of_records(engine):
         want = average(records(n))
         assert got.n_traj == want.n_traj == n
         assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.mean_c, want.mean_c)
+        assert np.array_equal(got.stderr, want.stderr)
+        assert got.empirical_rho is None
         if n > 512:
-            assert np.max(np.abs(got.mean_c - want.mean_c)) < 1e-12
-            assert np.max(np.abs(got.stderr - want.stderr)) < 1e-12
             assert np.all(got.stderr[1:] > 0)
             two = run_average(kernel, 17, n, 2)
             assert np.array_equal(got.mean_c, two.mean_c)
             assert np.array_equal(got.stderr, two.stderr)
-        else:
-            assert np.array_equal(got.mean_c, want.mean_c)
-            assert np.array_equal(got.stderr, want.stderr)
     assert np.all(got.stderr == 0.0)                       # n == 1
+
+
+@pytest.mark.parametrize("engine", ["qj", "qsd"])
+def test_streamed_average_keeps_the_empirical_density(engine):
+    # a kernel that keeps states: each batch also reduces to its projector
+    # sum, so `run_average` gives empirical_rho with no records, bit for bit
+    # that of `average` at any worker count
+    kernel = _engines(keep_states=True)[engine][0]
+    want = average(run_records(kernel, 17, 1100, 1))
+    assert want.empirical_rho.shape == (len(want.times), 4, 4)
+    for workers in (1, 2):
+        got = run_average(kernel, 17, 1100, workers)
+        assert got.n_traj == 1100
+        for name in ("times", "mean_c", "stderr", "empirical_rho"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                (name, workers)
 
 
 def test_streamed_memory_independent_of_n_traj():
@@ -184,6 +197,43 @@ def test_drivers_reject_workers_below_one(workers):
         run_ensemble_qsd("homodyne", s, 1.0, 10, dt=0.005, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         run_average(batch_kernel(s, 1.0), 0, 10, workers)
+
+
+def _random_records(n, g, seed):
+    """n records of g random unit states and concurrences."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n, g, 4, 2)).view(complex)[..., 0]
+    states /= np.linalg.norm(states, axis=2, keepdims=True)
+    t = np.linspace(0.0, 1.0, g)
+    return [_record(t, rng.random(g), states=psi, index=k)
+            for k, psi in enumerate(states)]
+
+
+def test_average_memory_independent_of_n_traj():
+    # the records are reduced a batch of rows at a time, with no stack of
+    # all of them
+    n = 2 * ensemble._BATCH
+    recs = _random_records(3 * n, 21, 5)
+    peaks = []
+    for m in (n, 3 * n):
+        tracemalloc.start()
+        try:
+            average(recs[:m])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_empirical_density_equals_one_matmul():
+    # 1100 states are blocks of 512, 512 and 76 rows; the merged block sums
+    # equal one sum over all rows to rounding
+    recs = _random_records(1100, 7, 9)
+    states = np.stack([r.states for r in recs], axis=1)         # (G, N, 4)
+    want = states.transpose(0, 2, 1) @ np.conjugate(states) / len(recs)
+    rho = empirical_density(recs)
+    assert np.max(np.abs(rho - want)) < 1e-15
+    assert np.array_equal(average(recs).empirical_rho, rho)
 
 
 def test_empirical_density_by_hand():

@@ -15,6 +15,8 @@ from trajent.models import (
     with_homodyne_shift, with_phase_rotation,
 )
 
+from _oracles import GEN_TOL, generator_deviation
+
 S2 = 1 / np.sqrt(2)
 
 
@@ -131,7 +133,8 @@ def test_homodyne_shift_structure_and_invariance():
     a = [ch.shift_at(0.0) for ch in shifted.channels]
     assert a == [0.8, -0.8, 0.8, -0.8]
     # displacement pairs leave the ensemble generator untouched
-    assert validate_scenario(shifted, reference=s).ok
+    assert validate_scenario(shifted).ok
+    assert generator_deviation(shifted, s) < GEN_TOL
     # K itself shifts by (sum_m gamma_m |alpha|^2 / 2) * identity
     extra = 0.5 * (1.0 + 0.4) * 0.8 ** 2
     assert np.max(np.abs(shifted.k_op - s.k_op - extra * np.eye(4))) < 1e-12
@@ -142,7 +145,8 @@ def test_homodyne_shift_complex_and_per_channel():
     shifted = with_homodyne_shift(s, [0.3 + 0.1j, 0.5])
     assert shifted.channels[0].shift_at(0.0) == 0.3 + 0.1j
     assert shifted.channels[2].shift_at(0.0) == 0.5
-    assert validate_scenario(shifted, reference=s).ok
+    assert validate_scenario(shifted).ok
+    assert generator_deviation(shifted, s) < GEN_TOL
     with pytest.raises(ValueError):
         with_homodyne_shift(s, [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
@@ -162,7 +166,8 @@ def test_heterodyne_rotating_shift():
     # the +/- pair keeps K static: identity offset (sum gamma alpha^2)/2
     extra = 0.5 * (1.0 + 1.0) * 0.6 ** 2
     assert np.max(np.abs(het.k_op - s.k_op - extra * np.eye(4))) < 1e-12
-    assert validate_scenario(het, reference=s).ok
+    assert validate_scenario(het).ok
+    assert generator_deviation(het, s) < GEN_TOL
     with pytest.raises(ValueError):
         with_heterodyne(s, -0.3, 1.0)
     with pytest.raises(ValueError):
@@ -217,7 +222,8 @@ def test_heterodyne_small_frequency_limit():
 def test_phase_rotation_invariance():
     s = preset_thermal(0.5, 1.5, 0.5, 1.5)
     rot = with_phase_rotation(s, [0.3, 1.1, 2.0, 0.7])
-    assert validate_scenario(rot, reference=s).ok
+    assert validate_scenario(rot).ok
+    assert generator_deviation(rot, s) < GEN_TOL
     assert np.max(np.abs(rot.k_op - s.k_op)) < 1e-12
 
 
@@ -227,7 +233,8 @@ def test_rotated_thermal_generator_invariance():
     # Hadamard-type balanced mixing
     u_bal = np.array([[S2, S2], [S2, -S2]])
     rot = preset_rotated_thermal(u_bal, u_bal, 0.4, 1.2, 0.7, 0.9)
-    assert validate_scenario(rot, reference=plain).ok
+    assert validate_scenario(rot).ok
+    assert generator_deviation(rot, plain) < GEN_TOL
     # random unitary mixings, including a 3-output isometry
     for _ in range(5):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2))
@@ -235,7 +242,8 @@ def test_rotated_thermal_generator_invariance():
         q3, _ = np.linalg.qr(rng.standard_normal((3, 3))
                              + 1j * rng.standard_normal((3, 3)))
         rot = preset_rotated_thermal(q, q3[:, :2], 0.4, 1.2, 0.7, 0.9)
-        assert validate_scenario(rot, reference=plain).ok
+        assert validate_scenario(rot).ok
+        assert generator_deviation(rot, plain) < GEN_TOL
 
 
 def test_rotated_thermal_rejects_bad_mixing():
@@ -276,12 +284,11 @@ def test_validate_collects_violations():
     assert "could not diagonalize K" in text
 
 
-def test_validate_flags_generator_mismatch():
+def test_generator_deviation_flags_mismatch():
     s = preset_photon_counting(1.0, 1.0)
     other = preset_photon_counting(1.0, 1.1)
-    report = validate_scenario(other, reference=s)
-    assert not report.ok
-    assert any("generator" in v for v in report.violations)
+    assert validate_scenario(other).ok
+    assert generator_deviation(other, s) > GEN_TOL
 
 
 def test_scenario_with_initial():
