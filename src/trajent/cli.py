@@ -84,6 +84,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--threads must be at least 1")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
+    if args.traj < 1:
+        raise ConfigError("--traj must be at least 1")
     s = load_scenario(args.config)
     t_max, grid = args.tmax, args.grid
     t0 = time.perf_counter()

@@ -1,18 +1,23 @@
 """The ensemble driver, ensemble reduction and exponential rate estimation.
 
 `run_batches` runs a batch kernel, a pure array function, over trajectories
-0..N-1, split over worker processes if asked.  A kernel call covers up to
-4096 rows (8 batches; a worker's share if that is less), and its arrays are
-cut into fixed 512-row batches, the unit of steps, merge order and progress.
-A per-batch step runs where the call is computed.  There are two steps:
+0..N-1, split over processes if asked: the calling process computes every
+workers-th kernel call and a pool of workers - 1 processes the others, so
+only their arrays cross a pipe.  A kernel call covers up to 4096 rows (8
+batches; a worker's share if that is less), and its arrays are cut into
+fixed 512-row batches, the unit of steps, merge order and progress.  A
+per-batch step runs where the call is computed.  There are two steps:
 - keep the arrays: `run_records` builds the `TrajectoryRecord`s from them in
-  the calling process (the library path; memory grows with N);
+  the calling process (the library path; memory grows with N).  A record's
+  concurrences, states and click columns are views of its batch's arrays,
+  so building one costs the same at any click count; its `JumpEvent`s are
+  built only when `events` is read;
 - reduce the batch: `run_average` reduces each batch to one set of moments,
   the count, the sum and summed squared deviation of the (B, G)
   concurrences, and, if the kernel kept states, the projector sum
   sum_k |psi_k><psi_k|.  It merges them in batch order by the Chan-Golub-
   LeVeque update into the `EnsembleSummary`, with no records (the CLI path;
-  memory is one kernel call, O(4096 G), per worker).
+  memory is one kernel call, O(4096 G), per process).
 `average` and `empirical_density` stack records 512 at a time, as the batches
 are, and reduce and merge them the same way, so `average(run_records(...))`
 is `run_average(...)` bit for bit, and their memory does not grow with N
@@ -36,7 +41,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -61,15 +65,28 @@ class JumpEvent(NamedTuple):
     channel_id: str
 
 
+_NO_TIMES = np.zeros(0)
+_NO_CHANNELS = np.zeros(0, dtype=object)
+
+
 @dataclass
 class TrajectoryRecord:
-    """One trajectory sampled on a uniform grid."""
+    """One trajectory sampled on a uniform grid, with its clicks in time order
+    as two columns: ``click_times`` and ``click_channels`` (channel ids).
+    From a run, the arrays are views of the batch's arrays."""
     seed: int
     index: int
     times: np.ndarray
     concurrences: np.ndarray
-    events: tuple[JumpEvent, ...] = ()
+    click_times: np.ndarray = field(default_factory=lambda: _NO_TIMES)
+    click_channels: np.ndarray = field(default_factory=lambda: _NO_CHANNELS)
     states: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def events(self) -> tuple[JumpEvent, ...]:
+        """The clicks as `JumpEvent`s, built from the columns on each read."""
+        return tuple(map(JumpEvent._make, zip(self.click_times.tolist(),
+                                              self.click_channels.tolist())))
 
 
 def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
@@ -208,18 +225,22 @@ def _records(seed: int, k0: int, times: np.ndarray, conc: np.ndarray,
              states: np.ndarray | None,
              clicks: tuple | None) -> list[TrajectoryRecord]:
     """One batch's records, as views of its arrays.  The clicks come in round
-    order, so a stable sort by row groups each row's clicks in time order."""
+    order, so a stable sort by row groups each row's clicks in time order,
+    and each record's click columns are a slice of the sorted arrays."""
     b = len(conc)
-    events = [()] * b
+    click_times, click_channels = [_NO_TIMES] * b, [_NO_CHANNELS] * b
     if clicks is not None:
         row, t, channel = clicks
         order = np.argsort(row, kind="stable")
-        flat = list(map(JumpEvent._make,
-                        zip(t[order].tolist(), channel[order].tolist())))
+        t, channel = t[order], channel[order]
         ends = np.cumsum(np.bincount(row, minlength=b)).tolist()
-        events = [tuple(flat[i:j]) for i, j in zip([0] + ends, ends)]
+        for i, (j0, j1) in enumerate(zip([0] + ends, ends)):
+            if j1 > j0:
+                click_times[i], click_channels[i] = t[j0:j1], channel[j0:j1]
     return [TrajectoryRecord(seed=seed, index=k0 + i, times=times,
-                             concurrences=conc[i], events=events[i],
+                             concurrences=conc[i],
+                             click_times=click_times[i],
+                             click_channels=click_channels[i],
                              states=None if states is None else states[i])
             for i in range(b)]
 
@@ -320,9 +341,12 @@ def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
     are cut into batches; a row does not depend on the rows that share its
     call, so the batches are the same for any ``workers``.  ``step`` runs
     where the batch is computed: `_keep` passes the arrays on, `_reduce`
-    makes them moments.  The pool holds at most ``workers`` processes;
-    ``kernel`` must pickle (e.g. a partial of a module-level function).
-    Progress is logged at INFO as each batch is yielded.
+    makes them moments.  Call i runs in this process when ``i % workers`` is
+    0, so its arrays cross no pipe; the others go to a pool of at most
+    ``workers - 1`` processes, all submitted up front, and none is started
+    for one call or one worker.  ``kernel`` must pickle (e.g. a partial of a
+    module-level function).  Progress is logged at INFO as each batch is
+    yielded.
     """
     if n_traj <= 0:
         raise ValueError("n_traj must be positive")
@@ -330,16 +354,17 @@ def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
         raise ValueError("workers must be at least 1")
     share = -(-n_traj // _BATCH // workers)  # batches per worker
     span = min(_BATCH * share, _CALL_ROWS)  # trajectories per kernel call
-    starts = range(0, n_traj, span)
-    ends = [min(k0 + span, n_traj) for k0 in starts]
-    n_proc = min(workers, len(ends))
+    calls = [(k0, min(k0 + span, n_traj)) for k0 in range(0, n_traj, span)]
+    n_proc = min(workers, len(calls)) - 1
     pool = (concurrent.futures.ProcessPoolExecutor(max_workers=n_proc)
-            if n_proc > 1 else None)
+            if n_proc else None)
     t0, done = time.perf_counter(), 0
     with pool or contextlib.nullcontext():
-        chunks = (pool.map if pool else map)(
-            _chunk, repeat(kernel), repeat(step), repeat(seed), starts, ends)
-        for k1, chunk in zip(ends, chunks):
+        pooled = {i: pool.submit(_chunk, kernel, step, seed, k0, k1)
+                  for i, (k0, k1) in enumerate(calls) if i % workers}
+        for i, (k0, k1) in enumerate(calls):
+            chunk = (pooled.pop(i).result() if i in pooled
+                     else _chunk(kernel, step, seed, k0, k1))
             for batch in chunk:
                 # a call's rows are all computed before its first batch
                 done = min(done + _BATCH, n_traj)

@@ -51,6 +51,7 @@ def test_simulate_writes_all_columns(tmp_path):
 
 def test_simulate_reproducible_bytes(tmp_path, monkeypatch):
     # 600 trajectories are two 512-wide batches, so --threads 2 starts a pool
+    # of one process for the second; the calling process computes the first
     pools = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -68,7 +69,7 @@ def test_simulate_reproducible_bytes(tmp_path, monkeypatch):
                        "--threads", threads] + extra)
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
-    assert pools == [2, 2]
+    assert pools == [1, 1]
 
 
 def test_simulate_unraveling_and_master_modes(tmp_path):
@@ -216,6 +217,11 @@ def test_config_and_argument_errors(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
                      "5", "--threads", threads]) == 2
     assert "--threads" in capsys.readouterr().err
+    # fewer than one trajectory is named, whatever the unraveling
+    for traj, unraveling in (("0", "qj"), ("-3", "master")):
+        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
+                     traj, "--unraveling", unraveling]) == 2
+        assert "--traj must be at least 1" in capsys.readouterr().err
     # a negative seed is named, for the trajectory engines and the master one
     for unraveling in ("qj", "master"):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",

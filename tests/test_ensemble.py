@@ -1,5 +1,6 @@
 """Ensemble substreams, drivers, reduction and rate fitting."""
 
+import concurrent.futures
 import time
 import tracemalloc
 import warnings
@@ -144,9 +145,10 @@ def test_streamed_memory_independent_of_n_traj():
 
 def test_pool_holds_at_most_workers_processes(monkeypatch):
     # 20 kernel calls of span rows over 3 workers, on an in-process stand-in
-    # for the process pool
+    # for the process pool: the caller computes calls 0, 3, 6, ... itself,
+    # and a pool of 2 gets the others
     span = ensemble._CALL_ROWS
-    sizes, calls = [], []
+    sizes, submitted, calls = [], [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -158,17 +160,22 @@ def test_pool_holds_at_most_workers_processes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def submit(self, fn, *args):
+            submitted.append(args[3] // span)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     def kernel(seed, indices):
-        calls.append(len(indices))
+        calls.append((indices[0] // span, len(indices)))
         return np.zeros(1), np.ones((len(indices), 1)), None, None
 
     monkeypatch.setattr(ensemble.concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
     summary = run_average(kernel, 0, 20 * span, 3)
-    assert sizes == [3]
-    assert calls == [span] * 20
+    assert sizes == [2]
+    assert sorted(calls) == [(i, span) for i in range(20)]
+    assert submitted == [i for i in range(20) if i % 3]
     assert summary.n_traj == 20 * span
     assert np.array_equal(summary.mean_c, [1.0])
 

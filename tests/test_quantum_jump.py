@@ -129,14 +129,61 @@ def test_single_trajectory_equals_its_ensemble_record():
         assert np.array_equal(recs[k].states, one.states)
 
 
-def test_records_equal_across_kernel_call_boundaries():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_records_keep_click_columns(monkeypatch, workers):
+    # ~25 clicks per row on displaced photon counting: a run builds no
+    # JumpEvent, each record's clicks are two columns sliced from its batch's
+    # sorted click arrays, and `events` is built from them when read
+    s = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [2, 2])
+
+    def refuse(*args):
+        raise AssertionError("a JumpEvent was built during the run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ensemble.JumpEvent, "_make", refuse)
+        recs = run_ensemble(s, 3.0, 1100, seed=7, record_grid=0.03,
+                            keep_states=True, workers=workers)
+    assert np.mean([len(r.click_times) for r in recs]) > 20
+    for r in recs:
+        assert r.click_times.dtype == float
+        assert len(r.click_channels) == len(r.click_times)
+        assert np.all(np.diff(r.click_times) > 0)
+        assert r.events == tuple(ensemble.JumpEvent(t, c) for t, c in
+                                 zip(r.click_times, r.click_channels))
+    for a, b in ((0, 1), (0, 511), (512, 1023), (1024, 1099)):
+        for col in ("click_times", "click_channels"):
+            base = getattr(recs[a], col).base
+            assert base is not None and getattr(recs[b], col).base is base
+            assert np.shares_memory(getattr(recs[a], col), base)
+            assert np.shares_memory(getattr(recs[b], col), base)
+    assert recs[0].click_times.base is not recs[512].click_times.base
+    # a Bell pair under plain photon counting clicks at most twice, and about
+    # half its rows not at all: those records have empty columns
+    recs = run_ensemble(preset_photon_counting(1.0, 1.0), 0.5, 600, seed=7,
+                        record_grid=0.05, workers=workers)
+    silent = [r for r in recs if not len(r.click_times)]
+    assert 100 < len(silent) < 500
+    for r in silent:
+        assert r.click_times.shape == r.click_channels.shape == (0,)
+        assert r.click_times.dtype == float
+        assert r.click_channels.dtype == object
+        assert r.events == ()
+
+
+def test_records_equal_across_kernel_call_boundaries(monkeypatch):
     # span + 4 rows: one worker makes calls of span and 4 rows, two workers
-    # of 2560 and 1540, three of 1536, 1536 and 1028; a row's record does not
-    # depend on the call it shares, and its clicks are re-based to its batch
+    # of 2560 and 1540, three of 1536, 1536 and 1028, the caller taking call
+    # 0; with one-batch calls, three workers make 9 calls and the caller takes
+    # calls 0, 3 and 6.  A row's record does not depend on the call it shares
+    # or the process that computed it, and its clicks are re-based to its
+    # batch
     span = ensemble._CALL_ROWS
     s = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [1, 1])
     runs = [run_ensemble(s, 0.5, span + 4, seed=19, record_grid=0.05,
                          keep_states=True, workers=w) for w in (1, 2, 3)]
+    monkeypatch.setattr(ensemble, "_CALL_ROWS", ensemble._BATCH)
+    runs.append(run_ensemble(s, 0.5, span + 4, seed=19, record_grid=0.05,
+                             keep_states=True, workers=3))
     assert np.mean([len(r.events) for r in runs[0]]) > 1
     for recs in runs[1:]:
         assert len(recs) == span + 4
