@@ -82,18 +82,18 @@ def _check_scenario(s: Scenario, dt: float) -> None:
 
 def _grid(s: Scenario, t_max: float, dt: float | None,
           record_grid: float | None) -> tuple[np.ndarray, int, float]:
-    """(record times, substeps per record, actual step); dt is an upper bound
-    and defaults to half the step bound, at most one record interval."""
+    """(record times, substeps per record, actual step h): h tiles the
+    interval times[1] of the one grid rule, `record_times`.  dt bounds h, is
+    at most that interval (within the substep count's 1e-9), and defaults to
+    half the step bound."""
     times = record_times(t_max, record_grid)
-    if record_grid is None:
-        record_grid = t_max / 100.0
+    grid = times[1]
     if dt is None:
-        dt = min(0.5 * MAX_DIFFUSION_STEP / max(s.gamma_max, 1e-30),
-                 record_grid)
-    if not 0 < dt <= record_grid:
+        dt = min(0.5 * MAX_DIFFUSION_STEP / max(s.gamma_max, 1e-30), grid)
+    if not 0 < dt <= grid * (1 + 1e-9):
         raise ValueError("need 0 < dt <= record_grid <= t_max")
-    n_sub = max(1, int(np.ceil(record_grid / dt - 1e-9)))
-    return times, n_sub, record_grid / n_sub
+    n_sub = int(np.ceil(grid / dt - 1e-9))
+    return times, n_sub, grid / n_sub
 
 
 def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
@@ -132,7 +132,7 @@ def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
     dn = np.empty((block, m_ch, b), dtype=dtype)        # dn[k] is (M, B)
     dn_scale = np.sqrt((0.5 * h if het else h) * s.rates)[:, None]
 
-    stack = np.concatenate([np.eye(4) + h * (-1j * s.h0 - s.k_op),
+    stack = np.concatenate([np.eye(4) + h * (-1j * s.h_eff),
                             *s.lifted_ops])
     h_rates = h * s.rates[:, None]
     half_h_rates = 0.5 * h_rates

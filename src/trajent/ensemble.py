@@ -160,7 +160,9 @@ class Substreams:
     SeedSequence(seed, spawn_key=(k,)) is mixed for every row at once in
     uint32 columns, PCG64 is seeded from it as numpy does, and each draw
     advances only the rows it is asked for, with the XSL-RR output and
-    numpy's 53-bit double.  Indices must be below 2^64.
+    numpy's 53-bit double.  Indices must be below 2^64.  So the jump engine
+    never imports ``numpy.random``, which numpy 2 loads, for milliseconds, on
+    first use.
     """
 
     def __init__(self, seed: int, indices):
@@ -209,12 +211,15 @@ class Substreams:
 
 def record_times(t_max: float, record_grid: float | None) -> np.ndarray:
     """Record points 0, g, ..., t_max; g defaults to t_max / 100."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if record_grid is None:
         record_grid = t_max / 100.0
     if not 0 < record_grid <= t_max + 1e-12:
         raise ValueError("need 0 < record_grid <= t_max")
+    if not np.isfinite(t_max / record_grid):
+        raise ValueError(f"t_max / record_grid = {t_max} / {record_grid} "
+                         "is not finite")
     n_rec = int(round(t_max / record_grid))
     if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("record_grid must divide t_max")
@@ -409,32 +414,26 @@ def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
     return t0
 
 
-def _record_moments(records: list[TrajectoryRecord],
-                    states: bool) -> _Moments:
-    """The records' moments, stacked and reduced _BATCH at a time as the
-    kernel batches are, and merged in order."""
-    blocks = (records[i:i + _BATCH] for i in range(0, len(records), _BATCH))
-    return reduce(_merge, (
-        _moments(np.stack([r.concurrences for r in block]),
-                 np.stack([r.states for r in block]) if states else None)
-        for block in blocks))
-
-
 def average(records: list[TrajectoryRecord]) -> EnsembleSummary:
     """Mean and standard error of the concurrence; empirical density if kept.
 
-    For records from `run_records` this is `run_average`, bit for bit."""
+    The records are stacked and reduced _BATCH at a time, as the kernel
+    batches are, and merged in order, so for records from `run_records` this
+    is `run_average`, bit for bit."""
     times = _common_grid(records)
-    return _summary(times, _record_moments(
-        records, all(r.states is not None for r in records)))
+    states = all(r.states is not None for r in records)
+    blocks = (records[i:i + _BATCH] for i in range(0, len(records), _BATCH))
+    return _summary(times, reduce(_merge, (
+        _moments(np.stack([r.concurrences for r in block]),
+                 np.stack([r.states for r in block]) if states else None)
+        for block in blocks)))
 
 
 def empirical_density(records: list[TrajectoryRecord]) -> np.ndarray:
     """Mean projector (1/N) sum_k |psi_k(t)><psi_k(t)| on the grid, (G,4,4)."""
-    times = _common_grid(records)
     if any(r.states is None for r in records):
         raise ValueError("records were produced without keep_states")
-    return _summary(times, _record_moments(records, True)).empirical_rho
+    return average(records).empirical_rho
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 from .linalg import SYSY, require_finite
 
 __all__ = [
-    "preconcurrence", "concurrence_pure", "concurrence_batch",
-    "eof_from_concurrence", "concurrence_mixed",
+    "preconcurrence", "preconcurrence_batch", "concurrence_pure",
+    "concurrence_batch", "eof_from_concurrence", "concurrence_mixed",
 ]
 
 _NORM_TOL = 1e-6
@@ -38,11 +38,15 @@ def _check_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def preconcurrence_batch(states: np.ndarray) -> np.ndarray:
+    """Complex preconcurrences prec(psi) of a stack of states, shape (..., 4)."""
+    c = np.conjugate(np.asarray(states, dtype=complex))
+    return 2.0 * (c[..., 1] * c[..., 2] - c[..., 0] * c[..., 3])
+
+
 def preconcurrence(psi: np.ndarray) -> complex:
     """Complex preconcurrence of a normalized pure two-qubit state."""
-    psi = _check_state(psi)
-    c = np.conjugate(psi)
-    return complex(2.0 * (c[1] * c[2] - c[0] * c[3]))
+    return complex(preconcurrence_batch(_check_state(psi)))
 
 
 def concurrence_pure(psi: np.ndarray) -> float:
@@ -52,8 +56,7 @@ def concurrence_pure(psi: np.ndarray) -> float:
 
 def concurrence_batch(states: np.ndarray) -> np.ndarray:
     """Concurrences of a stack of normalized states, shape (..., 4)."""
-    c = np.conjugate(np.asarray(states, dtype=complex))
-    return np.abs(2.0 * (c[..., 1] * c[..., 2] - c[..., 0] * c[..., 3]))
+    return np.abs(preconcurrence_batch(states))
 
 
 def eof_from_concurrence(c: float) -> float:

@@ -14,7 +14,7 @@ class NumericalError(RuntimeError):
     """An integration or estimation step failed its numerical contract."""
 
 
-class StepSizeError(NumericalError):
+class StepSizeError(ConfigError):
     """The requested time step violates a stability/accuracy bound."""
 
 

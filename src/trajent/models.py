@@ -137,7 +137,6 @@ class Scenario:
     h0: np.ndarray
     channels: tuple[JumpChannel, ...]
     initial: np.ndarray
-    preset: str | None = None
     thermal_rates: tuple[float, float, float, float] | None = field(
         default=None, repr=False)
 
@@ -203,7 +202,7 @@ class Scenario:
         return replace(self, initial=psi)
 
 
-def scenario_from_channels(channels, initial=None, h0=None, preset=None,
+def scenario_from_channels(channels, initial=None, h0=None,
                            thermal_rates=None) -> Scenario:
     """Assemble a scenario from explicit channels (permissive, see validate)."""
     if initial is None:
@@ -211,7 +210,7 @@ def scenario_from_channels(channels, initial=None, h0=None, preset=None,
     if h0 is None:
         h0 = np.zeros((4, 4), dtype=complex)
     return Scenario(h0=h0, channels=tuple(channels), initial=initial,
-                    preset=preset, thermal_rates=thermal_rates)
+                    thermal_rates=thermal_rates)
 
 
 def _check_rates(*rates: float) -> None:
@@ -228,7 +227,7 @@ def preset_photon_counting(gamma_a: float, gamma_b: float,
         JumpChannel("decay-A", "A", SIGMA_MINUS, gamma_a),
         JumpChannel("decay-B", "B", SIGMA_MINUS, gamma_b),
     )
-    return scenario_from_channels(channels, initial, preset="photon_counting",
+    return scenario_from_channels(channels, initial,
                                   thermal_rates=(0.0, gamma_a, 0.0, gamma_b))
 
 
@@ -243,9 +242,8 @@ def preset_thermal(gamma_plus_a: float, gamma_minus_a: float,
         JumpChannel("up-B", "B", SIGMA_PLUS, gamma_plus_b),
         JumpChannel("down-B", "B", SIGMA_MINUS, gamma_minus_b),
     )
-    return scenario_from_channels(
-        channels, initial, preset="thermal",
-        thermal_rates=(gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b))
+    return scenario_from_channels(channels, initial, thermal_rates=(
+        gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b))
 
 
 def preset_dephasing(v_a, v_b, gamma_a: float, gamma_b: float,
@@ -262,7 +260,7 @@ def preset_dephasing(v_a, v_b, gamma_a: float, gamma_b: float,
                              f"(|v| = {np.linalg.norm(v):.12f})")
         op = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
         channels.append(JumpChannel(name, name[-1], op, g))
-    return scenario_from_channels(tuple(channels), initial, preset="dephasing")
+    return scenario_from_channels(tuple(channels), initial)
 
 
 def preset_rotated_thermal(u_a, u_b,
@@ -302,9 +300,8 @@ def preset_rotated_thermal(u_a, u_b,
             op = (np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
                   + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
             channels.append(JumpChannel(f"mix{mu + 1}-{qubit}", qubit, op, g_mu))
-    return scenario_from_channels(
-        tuple(channels), initial, preset="rotated_thermal",
-        thermal_rates=(gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b))
+    return scenario_from_channels(tuple(channels), initial, thermal_rates=(
+        gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b))
 
 
 def preset_common_bath(gamma: float,
@@ -313,7 +310,7 @@ def preset_common_bath(gamma: float,
     _check_rates(gamma)
     channels = (JumpChannel("collective-decay", "joint", COLLECTIVE_DECAY,
                             gamma),)
-    return scenario_from_channels(channels, initial, preset="common_bath")
+    return scenario_from_channels(channels, initial)
 
 
 def _per_channel(values, s: Scenario, what: str, cast) -> list:
@@ -327,7 +324,7 @@ def _per_channel(values, s: Scenario, what: str, cast) -> list:
     return values
 
 
-def _displaced(s: Scenario, shifts, freqs, tag: str, suffix: str) -> Scenario:
+def _displaced(s: Scenario, shifts, freqs, tag: str) -> Scenario:
     """Split each channel into (J +/- alpha e^{i Omega t}, gamma/2) pairs with
     ids ``~{tag}p``/``~{tag}m``; Omega is None for a static displacement."""
     channels = []
@@ -341,8 +338,7 @@ def _displaced(s: Scenario, shifts, freqs, tag: str, suffix: str) -> Scenario:
             channels.append(JumpChannel(f"{ch.id}~{tag}{pm}", ch.locality,
                                         ch.op, ch.rate / 2.0, shift=sign * a,
                                         het_freq=w))
-    return replace(s, channels=tuple(channels),
-                   preset=f"{s.preset}+{suffix}" if s.preset else None)
+    return replace(s, channels=tuple(channels))
 
 
 def with_homodyne_shift(s: Scenario, shifts) -> Scenario:
@@ -353,7 +349,7 @@ def with_homodyne_shift(s: Scenario, shifts) -> Scenario:
     channels may be displaced.
     """
     shifts = _per_channel(shifts, s, "displacement", complex)
-    return _displaced(s, shifts, [None] * len(shifts), "", "shift")
+    return _displaced(s, shifts, [None] * len(shifts), "")
 
 
 def with_heterodyne(s: Scenario, amplitudes, frequencies) -> Scenario:
@@ -370,7 +366,7 @@ def with_heterodyne(s: Scenario, amplitudes, frequencies) -> Scenario:
         raise ValueError("heterodyne amplitudes must be positive")
     if any(w <= 0 for w in freqs):
         raise ValueError("heterodyne frequencies must be positive")
-    return _displaced(s, amps, freqs, "het", "het")
+    return _displaced(s, amps, freqs, "het")
 
 
 def with_phase_rotation(s: Scenario, thetas) -> Scenario:
@@ -405,15 +401,15 @@ def kernel_oscillation(s: Scenario) -> float:
 
 
 def lindblad_superoperator(s: Scenario) -> np.ndarray:
-    """16x16 generator matrix acting on column-stacked density matrices."""
-    h = s.h0
-    gen = -1j * (np.kron(ID4, h) - np.kron(h.T, ID4))
-    for ch in s.channels:
-        j = ch.lifted(0.0)
-        jj = dag(j) @ j
-        gen += ch.rate * (np.kron(np.conjugate(j), j)
-                          - 0.5 * np.kron(ID4, jj)
-                          - 0.5 * np.kron(jj.T, ID4))
+    """16x16 generator on column-stacked density matrices, the vec form of
+    A rho + rho A^dag + sum_m gamma_m J_m rho J_m^dag with A = -i H_eff:
+    L = 1 (x) A + A* (x) 1 + sum_m gamma_m J_m* (x) J_m.  The mean of
+    psi psi^T over trajectories obeys the same sum without the two conjugations.
+    """
+    a = -1j * s.h_eff
+    gen = np.kron(ID4, a) + np.kron(np.conjugate(a), ID4)
+    for g, j in zip(s.rates, s.lifted_ops):
+        gen += g * np.kron(np.conjugate(j), j)
     return gen
 
 

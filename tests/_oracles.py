@@ -4,8 +4,9 @@ Each function recomputes something the package computes another way: a
 brute-force or differently factored closed form, an operator form of the
 concurrence, partial traces, no-click propagators taken from
 ``scipy.linalg.expm`` rather than the package's own Pade ``expm``, the
-one-trajectory loop form of the diffusion step, and the comparison of two
-scenarios' ensemble generators.
+one-trajectory loop form of the diffusion step, the ensemble generator with
+each channel's J^dag J written out, and the comparison of two scenarios'
+ensemble generators.
 """
 
 import numpy as np
@@ -122,6 +123,22 @@ def common_bath_one_jump_pieces(psi: np.ndarray, gamma: float, t: float
     nj = abs(2.0 * (phi[1] * phi[2] - phi[0] * phi[3]))
     oj = 2.0 * abs(curve.c_uu) ** 2 * gamma * t * np.exp(-2.0 * gamma * t)
     return float(nj), float(oj)
+
+
+def lindblad_superoperator_per_channel(s: Scenario) -> np.ndarray:
+    """The 16x16 ensemble generator with the anticommutator written out per
+    channel, each channel's J^dag J formed on its own rather than through K:
+    the reference for ``models.lindblad_superoperator``."""
+    id4 = np.eye(4, dtype=complex)
+    h = s.h0
+    gen = -1j * (np.kron(id4, h) - np.kron(h.T, id4))
+    for ch in s.channels:
+        j = ch.lifted(0.0)
+        jj = dag(j) @ j
+        gen += ch.rate * (np.kron(np.conjugate(j), j)
+                          - 0.5 * np.kron(id4, jj)
+                          - 0.5 * np.kron(jj.T, id4))
+    return gen
 
 
 def generator_deviation(s: Scenario, reference: Scenario) -> float:

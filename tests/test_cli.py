@@ -176,6 +176,37 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_only_qsd_loads_numpy_random():
+    # numpy 2 imports numpy.random on first use, which costs milliseconds per
+    # command; the jump engine reads its substreams through Substreams
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "from trajent.cli import main\n"
+            "loaded = ['numpy.random' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    main(argv)\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "print(json.dumps(loaded))")
+    bare = _run_python("import numpy, sys; "
+                       "print('numpy.random' in sys.modules)")
+    if bare.stdout.strip() != "False":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    small = ["--config", "thermal_bell", "--tmax", "0.5", "--grid", "0.05",
+             "--out", os.devnull]
+    argvs = [
+        ["simulate", *small, "--traj", "20", "--unraveling", "qj"],
+        ["master", *small],
+        ["rates", "--config", "thermal_bell", "--out", os.devnull],
+        ["optimize", "--config", "thermal_bell", "--out", os.devnull],
+        ["simulate", *small, "--traj", "20", "--unraveling", "qsd-homodyne"],
+    ]
+    out = _run_python(code, json.dumps(argvs))
+    assert out.returncode == 0, out.stderr
+    # only the last command, the QSD engine, draws from numpy Generators
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == [False] * 5 + [True]
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes any scipy import raise ImportError
     code = ("import json, sys\n"
@@ -212,6 +243,23 @@ def test_config_and_argument_errors(tmp_path, capsys):
         assert main(["master", "--config", cfg, "--tmax", "1.0",
                      "--grid", grid]) == 2
     assert "record_grid" in capsys.readouterr().err
+    # a horizon that is not finite, or has no finite number of record
+    # intervals, is named for both engines
+    for horizon, named in ((["inf", "--grid", "0.1"], "positive and finite"),
+                           (["inf"], "positive and finite"),
+                           (["1e300", "--grid", "1e-300"], "is not finite")):
+        assert main(["simulate", "--config", cfg, "--tmax", *horizon,
+                     "--traj", "5"]) == 2
+        assert main(["master", "--config", cfg, "--tmax", *horizon]) == 2
+        assert capsys.readouterr().err.count(named) == 2
+    # a diffusion step above the step bound is a bad --dt, as one above the
+    # record grid is: both are rejected before anything is computed
+    for dt in ("0.05", "0.2"):
+        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
+                     "5", "--grid", "0.1", "--dt", dt, "--unraveling",
+                     "qsd-homodyne"]) == 2
+    err = capsys.readouterr().err
+    assert "reduce the diffusion step" in err and "need 0 < dt" in err
     # fewer than one worker process is an error, not a serial run
     for threads in ("0", "-3"):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",

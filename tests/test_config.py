@@ -12,6 +12,7 @@ from trajent.config import (
     scenario_from_dict,
 )
 from trajent.errors import ConfigError
+from trajent.linalg import SIGMA_X, SIGMA_Z
 from trajent.models import (
     preset_common_bath, preset_dephasing, preset_photon_counting,
     preset_rotated_thermal, preset_thermal, validate_scenario,
@@ -220,8 +221,9 @@ def test_load_scenario_file(tmp_path):
                    "gamma_a": 0.5, "gamma_b": 0.5},
     }))
     s = load_scenario(path)
-    assert len(s.channels) == 2
-    assert s.preset == "dephasing"
+    assert [c.id for c in s.channels] == ["dephase-A", "dephase-B"]
+    assert np.array_equal(s.channels[0].op, SIGMA_X)
+    assert np.array_equal(s.channels[1].op, SIGMA_Z)
 
 
 def test_bundled_scenarios_all_load():
@@ -259,7 +261,7 @@ def test_preset_table_matches_builders():
     assert sorted(by_hand) == bundled_scenario_names()
     for name, ref in by_hand.items():
         s = load_scenario(name)
-        assert s.preset == ref.preset, name
+        assert s.thermal_rates == ref.thermal_rates, name
         assert [c.id for c in s.channels] == [c.id for c in ref.channels]
         for c, r in zip(s.channels, ref.channels):
             assert np.array_equal(c.op, r.op), (name, c.id)

@@ -27,11 +27,13 @@ def _record(times, conc, states=None, index=0):
 
 def test_substreams_read_exactly_what_trajectory_rng_gives():
     # the array reader against numpy's own Generator, with no tolerance:
-    # one- and multi-word seeds, one- and two-word spawn keys, and rows drawn
-    # in a scattered, uneven order across calls
+    # one- and multi-word seeds, among them seeds of more words than the
+    # 4-word pool, which numpy mixes in after the pool and before the key,
+    # one- and two-word spawn keys, and rows drawn in a scattered, uneven
+    # order across calls
     indices = [0, 511, 512, 5999, 2**32 + 5]
     order = [[0, 1, 2, 3, 4], [4, 1], [3], [4, 0, 3], [1, 4], [4, 2], [4]]
-    for seed in (0, 7, 2**32 + 3, 2**70 + 11):
+    for seed in (0, 7, 2**32 + 3, 2**70 + 11, 2**128, 2**200 + 3):
         reader = Substreams(seed, indices)
         got = [[] for _ in indices]
         for rows in order:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trajent.config import bundled_scenario_names, load_scenario
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, dag, kron2,
 )
@@ -15,7 +16,8 @@ from trajent.models import (
     with_homodyne_shift, with_phase_rotation,
 )
 
-from _oracles import GEN_TOL, generator_deviation
+from _oracles import (GEN_TOL, generator_deviation,
+                      lindblad_superoperator_per_channel)
 
 S2 = 1 / np.sqrt(2)
 
@@ -123,6 +125,37 @@ def test_superoperator_matches_rhs():
         lhs = (gen @ rho.flatten(order="F")).reshape(4, 4, order="F")
         rhs = _lindblad_rhs(rho, s)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _random_channel_set(rng):
+    """1-3 random local channels per qubit, a random Hermitian H0 that
+    couples the qubits, and a random initial state."""
+    channels = []
+    for qubit in "AB":
+        for m in range(rng.integers(1, 4)):
+            op = (rng.standard_normal((2, 2))
+                  + 1j * rng.standard_normal((2, 2))) / 2
+            channels.append(JumpChannel(f"c{m}-{qubit}", qubit, op,
+                                        rng.uniform(0.1, 1.5)))
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return scenario_from_channels(channels, psi / np.linalg.norm(psi),
+                                  h0=0.5 * (a + dag(a)))
+
+
+def test_superoperator_matches_per_channel_form():
+    # K enters once, through H_eff; the reference forms each J^dag J itself
+    rng = np.random.default_rng(33)
+    scenarios = [load_scenario(name) for name in bundled_scenario_names()]
+    for _ in range(10):
+        s = _random_channel_set(rng)
+        n = len(s.channels)
+        scenarios += [s, with_homodyne_shift(s, rng.uniform(0.2, 1.0, n)),
+                      with_heterodyne(s, rng.uniform(0.2, 1.0, n),
+                                      rng.uniform(0.5, 3.0, n))]
+    for s in scenarios:
+        assert np.max(np.abs(lindblad_superoperator(s)
+                             - lindblad_superoperator_per_channel(s))) <= 1e-14
 
 
 def test_homodyne_shift_structure_and_invariance():
@@ -297,4 +330,4 @@ def test_scenario_with_initial():
     s2 = s.with_initial(psi)
     assert np.allclose(s2.initial, psi)
     assert np.allclose(s.initial, bell_state())  # original untouched
-    assert s2.preset == s.preset
+    assert s2.thermal_rates == s.thermal_rates

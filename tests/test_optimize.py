@@ -53,6 +53,14 @@ def test_zero_temperature():
     assert np.all((opt.phases_a >= 0) & (opt.phases_a < np.pi))
 
 
+def test_unmonitored_qubit():
+    # a qubit with no channels mixes zero operators: rate 0, phases 0
+    opt = optimize_unraveling(0.0, 0.0, 0.5, 1.5)
+    want = kappa_opt_thermal(0.0, 0.0, 0.5, 1.5)
+    assert opt.achieved == pytest.approx(want, abs=1e-15)
+    assert np.array_equal(opt.phases_a, np.zeros(2))
+
+
 def test_equal_temperature_protection():
     opt = optimize_unraveling(0.9, 0.9, 0.4, 0.4)
     assert opt.reference == 0.0
