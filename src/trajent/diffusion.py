@@ -92,8 +92,13 @@ def _grid(s: Scenario, t_max: float, dt: float | None,
         dt = min(0.5 * MAX_DIFFUSION_STEP / max(s.gamma_max, 1e-30), grid)
     if not 0 < dt <= grid * (1 + 1e-9):
         raise ValueError("need 0 < dt <= record_grid <= t_max")
-    n_sub = int(np.ceil(grid / dt - 1e-9))
-    return times, n_sub, grid / n_sub
+    with np.errstate(over="ignore"):
+        n_sub = np.ceil(grid / dt - 1e-9)
+    if not (len(times) - 1) * n_sub < 2.0 ** 63:  # also a non-finite grid / dt
+        raise ValueError(f"dt = {dt:.3g} asks for {n_sub:.3g} steps per "
+                         "record interval; the run's step count must fit in "
+                         "int64")
+    return times, int(n_sub), grid / n_sub
 
 
 def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
@@ -176,7 +181,9 @@ def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
 def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
                      dt: float | None = None, record_grid: float | None = None,
                      keep_states: bool = False):
-    """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`."""
+    """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`;
+    the grid and step are checked here, before any kernel call."""
+    _grid(s, t_max, dt, record_grid)
     return partial(_run_batch_qsd, kind, s, t_max, dt, record_grid,
                    keep_states)
 

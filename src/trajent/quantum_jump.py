@@ -10,10 +10,13 @@ S falls to r.  The click goes to channel m with probability proportional to
 gamma_m |J_m(t) psi|^2, and the post-click state J_m psi / |J_m psi| starts a
 new waiting time with a fresh threshold.
 
-There is no time step.  H_eff is diagonalized once per kernel call.  Each click
-round solves S(tau) = r for every active row over its remaining horizon
-[t_last, t_max] by a safeguarded Newton iteration; the record points are then
-filled from each row's last click at or before them by the exact propagator.
+There is no time step.  H_eff = W diag(lambda) W^-1 is diagonalized once per
+kernel call.  Each click round solves S(tau) = r for every active row over its
+remaining horizon [t_last, t_max] by a safeguarded Newton iteration.  The
+record points are then filled in time order: each row's W^-1 psi is carried to
+the next point by exp(-i lambda g), or replaced by its last post-click state if
+it clicked in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
+psi (prec is quadratic); only kept states are normalized.
 
 Reproducibility: the batch kernel returns arrays (record points,
 concurrences, optional states, clicks as (row, time, channel)), which
@@ -47,13 +50,13 @@ def _norm2(psi: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", np.conjugate(psi), psi).real
 
 
-def _evolve(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
+def _evolve(c: np.ndarray, mlam: np.ndarray, w: np.ndarray,
             tau: np.ndarray) -> np.ndarray:
-    """exp(-i H_eff tau_b) psi_b, each row given as c_b = W^-1 psi_b."""
-    return (c * np.exp(-1j * np.multiply.outer(tau, lam))) @ w.T
+    """exp(-i H_eff tau_b) psi_b for rows c_b = W^-1 psi_b; mlam = -i lam."""
+    return (c * np.exp(np.multiply.outer(tau, mlam))) @ w.T
 
 
-def _click_delay(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
+def _click_delay(c: np.ndarray, mlam: np.ndarray, w: np.ndarray,
                  k_op: np.ndarray, log_r: np.ndarray,
                  span: np.ndarray) -> np.ndarray:
     """Delay tau in [0, span] at which the no-click norm S(tau) falls to r.
@@ -62,34 +65,33 @@ def _click_delay(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
     S(span).  S falls with dS/dtau = -2 <psi|K|psi>; Newton steps on ln S -
     ln r start at tau = 0.  For H0 = 0, ln S is convex and the steps approach
     the root from below; otherwise a step that leaves the bracket, and every
-    step after _NEWTON_ITERS, is replaced by bisection.
+    step after _NEWTON_ITERS, is replaced by bisection; finished rows drop out.
     """
-    lo = np.zeros(len(c))
-    hi = np.array(span, dtype=float)
-    tau = lo.copy()
+    tau, rows = np.empty(len(c)), np.arange(len(c))
+    lo, t, hi = np.zeros(len(c)), np.zeros(len(c)), np.array(span, float)
     tol = _TAU_TOL * np.maximum(1.0, hi)
-    todo = np.arange(len(c))
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(_MAX_ITERS):
-            t = tau[todo]
-            psi = _evolve(c[todo], lam, w, t)
+            psi = _evolve(c, mlam, w, t)
             s2 = _norm2(psi)
-            f = np.log(s2) - log_r[todo]
+            f = np.log(s2) - log_r
             below = f <= 0.0
-            lo[todo] = np.where(below, lo[todo], t)
-            hi[todo] = np.where(below, t, hi[todo])
+            np.copyto(hi, t, where=below)
+            np.copyto(lo, t, where=~below)
             k_mean = np.einsum("bi,ij,bj->b", np.conjugate(psi), k_op,
                                psi).real
             new = t + f * s2 / (2.0 * k_mean)
-            bisect = ((new < lo[todo]) | ~(new <= hi[todo])
-                      | (it >= _NEWTON_ITERS))
-            new = np.where(bisect, 0.5 * (lo[todo] + hi[todo]), new)
-            done = ((np.abs(new - t) <= tol[todo]) | (f == 0.0)
-                    | (hi[todo] - lo[todo] <= tol[todo]))
-            tau[todo] = new
-            todo = todo[~done]
-            if not todo.size:
-                return tau
+            bisect = (it >= _NEWTON_ITERS) | (new < lo) | ~(new <= hi)
+            if bisect.any():
+                new = np.where(bisect, 0.5 * (lo + hi), new)
+            done = (np.abs(new - t) <= tol) | (f == 0.0) | (hi - lo <= tol)
+            t = new
+            if done.any():
+                tau[rows[done]] = t[done]
+                rows, c, log_r, lo, hi, tol, t = (
+                    a[~done] for a in (rows, c, log_r, lo, hi, tol, t))
+                if not rows.size:
+                    return tau
     raise ConvergenceError("click-time search did not converge")
 
 
@@ -118,12 +120,8 @@ def _jump(s: Scenario, psi: np.ndarray, t: np.ndarray,
 def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
                keep_states: bool, seed: int, indices) -> tuple:
     """Exact waiting-time kernel evolving a batch of trajectories together.
-
-    Each round takes every active row's next click, and a row's segments
-    (post-click W^-1 psi, click time) then fill its record points.  A row
-    draws only from its own substream, so it does not depend on its batch.
-    Returns the columns `ensemble.run_batches` takes.
-    """
+    A row draws only from its own substream, so it does not depend on its
+    batch.  Returns the columns `ensemble.run_batches` takes."""
     times = record_times(t_max, record_grid)
     if (drift := kernel_oscillation(s)) > KERNEL_DRIFT_TOL:
         raise ValueError(f"damping kernel K(t) oscillates (amplitude "
@@ -133,25 +131,24 @@ def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
     if np.linalg.cond(w) > 1e8:
         raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
                              "do not give a stable no-click propagator")
-    w_inv = np.linalg.inv(w)
-    b = len(indices)
+    w_inv, mlam = np.linalg.inv(w), -1j * lam
+    b, g = len(indices), len(times)
 
     draws = Substreams(seed, indices)
     threshold = draws.random(np.arange(b))
-    act = np.arange(b)
+    act, t_last = np.arange(b), np.zeros(b)
     c = np.tile(w_inv @ s.initial / np.linalg.norm(s.initial), (b, 1))
-    t_last = np.zeros(b)
     segs = [(act, c, t_last)]
     channels = [np.zeros(0, dtype=int)]  # each round's click channels
     while True:
-        more = _norm2(_evolve(c, lam, w, t_max - t_last)) <= threshold[act]
+        more = _norm2(_evolve(c, mlam, w, t_max - t_last)) <= threshold[act]
         act, c, t_last = act[more], c[more], t_last[more]
         if not act.size:
             break
-        tau = _click_delay(c, lam, w, s.k_op, np.log(threshold[act]),
+        tau = _click_delay(c, mlam, w, s.k_op, np.log(threshold[act]),
                            t_max - t_last)
         t_last = t_last + tau
-        at = _evolve(c, lam, w, tau)
+        at = _evolve(c, mlam, w, tau)
         at /= np.sqrt(_norm2(at))[:, None]
         after, m = _jump(s, at, t_last, draws.random(act))
         channels.append(m)
@@ -159,30 +156,34 @@ def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
         c = after @ w_inv.T
         segs.append((act, c, t_last))
 
-    # Segments by row, in click order; each is current from `first`, the first
-    # record point at or after its start (clipped: a click may round past
-    # t_max).  cur[i, k] - 1 indexes row i's current segment at point k.
+    # A segment (post-click W^-1 psi, click time) starts at `first`, the first
+    # record point at or after its click (clipped: a click may round past
+    # t_max), and is shifted there.  `order` takes a row's segments in click
+    # order and keeps the last of those with one `first`, then sorts them by
+    # `first`, the b initial segments leading.  d carries each row's W^-1 psi.
     seg_row, seg_c, seg_t = map(np.concatenate, zip(*segs))
-    ids = np.array([ch.id for ch in s.channels], dtype=object)
-    clicks = seg_row[b:], seg_t[b:], ids[np.concatenate(channels)]
-    order = np.argsort(seg_row, kind="stable")
-    seg_c, seg_t = seg_c[order], seg_t[order]
-    g = len(times)
-    first = np.minimum(np.searchsorted(times, seg_t), g - 1)
-    cur = np.bincount(seg_row[order] * g + first, minlength=b * g)
-    cur = np.cumsum(cur, out=cur).reshape(b, g)
-    seg_c *= np.exp(np.multiply.outer(times[first] - seg_t, -1j * lam))
-    hop = np.exp(np.multiply.outer(times, -1j * lam))  # times[n] = n * grid
+    del segs  # freed, and the outputs taken before the sort: a lower peak
     conc = np.empty((b, g))
     states = np.empty((b, g, 4), dtype=complex) if keep_states else None
+    ids = np.array([ch.id for ch in s.channels], dtype=object)
+    clicks = seg_row[b:], seg_t[b:], ids[np.concatenate(channels)]
+    first = np.minimum(np.searchsorted(times, seg_t), g - 1)
+    order = np.argsort(seg_row, kind="stable")
+    order = order[np.append(np.diff((first * b + seg_row)[order]) != 0, True)]
+    order = order[np.argsort(first[order].astype(np.min_scalar_type(g)),
+                             kind="stable")]  # radix sort on a small dtype
+    seg_c *= np.exp(np.outer(times[first] - seg_t, mlam))
+    start = np.searchsorted(first[order], np.arange(g + 1))  # by point
+    d, hop = seg_c[order[:b]], np.exp(times[1] * mlam)  # times[k] = k * grid
     for k in range(g):
-        j = cur[:, k] - 1
-        psi = (seg_c.take(j, 0) * hop.take(k - first.take(j), 0)) @ w.T
-        psi /= np.sqrt(_norm2(psi))[:, None]
-        conc[:, k] = concurrence_batch(psi)
+        j = order[start[k]:start[k + 1]]
+        d[seg_row[j]] = seg_c[j]
+        psi = d @ w.T
+        n2 = _norm2(psi)
+        np.divide(concurrence_batch(psi), n2, out=conc[:, k])
         if keep_states:
-            states[:, k] = psi
-
+            np.divide(psi, np.sqrt(n2)[:, None], out=states[:, k])
+        d *= hop
     return times, conc, states, clicks
 
 
@@ -203,9 +204,7 @@ def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,
 def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
                  record_grid: float | None = None, keep_states: bool = False,
                  workers: int = 1) -> list[TrajectoryRecord]:
-    """Ensemble of trajectories with per-trajectory substreams.
-
-    The records are identical for any ``workers`` value (`run_batches`).
-    """
+    """Ensemble of trajectories with per-trajectory substreams; the records
+    are identical for any ``workers`` value (`run_batches`)."""
     return run_records(batch_kernel(s, t_max, record_grid, keep_states),
                        seed, n_traj, workers)

@@ -5,16 +5,19 @@ brute-force or differently factored closed form, an operator form of the
 concurrence, partial traces, no-click propagators taken from
 ``scipy.linalg.expm`` rather than the package's own Pade ``expm``, the
 one-trajectory loop form of the diffusion step, the ensemble generator with
-each channel's J^dag J written out, and the comparison of two scenarios'
-ensemble generators.
+each channel's J^dag J written out, the comparison of two scenarios'
+ensemble generators, and the jump engine's click-time search in its gathered
+form.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from trajent.entanglement import _check_state
+from trajent.errors import ConvergenceError
 from trajent.linalg import SYSY, dag, det2, trace2
 from trajent.models import Scenario, lindblad_superoperator, preset_common_bath
+from trajent.quantum_jump import _MAX_ITERS, _NEWTON_ITERS, _TAU_TOL
 from trajent.rates import CommonBathCurve, _local_rate_ops
 
 PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
@@ -198,3 +201,41 @@ def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
                                         - 0.5 * np.conjugate(ex)
                                         * np.conjugate(dxi[m]) * psi)
     return new / np.linalg.norm(new)
+
+
+def click_delay_gathered(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
+                         k_op: np.ndarray, log_r: np.ndarray,
+                         span: np.ndarray) -> np.ndarray:
+    """The jump engine's click-time search written over the full bracket
+    arrays, gathering the rows still searching at every iteration; rows are
+    c = W^-1 psi for H_eff = W diag(lam) W^-1."""
+    def norm2(psi):
+        return np.einsum("bi,bi->b", np.conjugate(psi), psi).real
+
+    lo = np.zeros(len(c))
+    hi = np.array(span, dtype=float)
+    tau = lo.copy()
+    tol = _TAU_TOL * np.maximum(1.0, hi)
+    todo = np.arange(len(c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_MAX_ITERS):
+            t = tau[todo]
+            psi = (c[todo] * np.exp(-1j * np.multiply.outer(t, lam))) @ w.T
+            s2 = norm2(psi)
+            f = np.log(s2) - log_r[todo]
+            below = f <= 0.0
+            lo[todo] = np.where(below, lo[todo], t)
+            hi[todo] = np.where(below, t, hi[todo])
+            k_mean = np.einsum("bi,ij,bj->b", np.conjugate(psi), k_op,
+                               psi).real
+            new = t + f * s2 / (2.0 * k_mean)
+            bisect = ((new < lo[todo]) | ~(new <= hi[todo])
+                      | (it >= _NEWTON_ITERS))
+            new = np.where(bisect, 0.5 * (lo[todo] + hi[todo]), new)
+            done = ((np.abs(new - t) <= tol[todo]) | (f == 0.0)
+                    | (hi[todo] - lo[todo] <= tol[todo]))
+            tau[todo] = new
+            todo = todo[~done]
+            if not todo.size:
+                return tau
+    raise ConvergenceError("click-time search did not converge")

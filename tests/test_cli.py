@@ -168,6 +168,18 @@ def _run_python(code, *args):
                           capture_output=True, text=True, timeout=120)
 
 
+def test_tiny_dt_exits_2_without_traceback():
+    # in a fresh process under a timeout, so a run that never ends fails
+    for dt in ("5e-324", "1e-300"):
+        out = _run_python("import sys; from trajent.cli import main; "
+                          "sys.exit(main())", "simulate", "--config",
+                          "thermal_bell", "--unraveling", "qsd-heterodyne",
+                          "--dt", dt, "--tmax", "1", "--grid", "0.1")
+        assert out.returncode == 2, out.stderr
+        assert "fit in int64" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg alone would add ~0.35 s and ~27 MB to every command
     out = _run_python("import trajent.cli, sys; print(any("

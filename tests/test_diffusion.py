@@ -190,3 +190,15 @@ def test_scenario_and_step_validation():
         run_trajectory_qsd("photon", s, 1.0, dt=0.005)
     with pytest.raises(ValueError):
         run_ensemble_qsd("homodyne", s, 1.0, 0)
+
+
+def test_tiny_step_is_rejected_by_name():
+    # grid / dt overflows for the smallest subnormal, and a 1e-300 step asks
+    # for ~1e299 steps per record interval: both are named errors, not an
+    # OverflowError or a run that never ends
+    s = preset_photon_counting(1.0, 1.0)
+    for dt in (5e-324, 1e-300):
+        with pytest.raises(ValueError, match="fit in int64"):
+            diffusion._grid(s, 1.0, dt, 0.1)
+        with pytest.raises(ValueError, match="fit in int64"):
+            batch_kernel_qsd("heterodyne", s, 1.0, dt, 0.1)

@@ -1,5 +1,7 @@
 """Jump unraveling engine: draws, determinism, batching, physics checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,7 +20,7 @@ from trajent.linalg import SIGMA_MINUS, SIGMA_X
 from trajent.quantum_jump import run_ensemble, run_trajectory
 from trajent.rates import analytic_mean_concurrence
 
-from _oracles import survival_probability
+from _oracles import click_delay_gathered, survival_probability
 
 UU = state_from_amplitudes(1, 0, 0, 0)
 DD = state_from_amplitudes(0, 0, 0, 1)
@@ -335,9 +337,11 @@ def test_records_replay_their_events():
         preset_photon_counting(1.0, 0.6).channels,
         h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
     displaced = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [2, 2])
+    # a coarse grid on the displaced scenario gives rows with three or more
+    # clicks in one interval, whose superseded segments must not be written
     cases = [(load_scenario(bundled_scenario_path("thermal_bell")), 3.0, 0.3),
-             (displaced, 3.0, 0.3), (driven, 2.0, 0.1)]
-    silent = doubled = 0
+             (displaced, 3.0, 0.3), (driven, 2.0, 0.1), (displaced, 3.0, 1.5)]
+    silent = doubled = tripled = 0
     for s, t_max, grid in cases:
         for rec in run_ensemble(s, t_max, 40, seed=61, record_grid=grid,
                                 keep_states=True):
@@ -345,7 +349,51 @@ def test_records_replay_their_events():
             slots = np.searchsorted(rec.times, [ev.time for ev in rec.events])
             silent += not rec.events
             doubled += len(np.unique(slots)) < len(slots)
-    assert silent and doubled
+            tripled += np.bincount(slots).max(initial=0) >= 3
+    assert silent and doubled and tripled
+
+
+def test_click_times_match_gathered_search():
+    # the compacted search returns the gathered form's click times bit for
+    # bit: 1,000 unit rows per scenario, spans from 1e-3 to t_max, and
+    # thresholds uniform over the no-click norms S(span) <= r < S(0) = 1
+    driven = scenario_from_channels(
+        preset_photon_counting(1.0, 0.6).channels,
+        h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
+    displaced = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [2, 2])
+    rng = np.random.default_rng(83)
+    for s, t_max in ((load_scenario(bundled_scenario_path("thermal_bell")),
+                      3.0), (displaced, 3.0), (driven, 2.0)):
+        lam, w = np.linalg.eig(s.h_eff)
+        psi = rng.normal(size=(1000, 4)) + 1j * rng.normal(size=(1000, 4))
+        c = (psi / np.linalg.norm(psi, axis=1)[:, None]) @ np.linalg.inv(w).T
+        span = 1e-3 * (t_max / 1e-3) ** rng.random(1000)
+        end = (c * np.exp(-1j * np.multiply.outer(span, lam))) @ w.T
+        s_end = np.linalg.norm(end, axis=1) ** 2
+        log_r = np.log(s_end + rng.random(1000) * (1.0 - s_end))
+        want = click_delay_gathered(c, lam, w, s.k_op, log_r, span)
+        got = quantum_jump._click_delay(c, -1j * lam, w, s.k_op, log_r, span)
+        assert np.all((0 < want) & (want <= span))
+        assert np.array_equal(got, want)
+
+
+def test_kernel_scratch_memory_flat_in_grid():
+    # the record fill carries each row's state from point to point, so the
+    # kernel's scratch memory (the peak less what it returns) does not grow
+    # with the number of record points G
+    s = load_scenario(bundled_scenario_path("thermal_bell"))
+    scratch = []
+    for grid in (0.03, 0.0075):  # G = 101 and 401
+        kernel = quantum_jump.batch_kernel(s, 3.0, grid)
+        tracemalloc.start()
+        try:
+            out = kernel(89, np.arange(4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        times, conc, _, clicks = out
+        scratch.append(peak - sum(a.nbytes for a in (times, conc, *clicks)))
+    assert scratch[1] <= 1.2 * scratch[0]
 
 
 def test_click_rounds_and_long_horizons(monkeypatch):
