@@ -89,6 +89,12 @@ def cmd_simulate(args) -> int:
     s = load_scenario(args.config)
     t_max, grid = args.tmax, args.grid
     t0 = time.perf_counter()
+    # the kernel checks its engine's preconditions before anything runs
+    if unraveling == "qj":
+        kernel = batch_kernel(s, t_max, grid)
+    elif unraveling != "master":
+        kernel = batch_kernel_qsd(unraveling.split("-", 1)[1], s, t_max,
+                                  args.dt, grid)
     evo = evolve_rho(s, t_max, record_grid=grid)
     log.info("simulate: %s unraveling=%s traj=%d tmax=%g grid=%g seed=%d",
              args.config, unraveling, args.traj, t_max, evo.times[1],
@@ -97,11 +103,6 @@ def cmd_simulate(args) -> int:
         mean = stderr = None
         times = evo.times
     else:
-        if unraveling == "qj":
-            kernel = batch_kernel(s, t_max, grid)
-        else:
-            kernel = batch_kernel_qsd(unraveling.split("-", 1)[1], s, t_max,
-                                      args.dt, grid)
         summary = run_average(kernel, args.seed, args.traj, args.threads)
         times, mean, stderr = summary.times, summary.mean_c, summary.stderr
 

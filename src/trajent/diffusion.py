@@ -34,9 +34,11 @@ one coefficient contraction per step.  A detector phase theta is applied by
 rotating the channel operators J -> e^{-i theta} J before the run (see
 `models.with_phase_rotation`).
 
-The batch kernel is a pure array function: it returns the batch's record
-points, concurrences and optional states, which `ensemble` turns into
-records or reduces to moments.  Trajectory k of a run draws only from its own
+`batch_kernel_qsd` checks the kind, the grid, the step bound and that the
+channels are static, once, before any kernel call.  The batch kernel is then
+a pure array function: it returns the batch's record points, concurrences
+and optional states, which `ensemble` turns into records or reduces to
+moments.  Trajectory k of a run draws only from its own
 substream `ensemble.trajectory_rng(seed, k)`, so ensembles are bit-stable for
 a given (seed, n_traj) regardless of batching or workers.
 The kernel steps its rows _ROWS at a time and streams the noise: each row
@@ -71,21 +73,16 @@ _ROWS = 512  # rows stepped together; wider blocks are slower (cache, draws)
 KINDS = ("homodyne", "heterodyne")
 
 
-def _check_scenario(s: Scenario, dt: float) -> None:
-    if s.time_dependent:
-        raise ValueError("diffusive unravelings are defined for static "
-                         "channels; remove rotating displacements first")
-    if dt * s.gamma_max > MAX_DIFFUSION_STEP + 1e-15:
-        raise StepSizeError(f"dt * gamma_max = {dt * s.gamma_max:.3g} > "
-                            f"{MAX_DIFFUSION_STEP}; reduce the diffusion step")
-
-
 def _grid(s: Scenario, t_max: float, dt: float | None,
           record_grid: float | None) -> tuple[np.ndarray, int, float]:
     """(record times, substeps per record, actual step h): h tiles the
     interval times[1] of the one grid rule, `record_times`.  dt bounds h, is
     at most that interval (within the substep count's 1e-9), and defaults to
-    half the step bound."""
+    half the step bound; h * gamma_max must be within it, and the channels
+    static."""
+    if s.time_dependent:
+        raise ValueError("diffusive unravelings are defined for static "
+                         "channels; remove rotating displacements first")
     times = record_times(t_max, record_grid)
     grid = times[1]
     if dt is None:
@@ -98,25 +95,24 @@ def _grid(s: Scenario, t_max: float, dt: float | None,
         raise ValueError(f"dt = {dt:.3g} asks for {n_sub:.3g} steps per "
                          "record interval; the run's step count must fit in "
                          "int64")
-    return times, int(n_sub), grid / n_sub
+    h = grid / n_sub
+    if h * s.gamma_max > MAX_DIFFUSION_STEP + 1e-15:
+        raise StepSizeError(f"dt * gamma_max = {h * s.gamma_max:.3g} > "
+                            f"{MAX_DIFFUSION_STEP}; reduce the diffusion step")
+    return times, int(n_sub), h
 
 
-def _run_batch_qsd(kind: str, s: Scenario, t_max: float, dt: float | None,
-                   record_grid: float | None, keep_states: bool, seed: int,
-                   indices) -> tuple:
+def _run_batch_qsd(het: bool, s: Scenario, times: np.ndarray, n_sub: int,
+                   h: float, keep_states: bool, seed: int, indices) -> tuple:
     """Fused Euler-Maruyama kernel, _ROWS rows at a time; no clicks."""
-    if kind not in KINDS:
-        raise ValueError(f"unraveling kind must be one of {KINDS}, got {kind!r}")
-    times, n_sub, h = _grid(s, t_max, dt, record_grid)
-    _check_scenario(s, h)
     b = len(indices)
     conc = np.empty((b, len(times)))
     states = (np.empty((b, len(times), 4), dtype=complex) if keep_states
               else None)
     for i in range(0, b, _ROWS):
         j = min(i + _ROWS, b)
-        _step_rows(kind == "heterodyne", s, n_sub, h, seed, indices[i:j],
-                   conc[i:j], None if states is None else states[i:j])
+        _step_rows(het, s, n_sub, h, seed, indices[i:j], conc[i:j],
+                   None if states is None else states[i:j])
     return times, conc, states, None
 
 
@@ -143,8 +139,7 @@ def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
     half_h_rates = 0.5 * h_rates
     quarter_h_rates = 0.25 * h_rates
 
-    psi = np.broadcast_to((s.initial / np.linalg.norm(s.initial))[:, None],
-                          (4, b)).copy()                        # (4, B)
+    psi = np.broadcast_to(s.psi0[:, None], (4, b)).copy()     # (4, B)
     conc[:, 0] = concurrence_batch(psi.T)
     if states is not None:
         states[:, 0] = psi.T
@@ -182,10 +177,11 @@ def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
                      dt: float | None = None, record_grid: float | None = None,
                      keep_states: bool = False):
     """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`;
-    the grid and step are checked here, before any kernel call."""
-    _grid(s, t_max, dt, record_grid)
-    return partial(_run_batch_qsd, kind, s, t_max, dt, record_grid,
-                   keep_states)
+    every check runs here, once, before any kernel call."""
+    if kind not in KINDS:
+        raise ValueError(f"unraveling kind must be one of {KINDS}, got {kind!r}")
+    return partial(_run_batch_qsd, kind == "heterodyne", s,
+                   *_grid(s, t_max, dt, record_grid), keep_states)
 
 
 def run_trajectory_qsd(kind: str, s: Scenario, t_max: float,

@@ -71,10 +71,11 @@ def evolve_rho(s: Scenario, t_max: float, record_grid: float | None = None,
                rho0: np.ndarray | None = None) -> DensityEvolution:
     """Propagate the master equation exactly and record rho on a uniform grid.
 
-    ``record_grid`` (default t_max / 100) must divide ``t_max``.
+    ``record_grid`` (default t_max / 100) must divide ``t_max``; ``rho0``
+    defaults to |psi0><psi0|.
     """
     times = record_times(t_max, record_grid)
-    rho = density_from_state(s.initial) if rho0 is None else \
+    rho = density_from_state(s.psi0) if rho0 is None else \
         validate_density_matrix(rho0).astype(complex)
 
     step = expm(lindblad_superoperator(s) * times[1])

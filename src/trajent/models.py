@@ -8,10 +8,12 @@ A scenario bundles a (possibly zero) Hamiltonian H0, a list of jump channels
 and the effective non-Hermitian generator for no-jump evolution is
 H_eff = H0 - i K.  Channels marked with a coherent ``shift`` alpha stand for
 the displaced operators J + alpha used by homodyne-style monitoring; a channel
-with ``het_freq`` Omega carries the rotating displacement alpha e^{i Omega t}.
+with a nonzero ``het_freq`` Omega carries the rotating displacement
+alpha e^{i Omega t} (`JumpChannel.rotates`; Omega = 0 is a static shift).
 Displacements come in +/- pairs at half the original rate, which leaves the
-ensemble (Lindblad) generator unchanged — `validate_scenario` can check that
-on the 16x16 superoperator.
+ensemble (Lindblad) generator unchanged.  Every engine starts from
+`Scenario.psi0`.  `validate_scenario` runs when a file is loaded; each
+engine checks its own preconditions when its kernel is built.
 """
 
 from __future__ import annotations
@@ -86,22 +88,18 @@ class JumpChannel:
         object.__setattr__(self, "op", np.asarray(self.op, dtype=complex))
 
     @property
-    def is_static(self) -> bool:
-        return self.het_freq is None
+    def rotates(self) -> bool:
+        """The one rotation rule: a nonzero shift and a nonzero het_freq."""
+        return bool(self.shift) and bool(self.het_freq)
 
     def shift_at(self, t: float) -> complex:
-        if self.shift is None:
-            return 0.0
-        if self.het_freq is None:
-            return complex(self.shift)
-        return complex(self.shift) * np.exp(1j * self.het_freq * t)
+        a = complex(self.shift or 0.0)
+        return a * np.exp(1j * self.het_freq * t) if self.rotates else a
 
     def operator(self, t: float = 0.0) -> np.ndarray:
         """Effective (displaced) operator at time t, before lifting."""
         a = self.shift_at(t)
-        if a == 0.0:
-            return self.op
-        return self.op + a * np.eye(self.op.shape[0], dtype=complex)
+        return self.op if a == 0.0 else self.op + a * np.eye(len(self.op))
 
     def rate_operator(self) -> np.ndarray:
         """Operator the closed-form decay rates are evaluated on.
@@ -110,7 +108,7 @@ class JumpChannel:
         rate formulas literally; a rotating displacement averages out and is
         dropped.
         """
-        return self.op if self.het_freq is not None else self.operator(0.0)
+        return self.op if self.rotates else self.operator(0.0)
 
     def lifted(self, t: float = 0.0) -> np.ndarray:
         """Effective operator at time t on the pair space."""
@@ -171,7 +169,12 @@ class Scenario:
 
     @property
     def time_dependent(self) -> bool:
-        return any(not ch.is_static for ch in self.channels)
+        return any(ch.rotates for ch in self.channels)
+
+    @cached_property
+    def psi0(self) -> np.ndarray:
+        """The normalized start state; ``initial`` stays as given."""
+        return self.initial / np.linalg.norm(self.initial)
 
     @cached_property
     def lifted_ops(self) -> np.ndarray:
@@ -389,7 +392,7 @@ def kernel_oscillation(s: Scenario) -> float:
     """
     coeff: dict[float, np.ndarray] = {}
     for ch in s.channels:
-        if ch.shift is None or not ch.het_freq:
+        if not ch.rotates:
             continue
         j = _lift(ch.locality, ch.op)
         a = complex(ch.shift)
@@ -438,15 +441,11 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     elif np.max(np.abs(h0 - dag(h0))) > 1e-10:
         v.append("h0 is not Hermitian")
 
-    psi = np.asarray(s.initial)
-    if psi.shape != (4,):
-        v.append(f"initial state must have 4 amplitudes, got shape {psi.shape}")
-    elif not np.all(np.isfinite(psi.view(float))):
+    psi = s.initial  # shape (4,), by Scenario.__post_init__
+    if not np.all(np.isfinite(psi.view(float))):
         v.append("initial state contains non-finite entries")
-    else:
-        n = np.linalg.norm(psi)
-        if abs(n - 1.0) > 1e-9:
-            v.append(f"initial state is not normalized: |psi| = {n:.12f}")
+    elif abs((n := np.linalg.norm(psi)) - 1.0) > 1e-9:
+        v.append(f"initial state is not normalized: |psi| = {n:.12f}")
 
     shapes_ok = True
     for ch in s.channels:
@@ -464,6 +463,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             shapes_ok = False
         if not np.isfinite(ch.rate) or ch.rate < 0:
             v.append(f"channel {ch.id!r}: rate {ch.rate} is negative or non-finite")
+        for name in ("shift", "het_freq"):
+            if not np.isfinite(x := getattr(ch, name) or 0.0):
+                v.append(f"channel {ch.id!r}: {name} {x} is non-finite")
+                shapes_ok = False
         if ch.het_freq is not None and ch.shift is None:
             v.append(f"channel {ch.id!r}: het_freq set without a displacement")
 

@@ -10,11 +10,12 @@ S falls to r.  The click goes to channel m with probability proportional to
 gamma_m |J_m(t) psi|^2, and the post-click state J_m psi / |J_m psi| starts a
 new waiting time with a fresh threshold.
 
-There is no time step.  H_eff = W diag(lambda) W^-1 is diagonalized once per
-kernel call.  Each click round solves S(tau) = r for every active row over its
-remaining horizon [t_last, t_max] by a safeguarded Newton iteration.  The
-record points are then filled in time order: each row's W^-1 psi is carried to
-the next point by exp(-i lambda g), or replaced by its last post-click state if
+There is no time step.  `batch_kernel` checks the grid and that K is static
+and diagonalizes H_eff = W diag(lambda) W^-1, once, before any kernel call.
+Each click round solves S(tau) = r for every active row over its remaining
+horizon [t_last, t_max] by a safeguarded Newton iteration.  The record
+points are then filled in time order: each row's W^-1 psi is carried to the
+next point by exp(-i lambda g), or replaced by its last post-click state if
 it clicked in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
 psi (prec is quadratic); only kept states are normalized.
 
@@ -117,27 +118,18 @@ def _jump(s: Scenario, psi: np.ndarray, t: np.ndarray,
     return after / norm[:, None], m
 
 
-def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
-               keep_states: bool, seed: int, indices) -> tuple:
+def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
+               w: np.ndarray, w_inv: np.ndarray, keep_states: bool, seed: int,
+               indices) -> tuple:
     """Exact waiting-time kernel evolving a batch of trajectories together.
     A row draws only from its own substream, so it does not depend on its
     batch.  Returns the columns `ensemble.run_batches` takes."""
-    times = record_times(t_max, record_grid)
-    if (drift := kernel_oscillation(s)) > KERNEL_DRIFT_TOL:
-        raise ValueError(f"damping kernel K(t) oscillates (amplitude "
-                         f"{drift:.3g}); the jump engine needs a static "
-                         "no-click generator")
-    lam, w = np.linalg.eig(s.h_eff)
-    if np.linalg.cond(w) > 1e8:
-        raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
-                             "do not give a stable no-click propagator")
-    w_inv, mlam = np.linalg.inv(w), -1j * lam
     b, g = len(indices), len(times)
 
     draws = Substreams(seed, indices)
     threshold = draws.random(np.arange(b))
     act, t_last = np.arange(b), np.zeros(b)
-    c = np.tile(w_inv @ s.initial / np.linalg.norm(s.initial), (b, 1))
+    c = np.tile(w_inv @ s.psi0, (b, 1))
     segs = [(act, c, t_last)]
     channels = [np.zeros(0, dtype=int)]  # each round's click channels
     while True:
@@ -189,8 +181,19 @@ def _run_batch(s: Scenario, t_max: float, record_grid: float | None,
 
 def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
                  keep_states: bool = False):
-    """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`."""
-    return partial(_run_batch, s, t_max, record_grid, keep_states)
+    """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`;
+    every check runs here, once, before any kernel call."""
+    times = record_times(t_max, record_grid)
+    if (drift := kernel_oscillation(s)) > KERNEL_DRIFT_TOL:
+        raise ValueError(f"damping kernel K(t) oscillates (amplitude "
+                         f"{drift:.3g}); the jump engine needs a static "
+                         "no-click generator")
+    lam, w = np.linalg.eig(s.h_eff)
+    if np.linalg.cond(w) > 1e8:
+        raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
+                             "do not give a stable no-click propagator")
+    return partial(_run_batch, s, t_max, times, -1j * lam, w,
+                   np.linalg.inv(w), keep_states)
 
 
 def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,

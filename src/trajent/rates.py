@@ -252,17 +252,13 @@ def analytic_mean_concurrence(s: Scenario, unraveling: str, times
     if joint:
         if len(joint) == 1 and len(s.channels) == 1 and unraveling == "qj":
             ch = joint[0]
-            if (ch.shift is None and np.max(np.abs(s.h0)) == 0.0
-                    and np.allclose(ch.op, COLLECTIVE_DECAY, atol=1e-12)):
-                curve = CommonBathCurve.from_state(s.initial, ch.rate)
+            if (not ch.rotates and np.max(np.abs(s.h0)) == 0.0
+                    and np.allclose(ch.operator(), COLLECTIVE_DECAY,
+                                    atol=1e-12)):
+                curve = CommonBathCurve.from_state(s.psi0, ch.rate)
                 return common_bath_mean(curve, times)
         return None
     fn = _UNRAVELING_RATES.get(unraveling)
     if fn is None:
         return None
-    try:
-        kappa = fn(s)
-    except ValueError:
-        return None
-    c0 = concurrence_pure(s.initial / np.linalg.norm(s.initial))
-    return mean_concurrence_independent(c0, kappa, times)
+    return mean_concurrence_independent(concurrence_pure(s.psi0), fn(s), times)

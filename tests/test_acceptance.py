@@ -20,7 +20,8 @@ from trajent.entanglement import concurrence_mixed, concurrence_pure
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
 from trajent.models import (JumpChannel, Scenario, bell_state,
                             preset_dephasing, preset_photon_counting,
-                            state_from_amplitudes, with_phase_rotation)
+                            state_from_amplitudes, validate_scenario,
+                            with_phase_rotation)
 from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import (analytic_mean_concurrence, kappa_het,
@@ -132,6 +133,25 @@ def test_trajectory_average_reproduces_master_equation():
             sigma = part(outer).std(axis=0, ddof=1) / np.sqrt(len(recs))
             bound = GAP_SIGMAS * np.maximum(sigma, SIGMA_FLOOR)
             assert np.all(np.abs(part(gap)) <= bound), name
+
+
+def test_unnormalized_library_state_starts_every_engine_alike():
+    # a library scenario keeps its initial state as given, and validation
+    # still flags it; the master equation, the jump engine and the closed
+    # form all start from the one normalized s.psi0, so C_rho(0) = mean C(0)
+    # = analytic(0) = 1, and mean C >= C_rho holds within 5 sigma at all 21
+    # points
+    s = preset_photon_counting(1.0, 1.0, initial=[1, 0, 0, 1])
+    assert "not normalized" in "\n".join(validate_scenario(s).violations)
+    evo = evolve_rho(s, 1.0, record_grid=0.05)
+    assert np.allclose(np.trace(evo.rhos, axis1=1, axis2=2), 1.0,
+                       atol=FLOAT_GUARD)
+    c_rho = concurrence_series(evo)
+    summ = average(run_ensemble(s, 1.0, 600, seed=17, record_grid=0.05))
+    ana = analytic_mean_concurrence(s, "qj", summ.times)
+    for c0 in (c_rho[0], summ.mean_c[0], ana[0]):
+        assert abs(c0 - 1.0) < FLOAT_GUARD
+    assert np.all(summ.mean_c >= c_rho - 5 * summ.stderr - FLOAT_GUARD)
 
 
 def test_diffusive_monitoring_decay_rates():

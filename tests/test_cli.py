@@ -180,6 +180,25 @@ def test_tiny_dt_exits_2_without_traceback():
         assert "Traceback" not in out.stderr
 
 
+def test_preconditions_fail_before_any_work(tmp_path, monkeypatch, capsys):
+    # every engine check runs when its kernel is built, before the master
+    # equation or any trajectory: a run that reaches evolve_rho fails here
+    def reached(*args, **kwargs):
+        raise AssertionError("evolve_rho ran before the engine's checks")
+
+    monkeypatch.setattr("trajent.cli.evolve_rho", reached)
+    rotating = _write_config(tmp_path, params={
+        "gamma_a": 1.0, "gamma_b": 1.0, "heterodyne_amplitudes": [0.5],
+        "heterodyne_frequencies": [3.0]})
+    for argv, named in (
+            (["--config", "thermal_bell", "--unraveling", "qsd-heterodyne",
+              "--dt", "0.02"], "reduce the diffusion step"),
+            (["--config", rotating, "--unraveling", "qsd-homodyne"],
+             "remove rotating displacements")):
+        assert main(["simulate", *argv, "--tmax", "2", "--traj", "8"]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg alone would add ~0.35 s and ~27 MB to every command
     out = _run_python("import trajent.cli, sys; print(any("

@@ -190,6 +190,13 @@ def test_scenario_and_step_validation():
         run_trajectory_qsd("photon", s, 1.0, dt=0.005)
     with pytest.raises(ValueError):
         run_ensemble_qsd("homodyne", s, 1.0, 0)
+    # each is found when the kernel is built, before any kernel call
+    with pytest.raises(ValueError, match="static"):
+        batch_kernel_qsd("homodyne", rotating, 1.0, 0.005)
+    with pytest.raises(StepSizeError):
+        batch_kernel_qsd("homodyne", s, 1.0, 0.02, 0.1)
+    with pytest.raises(ValueError, match="kind"):
+        batch_kernel_qsd("photon", s, 1.0, 0.005)
 
 
 def test_tiny_step_is_rejected_by_name():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from trajent.config import bundled_scenario_names, load_scenario
+from trajent.diffusion import run_trajectory_qsd
 from trajent.linalg import (
-    ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, dag, kron2,
+    ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kron2,
 )
 from trajent.models import (
     JumpChannel, bell_state, kernel_oscillation, lindblad_superoperator,
@@ -15,6 +16,8 @@ from trajent.models import (
     state_from_amplitudes, validate_scenario, with_heterodyne,
     with_homodyne_shift, with_phase_rotation,
 )
+from trajent.quantum_jump import run_ensemble
+from trajent.rates import rate_report
 
 from _oracles import (GEN_TOL, generator_deviation,
                       lindblad_superoperator_per_channel)
@@ -207,6 +210,29 @@ def test_heterodyne_rotating_shift():
         with_heterodyne(s, 0.3, 0.0)
 
 
+def test_het_freq_zero_is_a_static_shift():
+    # one rotation rule: a shift rotates only with a nonzero het_freq, so
+    # het_freq 0 is the static shift of het_freq None in every reader
+    def scenario(het_freq):
+        return scenario_from_channels((
+            JumpChannel("z-A", "A", SIGMA_Z, 1.0, shift=0.5,
+                        het_freq=het_freq),
+            JumpChannel("z-B", "B", SIGMA_Z, 1.0)))
+
+    zero, static = scenario(0.0), scenario(None)
+    assert not zero.time_dependent
+    assert rate_report(zero) == rate_report(static)
+    assert rate_report(zero).kappa_qj == pytest.approx(0.5, abs=1e-15)
+    run_trajectory_qsd("homodyne", zero, 0.5, dt=0.005, record_grid=0.1)
+    a, b = (run_ensemble(s, 1.0, 40, seed=9, record_grid=0.1)
+            for s in (zero, static))
+    assert sum(len(r.click_times) for r in a) > 0
+    for ra, rb in zip(a, b):
+        assert np.array_equal(ra.concurrences, rb.concurrences)
+        assert np.array_equal(ra.click_times, rb.click_times)
+        assert np.array_equal(ra.click_channels, rb.click_channels)
+
+
 def _kernel_at(s, t):
     return sum(0.5 * ch.rate * dag(ch.lifted(t)) @ ch.lifted(t)
                for ch in s.channels)
@@ -315,6 +341,20 @@ def test_validate_collects_violations():
     text = "\n".join(inf.violations)
     assert "'inf': rate inf is negative or non-finite" in text
     assert "could not diagonalize K" in text
+    # so does JSON's NaN or Infinity in a displacement: the field is named,
+    # and K, which it would poison, is not examined
+    nan = float("nan")
+    bad = validate_scenario(scenario_from_channels(
+        (JumpChannel("nan-shift", "A", SIGMA_MINUS, 1.0, shift=complex(nan)),
+         JumpChannel("inf-het", "A", SIGMA_MINUS, 1.0, shift=0.5,
+                     het_freq=float("inf")),
+         JumpChannel("nan-het", "B", SIGMA_MINUS, 1.0, shift=0.5,
+                     het_freq=nan))))
+    text = "\n".join(bad.violations)
+    assert "'nan-shift': shift (nan+0j) is non-finite" in text
+    assert "'inf-het': het_freq inf is non-finite" in text
+    assert "'nan-het': het_freq nan is non-finite" in text
+    assert "K" not in text
 
 
 def test_generator_deviation_flags_mismatch():

@@ -282,6 +282,11 @@ def test_step_control_and_grid_validation():
                                                shift=0.5, het_freq=3.0),))
     with pytest.raises(ValueError, match="static"):
         run_trajectory(lone, 1.0)
+    # the grid and K are checked when the kernel is built, before any call
+    with pytest.raises(ValueError, match="static"):
+        quantum_jump.batch_kernel(lone, 1.0)
+    with pytest.raises(ValueError, match="record_grid"):
+        quantum_jump.batch_kernel(s, 1.0, record_grid=0.3)
 
 
 def test_heterodyne_displacement_smoke():
