@@ -63,9 +63,13 @@ def _output(path: str | None):
     """The ``--out`` stream: stdout for None or '-', else the named file."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as stream:
-            yield stream
+        return
+    try:
+        stream = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with stream:
+        yield stream
 
 
 def _write_json(doc, out_path: str | None) -> None:

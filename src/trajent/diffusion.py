@@ -124,7 +124,7 @@ def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
     b = len(indices)
     m_ch = len(s.channels)
     per_step = 2 * m_ch if het else m_ch   # normals per row and step
-    block = max(1, min(n_steps, _NOISE_VALUES // (b * per_step)))
+    block = max(1, min(n_steps, _NOISE_VALUES // max(1, b * per_step)))
     gens = [trajectory_rng(seed, k) for k in indices]
     raw = np.empty((b, block * per_step))
     # sqrt(gamma_m) dw_m = sqrt(gamma_m h) z and sqrt(gamma_m) d xi_m =

@@ -27,7 +27,7 @@ __all__ = [
 
 _NORM_TOL = 1e-6
 _HERM_TOL = 1e-10  # entrywise |rho - rho^dag| a density matrix may carry
-_EIG_FLOOR = -1e-8  # eigenvalues in [_EIG_FLOOR, 0) are roundoff, clipped
+EIG_FLOOR = -1e-8  # eigenvalues in [EIG_FLOOR, 0) are roundoff, clipped
 
 
 def _check_state(psi: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"density matrix {bad[0]} is not Hermitian: "
                          f"max |rho - rho^dag| = {asym[bad[0]]:.3e}")
     w, v = np.linalg.eigh(0.5 * (stack + rho_dag))
-    bad = np.flatnonzero(w[:, 0] < _EIG_FLOOR)
+    bad = np.flatnonzero(w[:, 0] < EIG_FLOOR)
     if bad.size:
         raise ValueError(f"density matrix {bad[0]} has negative eigenvalue "
                          f"{w[bad[0], 0]:.3e}")

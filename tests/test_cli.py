@@ -161,6 +161,24 @@ def test_optimize_subcommand(tmp_path):
     assert main(["optimize", "--config", str(deph)]) == 2
 
 
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    # every subcommand reports an --out it cannot open by name, no traceback
+    cfg = _write_config(tmp_path)
+    run = tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(run), "--tmax",
+                 "1.0", "--grid", "0.01", "--traj", "50"]) == 0
+    capsys.readouterr()
+    bad = str(tmp_path / "missing" / "out")
+    for argv in (["simulate", "--config", cfg, "--tmax", "1", "--traj", "50"],
+                 ["master", "--config", cfg, "--tmax", "1"],
+                 ["rates", "--config", cfg],
+                 ["fit", str(run)],
+                 ["optimize", "--config", cfg]):
+        assert main([*argv, "--out", bad]) == 2, argv[0]
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {bad}: ")
+
+
 def _run_python(code, *args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -10,9 +10,11 @@ from trajent.diffusion import (_NOISE_VALUES, batch_kernel_qsd,
                                run_ensemble_qsd, run_trajectory_qsd)
 from trajent.ensemble import average, fit_rate_series, trajectory_rng
 from trajent.errors import StepSizeError
+from trajent.linalg import ID2, SIGMA_X, SIGMA_Z
 from trajent.models import (preset_dephasing, preset_photon_counting,
-                            state_from_amplitudes, with_heterodyne,
-                            with_phase_rotation)
+                            scenario_from_channels, state_from_amplitudes,
+                            with_heterodyne, with_phase_rotation)
+from trajent.quantum_jump import run_ensemble
 
 from _oracles import (complex_wiener_increments, step_heterodyne,
                       step_homodyne, wiener_increments)
@@ -104,6 +106,19 @@ def test_dephasing_phase_steers_decay():
                             record_grid=0.025)
     c = np.array([r.concurrences for r in recs])
     assert np.max(np.abs(c - 1.0)) < 1e-12
+
+
+def test_no_channels_matches_jump_engine():
+    # no channel means no noise to draw: both kinds keep C = 1 under a local
+    # H0 or none, as the jump engine does
+    h0 = np.kron(SIGMA_Z, ID2) + 0.3 * np.kron(ID2, SIGMA_X)
+    for s in (scenario_from_channels([]), scenario_from_channels([], h0=h0)):
+        want = np.array([r.concurrences for r in run_ensemble(s, 1.0, 4)])
+        assert np.max(np.abs(want - 1.0)) < 1e-12
+        for kind in ("homodyne", "heterodyne"):
+            got = np.array([r.concurrences
+                            for r in run_ensemble_qsd(kind, s, 1.0, 4)])
+            assert np.max(np.abs(got - want)) < 1e-12, kind
 
 
 def test_worker_count_invisible():
