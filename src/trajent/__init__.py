@@ -17,13 +17,12 @@ from .entanglement import (concurrence_batch, concurrence_mixed,
 from .errors import (ConfigError, ConvergenceError, FitWindowError,
                      NumericalError, PositivityError, StepSizeError)
 from .lindblad import DensityEvolution, concurrence_series, evolve_rho
-from .models import (JumpChannel, Scenario, ValidationReport, bell_state,
+from .models import (JumpChannel, Scenario, bell_state,
                      lindblad_superoperator, preset_common_bath,
                      preset_dephasing, preset_photon_counting,
                      preset_rotated_thermal, preset_thermal,
                      scenario_from_channels, state_from_amplitudes,
-                     validate_scenario, with_heterodyne, with_homodyne_shift,
-                     with_phase_rotation)
+                     with_heterodyne, with_homodyne_shift, with_phase_rotation)
 from .optimize import UnravelingOptimum, optimize_unraveling
 from .quantum_jump import run_ensemble, run_trajectory
 from .rates import (CommonBathCurve, RateReport, analytic_mean_concurrence,

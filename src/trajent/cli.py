@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -56,6 +57,23 @@ def _setup_logging() -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
+
+
+def _check_out(path: str | None) -> None:
+    """Name an ``--out`` that cannot be written before anything is computed,
+    without creating or truncating it; `_output` reports what this misses."""
+    if path is None or path == "-":
+        return
+    out = Path(path)
+    if out.is_dir():
+        code = errno.EISDIR
+    elif not out.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(out if out.exists() else out.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextlib.contextmanager
@@ -274,6 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -36,8 +36,8 @@ from .errors import ConfigError
 from .models import (
     Scenario, JumpChannel, preset_common_bath, preset_dephasing,
     preset_photon_counting, preset_rotated_thermal, preset_thermal,
-    scenario_from_channels, validate_scenario, with_heterodyne,
-    with_homodyne_shift, with_phase_rotation,
+    scenario_from_channels, with_heterodyne, with_homodyne_shift,
+    with_phase_rotation,
 )
 
 __all__ = ["load_scenario", "scenario_from_dict", "bundled_scenario_path",
@@ -160,60 +160,61 @@ def _parse_channel(entry: dict, i: int) -> JumpChannel:
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
-    """Build and validate a scenario from a parsed description."""
+    """Build a scenario from a parsed description; every error names the
+    source, and an invalid scenario lists all its violations."""
+    try:
+        return _from_dict(doc, source)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _from_dict(doc: dict, source: str) -> Scenario:
     if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: top level must be an object")
+        raise ConfigError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"{source}: unknown top-level key(s) "
-                          f"{sorted(unknown)}; accepted: {sorted(_TOP_KEYS)}")
+        raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}; "
+                          f"accepted: {sorted(_TOP_KEYS)}")
     preset = doc.get("preset")
     custom = doc.get("custom_channels")
     if (preset is None) == (custom is None):
-        raise ConfigError(f"{source}: exactly one of 'preset' or "
-                          "'custom_channels' is required")
+        raise ConfigError("exactly one of 'preset' or 'custom_channels' is "
+                          "required")
     params = doc.get("params", {})
     if not isinstance(params, dict):
-        raise ConfigError(f"{source}: 'params' must be an object")
+        raise ConfigError("'params' must be an object")
 
     if preset is not None:
         s = _build_preset(str(preset), params)
-        s = _apply_transforms(s, params)
     else:
         unknown_p = set(params) - _TRANSFORM_KEYS
         if unknown_p:
-            raise ConfigError(f"{source}: unknown parameter(s) "
-                              f"{sorted(unknown_p)} with custom channels")
+            raise ConfigError(f"unknown parameter(s) {sorted(unknown_p)} with "
+                              "custom channels")
         if not isinstance(custom, list) or not custom:
-            raise ConfigError(f"{source}: custom_channels must be a non-empty "
-                              "list")
-        channels = tuple(_parse_channel(c, i) for i, c in enumerate(custom))
-        s = scenario_from_channels(channels)
-        s = _apply_transforms(s, params)
+            raise ConfigError("custom_channels must be a non-empty list")
+        s = scenario_from_channels(
+            _parse_channel(c, i) for i, c in enumerate(custom))
+    s = _apply_transforms(s, params)
 
     if "initial_state" in doc:
         raw = doc["initial_state"]
         if not isinstance(raw, list) or len(raw) != 4:
-            raise ConfigError(f"{source}: initial_state must list 4 "
-                              "[re, im] amplitude pairs")
+            raise ConfigError("initial_state must list 4 [re, im] amplitude "
+                              "pairs")
         psi = np.array([_complex(x, "initial_state") for x in raw])
         norm = np.linalg.norm(psi)
         if norm == 0.0:
-            raise ConfigError(f"{source}: initial_state is the zero vector")
+            raise ConfigError("initial_state is the zero vector")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"{source}: initial state norm {norm:.8f} differs "
-                          "from 1; renormalizing", stacklevel=2)
+                          "from 1; renormalizing", stacklevel=3)
         s = s.with_initial(psi / norm)
-
-    report = validate_scenario(s)
-    if not report.ok:
-        raise ConfigError(f"{source}: invalid scenario:\n  "
-                          + "\n  ".join(report.violations))
     return s
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario file, or a bundled scenario by bare name.
+    """Load a scenario file, or a bundled scenario by bare name.
 
     A name without a directory part that is not an existing file, such as
     ``thermal_bell``, resolves to the bundled scenario of that name.

@@ -42,7 +42,7 @@ _THETA13 = 5.371920351148152
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains NaN or Inf entries")
     return a
 

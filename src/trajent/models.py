@@ -1,4 +1,4 @@
-"""Two-qubit decay scenarios: jump channels, presets, and validation.
+"""Two-qubit decay scenarios: jump channels, presets, and their one check.
 
 A scenario bundles a (possibly zero) Hamiltonian H0, a list of jump channels
 (J_m, gamma_m) and an initial pure state.  The derived damping kernel is
@@ -12,8 +12,9 @@ with a nonzero ``het_freq`` Omega carries the rotating displacement
 alpha e^{i Omega t} (`JumpChannel.rotates`; Omega = 0 is a static shift).
 Displacements come in +/- pairs at half the original rate, which leaves the
 ensemble (Lindblad) generator unchanged.  Every engine starts from
-`Scenario.psi0`.  `validate_scenario` runs when a file is loaded; each
-engine checks its own preconditions when its kernel is built.
+`Scenario.psi0`.  A `Scenario` is checked once, when it is built by any
+route (``dataclasses.replace`` and the ``with_*`` transforms included), so
+the engines, `rates` and `optimize` trust every scenario they are given.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
 from .linalg import (
-    ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-    dag, kron2, require_finite,
+    ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kron2,
 )
 
 __all__ = [
-    "JumpChannel", "Scenario", "ValidationReport",
+    "JumpChannel", "Scenario",
     "bell_state", "state_from_amplitudes", "local_hamiltonian",
     "preset_photon_counting", "preset_thermal", "preset_dephasing",
     "preset_rotated_thermal", "preset_common_bath",
     "with_homodyne_shift", "with_heterodyne", "with_phase_rotation",
     "scenario_from_channels", "kernel_oscillation", "lindblad_superoperator",
-    "validate_scenario", "COLLECTIVE_DECAY",
+    "COLLECTIVE_DECAY",
 ]
 
 ID4 = np.eye(4, dtype=complex)
@@ -72,9 +73,8 @@ class JumpChannel:
     """One decay channel: operator, rate, and optional coherent displacement.
 
     ``op`` is 2x2 for locality "A"/"B" (lifted internally) or 4x4 for "joint".
-    Construction is permissive — semantic problems (negative rate, wrong
-    shapes, displacement bookkeeping) are reported by `validate_scenario`
-    rather than raised here, so that invalid configurations can be inspected.
+    A channel is checked, with the rest of its scenario, when the `Scenario`
+    that holds it is built.
     """
 
     id: str
@@ -130,6 +130,8 @@ class Scenario:
     Derived quantities (damping kernel K, effective generator H_eff, lifted
     operator stack) are cached on first use.  Engines never mutate a
     scenario; transformed copies are produced by the ``with_*`` helpers.
+    Building one raises a `ConfigError` listing every `_violations` entry;
+    ``initial`` may be unnormalized (`psi0` normalizes it) but not zero.
     """
 
     h0: np.ndarray
@@ -141,8 +143,10 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h0", np.asarray(self.h0, dtype=complex))
         object.__setattr__(self, "initial",
-                           np.asarray(self.initial, dtype=complex).reshape(4))
+                           np.asarray(self.initial, dtype=complex).reshape(-1))
         object.__setattr__(self, "channels", tuple(self.channels))
+        if v := _violations(self):
+            raise ConfigError("invalid scenario:\n  " + "\n  ".join(v))
 
     @cached_property
     def k_op(self) -> np.ndarray:
@@ -201,13 +205,12 @@ class Scenario:
         return out
 
     def with_initial(self, psi: np.ndarray) -> "Scenario":
-        psi = require_finite(psi, "initial state").reshape(4)
         return replace(self, initial=psi)
 
 
 def scenario_from_channels(channels, initial=None, h0=None,
                            thermal_rates=None) -> Scenario:
-    """Assemble a scenario from explicit channels (permissive, see validate)."""
+    """Assemble a scenario from explicit channels, a Bell state by default."""
     if initial is None:
         initial = bell_state()
     if h0 is None:
@@ -225,7 +228,6 @@ def _check_rates(*rates: float) -> None:
 def preset_photon_counting(gamma_a: float, gamma_b: float,
                            initial: np.ndarray | None = None) -> Scenario:
     """Independent zero-temperature decay: sigma_- on each qubit."""
-    _check_rates(gamma_a, gamma_b)
     channels = (
         JumpChannel("decay-A", "A", SIGMA_MINUS, gamma_a),
         JumpChannel("decay-B", "B", SIGMA_MINUS, gamma_b),
@@ -238,7 +240,6 @@ def preset_thermal(gamma_plus_a: float, gamma_minus_a: float,
                    gamma_plus_b: float, gamma_minus_b: float,
                    initial: np.ndarray | None = None) -> Scenario:
     """Independent finite-temperature baths: sigma_-+ channels per qubit."""
-    _check_rates(gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b)
     channels = (
         JumpChannel("up-A", "A", SIGMA_PLUS, gamma_plus_a),
         JumpChannel("down-A", "A", SIGMA_MINUS, gamma_minus_a),
@@ -252,7 +253,6 @@ def preset_thermal(gamma_plus_a: float, gamma_minus_a: float,
 def preset_dephasing(v_a, v_b, gamma_a: float, gamma_b: float,
                      initial: np.ndarray | None = None) -> Scenario:
     """Pure dephasing along unit Bloch vectors: J_i = v_i . sigma."""
-    _check_rates(gamma_a, gamma_b)
     channels = []
     for name, v, g in (("dephase-A", v_a, gamma_a), ("dephase-B", v_b, gamma_b)):
         v = np.asarray(v, dtype=float)
@@ -310,7 +310,6 @@ def preset_rotated_thermal(u_a, u_b,
 def preset_common_bath(gamma: float,
                        initial: np.ndarray | None = None) -> Scenario:
     """Both qubits coupled to one bath: single joint channel sigma_- + sigma_-."""
-    _check_rates(gamma)
     channels = (JumpChannel("collective-decay", "joint", COLLECTIVE_DECAY,
                             gamma),)
     return scenario_from_channels(channels, initial)
@@ -381,8 +380,9 @@ def with_phase_rotation(s: Scenario, thetas) -> Scenario:
     return replace(s, channels=channels)
 
 
-def kernel_oscillation(s: Scenario) -> float:
-    """Largest coefficient of the time-dependent part of K(t); 0 if static.
+def kernel_oscillation(channels) -> float:
+    """Largest coefficient of the time-dependent part of the K(t) that
+    ``channels`` give; 0 if K is static.
 
     A channel J + alpha e^{i Omega t} adds (gamma/2)(alpha e^{i Omega t} J^dag
     + h.c.) to K.  Exponentials of distinct frequencies are independent, so K
@@ -391,7 +391,7 @@ def kernel_oscillation(s: Scenario) -> float:
     Omega < 0 contributes alpha* J at e^{i |Omega| t}.
     """
     coeff: dict[float, np.ndarray] = {}
-    for ch in s.channels:
+    for ch in channels:
         if not ch.rotates:
             continue
         j = _lift(ch.locality, ch.op)
@@ -416,72 +416,55 @@ def lindblad_superoperator(s: Scenario) -> np.ndarray:
     return gen
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
+def _violations(s: Scenario) -> list[str]:
+    """Every structural problem of a scenario, as human-readable entries.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_scenario(s: Scenario) -> ValidationReport:
-    """Check a scenario's structural invariants, reporting all violations.
-
-    Never raises on bad content: every problem is returned as a human-readable
-    entry.
+    K(t) is examined only when every channel has a known locality, the
+    right shape and a finite op, rate, shift and het_freq.
     """
     v: list[str] = []
-
-    h0 = np.asarray(s.h0)
-    if h0.shape != (4, 4):
-        v.append(f"h0 must be 4x4, got {h0.shape}")
-    elif not np.all(np.isfinite(h0.view(float))):
+    if s.h0.shape != (4, 4):
+        v.append(f"h0 must be 4x4, got {s.h0.shape}")
+    elif not np.isfinite(s.h0).all():
         v.append("h0 contains non-finite entries")
-    elif np.max(np.abs(h0 - dag(h0))) > 1e-10:
+    elif np.max(np.abs(s.h0 - dag(s.h0))) > 1e-10:
         v.append("h0 is not Hermitian")
 
-    psi = s.initial  # shape (4,), by Scenario.__post_init__
-    if not np.all(np.isfinite(psi.view(float))):
+    if s.initial.shape != (4,):
+        v.append(f"initial state must have 4 amplitudes, got {s.initial.size}")
+    elif not np.isfinite(s.initial).all():
         v.append("initial state contains non-finite entries")
-    elif abs((n := np.linalg.norm(psi)) - 1.0) > 1e-9:
-        v.append(f"initial state is not normalized: |psi| = {n:.12f}")
+    elif not s.initial.any():
+        v.append("initial state is the zero vector")
 
-    shapes_ok = True
+    examine_k = True
     for ch in s.channels:
         if ch.locality not in _LOCALITIES:
             v.append(f"channel {ch.id!r}: locality must be one of {_LOCALITIES}")
-            shapes_ok = False
+            examine_k = False
             continue
         want = (4, 4) if ch.locality == "joint" else (2, 2)
         if ch.op.shape != want:
             v.append(f"channel {ch.id!r}: operator shape {ch.op.shape} does "
                      f"not match locality {ch.locality!r} (want {want})")
-            shapes_ok = False
-        elif not np.all(np.isfinite(ch.op.view(float))):
+            examine_k = False
+        elif not np.isfinite(ch.op).all():
             v.append(f"channel {ch.id!r}: operator has non-finite entries")
-            shapes_ok = False
+            examine_k = False
         if not np.isfinite(ch.rate) or ch.rate < 0:
             v.append(f"channel {ch.id!r}: rate {ch.rate} is negative or non-finite")
         for name in ("shift", "het_freq"):
             if not np.isfinite(x := getattr(ch, name) or 0.0):
                 v.append(f"channel {ch.id!r}: {name} {x} is non-finite")
-                shapes_ok = False
+        examine_k = examine_k and bool(np.isfinite(
+            [ch.rate, ch.shift or 0.0, ch.het_freq or 0.0]).all())
         if ch.het_freq is not None and ch.shift is None:
             v.append(f"channel {ch.id!r}: het_freq set without a displacement")
 
-    if shapes_ok and s.channels:
-        try:
-            kw = np.linalg.eigvalsh(0.5 * (s.k_op + dag(s.k_op)))
-            if kw[0] < -1e-10:
-                v.append(f"damping kernel K has negative eigenvalue {kw[0]:.3e}")
-        except np.linalg.LinAlgError as exc:
-            v.append(f"could not diagonalize K: {exc}")
-        drift = kernel_oscillation(s)
-        if drift > KERNEL_DRIFT_TOL:
-            v.append(f"damping kernel K(t) oscillates with amplitude "
-                     f"{drift:.3g}: rotating displacements must come in +/- "
-                     "pairs, because the engines assume a static no-click "
-                     "generator")
-
-    return ValidationReport(ok=not v, violations=tuple(v))
+    drift = kernel_oscillation(s.channels) if examine_k else 0.0
+    if drift > KERNEL_DRIFT_TOL:
+        v.append(f"damping kernel K(t) oscillates with amplitude "
+                 f"{drift:.3g}: rotating displacements must come in +/- "
+                 "pairs, because the engines assume a static no-click "
+                 "generator")
+    return v

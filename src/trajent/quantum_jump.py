@@ -2,21 +2,22 @@
 
 Between detector clicks the state follows the no-click propagator
 exp(-i H_eff tau) with H_eff = H0 - i K, and its squared norm S(tau) is the
-probability of no click during tau.  H_eff is static in every valid scenario
-(`models.kernel_oscillation`), so click times are sampled exactly by the
-waiting-time method (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): draw a
-threshold r uniform in [0, 1), evolve the unnormalized state, and click when
-S falls to r.  The click goes to channel m with probability proportional to
-gamma_m |J_m(t) psi|^2, and the post-click state J_m psi / |J_m psi| starts a
-new waiting time with a fresh threshold.
+probability of no click during tau.  H_eff is static: a `Scenario` whose
+K(t) oscillates cannot be built (`models.kernel_oscillation`).  So click
+times are sampled exactly by the waiting-time method (Dalibard, Castin &
+Molmer, PRL 68, 580 (1992)): draw a threshold r uniform in [0, 1), evolve
+the unnormalized state, and click when S falls to r.  The click goes to
+channel m with probability proportional to gamma_m |J_m(t) psi|^2, and the
+post-click state J_m psi / |J_m psi| starts a new waiting time with a fresh
+threshold.
 
-There is no time step.  `batch_kernel` checks the grid and that K is static
-and diagonalizes H_eff = W diag(lambda) W^-1, once, before any kernel call.
-Each click round solves S(tau) = r for every active row over its remaining
-horizon [t_last, t_max] by a safeguarded Newton iteration.  The record
-points are then filled in time order: each row's W^-1 psi is carried to the
-next point by exp(-i lambda g), or replaced by its last post-click state if
-it clicked in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
+There is no time step.  `batch_kernel` checks the grid and diagonalizes
+H_eff = W diag(lambda) W^-1, once, before any kernel call.  Each click
+round solves S(tau) = r for every active row over its remaining horizon
+[t_last, t_max] by a safeguarded Newton iteration.  The record points are
+then filled in time order: each row's W^-1 psi is carried to the next point
+by exp(-i lambda g), or replaced by its last post-click state if it clicked
+in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
 psi (prec is quadratic); only kept states are normalized.
 
 Reproducibility: the batch kernel returns arrays (record points,
@@ -38,7 +39,7 @@ from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
                        run_records)
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
-from .models import KERNEL_DRIFT_TOL, Scenario, kernel_oscillation
+from .models import Scenario
 
 __all__ = ["batch_kernel", "run_trajectory", "run_ensemble"]
 
@@ -184,10 +185,6 @@ def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
     """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`;
     every check runs here, once, before any kernel call."""
     times = record_times(t_max, record_grid)
-    if (drift := kernel_oscillation(s)) > KERNEL_DRIFT_TOL:
-        raise ValueError(f"damping kernel K(t) oscillates (amplitude "
-                         f"{drift:.3g}); the jump engine needs a static "
-                         "no-click generator")
     lam, w = np.linalg.eig(s.h_eff)
     if np.linalg.cond(w) > 1e8:
         raise NumericalError("H_eff is (nearly) defective; its eigenvectors "

@@ -20,8 +20,7 @@ from trajent.entanglement import concurrence_mixed, concurrence_pure
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
 from trajent.models import (JumpChannel, Scenario, bell_state,
                             preset_dephasing, preset_photon_counting,
-                            state_from_amplitudes, validate_scenario,
-                            with_phase_rotation)
+                            state_from_amplitudes, with_phase_rotation)
 from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import (analytic_mean_concurrence, kappa_het,
@@ -136,13 +135,11 @@ def test_trajectory_average_reproduces_master_equation():
 
 
 def test_unnormalized_library_state_starts_every_engine_alike():
-    # a library scenario keeps its initial state as given, and validation
-    # still flags it; the master equation, the jump engine and the closed
-    # form all start from the one normalized s.psi0, so C_rho(0) = mean C(0)
-    # = analytic(0) = 1, and mean C >= C_rho holds within 5 sigma at all 21
-    # points
+    # a library scenario keeps its initial state as given; the master
+    # equation, the jump engine and the closed form all start from the one
+    # normalized s.psi0, so C_rho(0) = mean C(0) = analytic(0) = 1, and
+    # mean C >= C_rho holds within 5 sigma at all 21 points
     s = preset_photon_counting(1.0, 1.0, initial=[1, 0, 0, 1])
-    assert "not normalized" in "\n".join(validate_scenario(s).violations)
     evo = evolve_rho(s, 1.0, record_grid=0.05)
     assert np.allclose(np.trace(evo.rhos, axis1=1, axis2=2), 1.0,
                        atol=FLOAT_GUARD)

@@ -161,22 +161,32 @@ def test_optimize_subcommand(tmp_path):
     assert main(["optimize", "--config", str(deph)]) == 2
 
 
-def test_unwritable_out_is_exit_2(tmp_path, capsys):
-    # every subcommand reports an --out it cannot open by name, no traceback
+def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):
+    # every subcommand reports an --out it cannot open by name, no traceback,
+    # before anything is computed, and without creating the file
     cfg = _write_config(tmp_path)
     run = tmp_path / "run.csv"
     assert main(["simulate", "--config", cfg, "--out", str(run), "--tmax",
                  "1.0", "--grid", "0.01", "--traj", "50"]) == 0
     capsys.readouterr()
-    bad = str(tmp_path / "missing" / "out")
-    for argv in (["simulate", "--config", cfg, "--tmax", "1", "--traj", "50"],
-                 ["master", "--config", cfg, "--tmax", "1"],
-                 ["rates", "--config", cfg],
-                 ["fit", str(run)],
-                 ["optimize", "--config", cfg]):
-        assert main([*argv, "--out", bad]) == 2, argv[0]
-        assert capsys.readouterr().err.startswith(
-            f"error: cannot write {bad}: ")
+
+    def reached(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr("trajent.cli.run_average", reached)
+    monkeypatch.setattr("trajent.cli.evolve_rho", reached)
+    for bad, why in ((tmp_path / "missing" / "out", "No such file"),
+                     (tmp_path, "Is a directory")):
+        for argv in (["simulate", "--config", cfg, "--tmax", "1", "--traj",
+                      "50"],
+                     ["master", "--config", cfg, "--tmax", "1"],
+                     ["rates", "--config", cfg],
+                     ["fit", str(run)],
+                     ["optimize", "--config", cfg]):
+            assert main([*argv, "--out", str(bad)]) == 2, argv[0]
+            assert capsys.readouterr().err.startswith(
+                f"error: cannot write {bad}: {why}")
+    assert not (tmp_path / "missing").exists()
 
 
 def _run_python(code, *args):

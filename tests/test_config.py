@@ -15,8 +15,7 @@ from trajent.errors import ConfigError
 from trajent.linalg import SIGMA_X, SIGMA_Z
 from trajent.models import (
     preset_common_bath, preset_dephasing, preset_photon_counting,
-    preset_rotated_thermal, preset_thermal, validate_scenario,
-    with_homodyne_shift,
+    preset_rotated_thermal, preset_thermal, with_homodyne_shift,
 )
 
 from _oracles import GEN_TOL, generator_deviation
@@ -110,7 +109,6 @@ def test_transforms_applied_in_order():
                          - np.exp(-0.5j) * np.array([[0, 0], [1, 0]]))) < 1e-14
     assert s.channels[0].shift_at(0.0) == 0.8
     ref = preset_photon_counting(1.0, 1.0)
-    assert validate_scenario(s).ok
     assert generator_deviation(s, ref) < GEN_TOL
 
 
@@ -146,10 +144,13 @@ def test_custom_channels():
         scenario_from_dict({"custom_channels": [
             {"id": "x", "locality": "A", "matrix": [[[0, 0], [0, 0]]],
              "rate": 1.0, "color": "red"}]})
-    with pytest.raises(ConfigError, match="invalid scenario"):
+    # the scenario's own check names the source and every violation
+    with pytest.raises(ConfigError, match=r"^bad\.json: invalid scenario:\n"
+                       r"  channel 'x': rate -1\.0 is negative"):
         scenario_from_dict({"custom_channels": [
             {"id": "x", "locality": "A",
-             "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "rate": -1.0}]})
+             "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "rate": -1.0}]},
+            source="bad.json")
 
 
 def test_malformed_values():
@@ -233,8 +234,7 @@ def test_bundled_scenarios_all_load():
     assert "common_bath_single_excitation" in names
     assert len(names) == 8
     for name in names:
-        s = load_scenario(bundled_scenario_path(name))
-        assert validate_scenario(s).ok, name
+        load_scenario(bundled_scenario_path(name))
 
 
 def test_preset_table_matches_builders():

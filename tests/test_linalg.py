@@ -1,15 +1,20 @@
 """Linear-algebra kernel tests: constants, ptrace, the Pade expm."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from trajent.config import bundled_scenario_names, load_scenario
+from trajent.entanglement import concurrence_mixed
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
     dag, det2, expm, kron2, normalized, require_finite, trace2,
 )
-from trajent.models import lindblad_superoperator
+from trajent.models import (JumpChannel, lindblad_superoperator,
+                            preset_photon_counting, scenario_from_channels)
+from trajent.quantum_jump import run_ensemble
 
 from _oracles import ptrace_a, ptrace_b, trace4
 
@@ -134,6 +139,36 @@ def test_require_finite_and_normalized():
     with pytest.raises(ValueError):
         require_finite(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
+        require_finite(np.array([[1.0, np.nan * 1j], [0, 1]]).T)
+    with pytest.raises(ValueError):
         normalized(np.zeros(4))
     v = normalized(np.array([3.0, 4.0]))
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+
+
+def test_strided_complex_views_equal_their_copies():
+    # the finiteness checks read strided complex views (a transpose, a
+    # column) as they read contiguous copies
+    rng = np.random.default_rng(21)
+    a = random_complex(rng, (4, 4))
+    rho = a @ dag(a) / np.trace(a @ dag(a)).real
+    stack = np.stack([rho, np.conjugate(rho)])
+    assert concurrence_mixed(rho.T) == concurrence_mixed(rho.T.copy())
+    view = stack.transpose(0, 2, 1)
+    assert np.array_equal(concurrence_mixed(view),
+                          concurrence_mixed(view.copy()))
+    assert np.array_equal(expm(a.T), expm(a.T.copy()))
+    s = preset_photon_counting(1.0, 0.5)
+    h = a + dag(a)
+    assert np.array_equal(replace(s, h0=dag(h)).h_eff,
+                          replace(s, h0=dag(h).copy()).h_eff)
+    assert np.array_equal(s.with_initial(a[:, 1]).psi0,
+                          s.with_initial(a[:, 1].copy()).psi0)
+    # a channel whose op is a transposed view builds and runs as its copy
+    j = np.array([[0.0, 0.0], [1.0, 0.5j]])
+    runs = [run_ensemble(scenario_from_channels(
+        [JumpChannel("y", "B", op, 1.0)]), 1.0, 20, seed=4)
+        for op in (j.T, j.T.copy())]
+    for ra, rb in zip(*runs):
+        assert np.array_equal(ra.concurrences, rb.concurrences)
+        assert np.array_equal(ra.click_times, rb.click_times)

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from trajent.config import bundled_scenario_names, load_scenario
 from trajent.entanglement import concurrence_mixed, concurrence_pure
-from trajent.errors import PositivityError
+from trajent.errors import ConfigError, PositivityError
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
 from trajent.linalg import SIGMA_MINUS, SIGMA_PLUS
 from trajent.models import (JumpChannel, Scenario, bell_state,
@@ -109,17 +109,29 @@ def test_trace_and_positivity_reported():
     assert ev.min_eigenvalue > -1e-10
 
 
-def test_negative_rate_breaks_positivity():
-    # construction is permissive; the integrator is where this blows up, at
-    # the floor concurrence_mixed enforces: the slight case dips to -5e-8
-    bad = Scenario(h0=np.zeros((4, 4)),
-                   channels=(JumpChannel("bad", "A", SIGMA_MINUS, -1.0),),
-                   initial=bell_state())
-    slight = scenario_from_channels([JumpChannel("m", "A", SIGMA_MINUS, 1.0),
-                                     JumpChannel("p", "A", SIGMA_PLUS, -1e-7)])
-    for s in (bad, slight):
-        with pytest.raises(PositivityError, match="< -1.0e-08"):
-            evolve_rho(s, 5.0)
+def test_negative_rate_breaks_positivity(monkeypatch):
+    # a negative rate, however slight, is named when the scenario is built,
+    # so the master equation (or any engine) never runs it
+    down = JumpChannel("m", "A", SIGMA_MINUS, 1.0)
+    with pytest.raises(ConfigError, match="'bad': rate -1.0 is negative"):
+        Scenario(h0=np.zeros((4, 4)),
+                 channels=(JumpChannel("bad", "A", SIGMA_MINUS, -1.0),),
+                 initial=bell_state())
+    with pytest.raises(ConfigError, match="'p': rate -1e-07 is negative"):
+        scenario_from_channels([down, JumpChannel("p", "A", SIGMA_PLUS,
+                                                  -1e-7)])
+    # the integrator's floor, the one concurrence_mixed enforces, still
+    # catches such a generator: L is linear in the rates, so 2 L(m) - L(m, p)
+    # with p = sigma_+ at +1e-7 is the generator with p at -1e-7 (to 6e-17)
+    s = scenario_from_channels([down])
+    up = scenario_from_channels([down, JumpChannel("p", "A", SIGMA_PLUS,
+                                                   1e-7)])
+    gen = 2 * lindblad_superoperator(s) - lindblad_superoperator(up)
+    monkeypatch.setattr("trajent.lindblad.lindblad_superoperator",
+                        lambda _: gen)
+    with pytest.raises(PositivityError,
+                       match="-1.106e-08 < -1.0e-08 at t = 0.2500"):
+        evolve_rho(s, 5.0)
 
 
 def test_grid_validation():

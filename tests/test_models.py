@@ -1,20 +1,25 @@
 """Scenario construction, presets, monitoring transforms, and validation."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from trajent.config import bundled_scenario_names, load_scenario
+from trajent.config import (bundled_scenario_names, load_scenario,
+                            scenario_from_dict)
 from trajent.diffusion import run_trajectory_qsd
+from trajent.errors import ConfigError
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kron2,
 )
 from trajent.models import (
-    JumpChannel, bell_state, kernel_oscillation, lindblad_superoperator,
-    local_hamiltonian,
+    JumpChannel, Scenario, bell_state, kernel_oscillation,
+    lindblad_superoperator, local_hamiltonian,
     preset_common_bath, preset_dephasing, preset_photon_counting,
     preset_rotated_thermal, preset_thermal, scenario_from_channels,
-    state_from_amplitudes, validate_scenario, with_heterodyne,
-    with_homodyne_shift, with_phase_rotation,
+    state_from_amplitudes, with_heterodyne, with_homodyne_shift,
+    with_phase_rotation,
 )
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import rate_report
@@ -46,7 +51,6 @@ def test_photon_counting_damping_kernel():
     assert np.max(np.abs(s.h_eff - (-1j * s.k_op))) < 1e-14
     assert s.gamma_max == 1.3
     assert not s.time_dependent
-    assert validate_scenario(s).ok
 
 
 def test_thermal_damping_kernel_diagonal():
@@ -100,7 +104,6 @@ def test_common_bath_channel():
         [0, 0, 0, 0],
     ], dtype=complex)
     assert np.max(np.abs(jj - want)) < 1e-14
-    assert validate_scenario(s).ok
 
 
 def _lindblad_rhs(rho, s):
@@ -169,7 +172,6 @@ def test_homodyne_shift_structure_and_invariance():
     a = [ch.shift_at(0.0) for ch in shifted.channels]
     assert a == [0.8, -0.8, 0.8, -0.8]
     # displacement pairs leave the ensemble generator untouched
-    assert validate_scenario(shifted).ok
     assert generator_deviation(shifted, s) < GEN_TOL
     # K itself shifts by (sum_m gamma_m |alpha|^2 / 2) * identity
     extra = 0.5 * (1.0 + 0.4) * 0.8 ** 2
@@ -181,7 +183,6 @@ def test_homodyne_shift_complex_and_per_channel():
     shifted = with_homodyne_shift(s, [0.3 + 0.1j, 0.5])
     assert shifted.channels[0].shift_at(0.0) == 0.3 + 0.1j
     assert shifted.channels[2].shift_at(0.0) == 0.5
-    assert validate_scenario(shifted).ok
     assert generator_deviation(shifted, s) < GEN_TOL
     with pytest.raises(ValueError):
         with_homodyne_shift(s, [0.1, 0.2, 0.3])
@@ -202,7 +203,6 @@ def test_heterodyne_rotating_shift():
     # the +/- pair keeps K static: identity offset (sum gamma alpha^2)/2
     extra = 0.5 * (1.0 + 1.0) * 0.6 ** 2
     assert np.max(np.abs(het.k_op - s.k_op - extra * np.eye(4))) < 1e-12
-    assert validate_scenario(het).ok
     assert generator_deviation(het, s) < GEN_TOL
     with pytest.raises(ValueError):
         with_heterodyne(s, -0.3, 1.0)
@@ -233,26 +233,27 @@ def test_het_freq_zero_is_a_static_shift():
         assert np.array_equal(ra.click_channels, rb.click_channels)
 
 
-def _kernel_at(s, t):
+def _kernel_at(channels, t):
     return sum(0.5 * ch.rate * dag(ch.lifted(t)) @ ch.lifted(t)
-               for ch in s.channels)
+               for ch in channels)
 
 
 def test_kernel_oscillation_detects_unpaired_rotation():
     het = with_heterodyne(preset_photon_counting(1.0, 0.5), 0.5, 3.0)
-    assert kernel_oscillation(het) == 0.0
-    assert np.max(np.abs(_kernel_at(het, 0.5) - het.k_op)) < 1e-12
-    lone = scenario_from_channels(het.channels[:1])
-    assert np.max(np.abs(_kernel_at(lone, 0.5) - lone.k_op)) > 0.1
+    assert kernel_oscillation(het.channels) == 0.0
+    assert np.max(np.abs(_kernel_at(het.channels, 0.5) - het.k_op)) < 1e-12
+    lone = het.channels[:1]
+    assert np.max(np.abs(_kernel_at(lone, 0.5) - _kernel_at(lone, 0.0))) > 0.1
     assert kernel_oscillation(lone) == pytest.approx(0.125)  # gamma alpha / 2
-    assert not validate_scenario(lone).ok
+    with pytest.raises(ConfigError, match="oscillates with amplitude 0.125"):
+        scenario_from_channels(lone)
     # a partner rotating the other way cancels through its conjugate term
-    ch = lone.channels[0]
+    ch = lone[0]
     mirror = JumpChannel("mirror", "A", dag(ch.op), ch.rate, shift=-0.5,
                          het_freq=-3.0)
     both = scenario_from_channels((ch, mirror))
-    assert kernel_oscillation(both) == 0.0
-    assert np.max(np.abs(_kernel_at(both, 0.7) - both.k_op)) < 1e-12
+    assert kernel_oscillation(both.channels) == 0.0
+    assert np.max(np.abs(_kernel_at(both.channels, 0.7) - both.k_op)) < 1e-12
 
 
 def test_jump_amplitudes_match_lifted_operators():
@@ -281,7 +282,6 @@ def test_heterodyne_small_frequency_limit():
 def test_phase_rotation_invariance():
     s = preset_thermal(0.5, 1.5, 0.5, 1.5)
     rot = with_phase_rotation(s, [0.3, 1.1, 2.0, 0.7])
-    assert validate_scenario(rot).ok
     assert generator_deviation(rot, s) < GEN_TOL
     assert np.max(np.abs(rot.k_op - s.k_op)) < 1e-12
 
@@ -292,7 +292,6 @@ def test_rotated_thermal_generator_invariance():
     # Hadamard-type balanced mixing
     u_bal = np.array([[S2, S2], [S2, -S2]])
     rot = preset_rotated_thermal(u_bal, u_bal, 0.4, 1.2, 0.7, 0.9)
-    assert validate_scenario(rot).ok
     assert generator_deviation(rot, plain) < GEN_TOL
     # random unitary mixings, including a 3-output isometry
     for _ in range(5):
@@ -301,7 +300,6 @@ def test_rotated_thermal_generator_invariance():
         q3, _ = np.linalg.qr(rng.standard_normal((3, 3))
                              + 1j * rng.standard_normal((3, 3)))
         rot = preset_rotated_thermal(q, q3[:, :2], 0.4, 1.2, 0.7, 0.9)
-        assert validate_scenario(rot).ok
         assert generator_deviation(rot, plain) < GEN_TOL
 
 
@@ -317,50 +315,84 @@ def test_rotated_thermal_rejects_bad_mixing():
 
 
 def test_validate_collects_violations():
-    bad = scenario_from_channels(
-        (JumpChannel("neg", "A", SIGMA_MINUS, -1.0),
-         JumpChannel("odd", "B", np.eye(4), 1.0),
-         JumpChannel("where", "C", SIGMA_MINUS, 1.0),
-         JumpChannel("hetless", "A", SIGMA_MINUS, 1.0, het_freq=2.0)),
-        initial=np.array([1.0, 0, 0, 1.0]),
-        h0=np.array([[0, 1j], [1j, 0]]))
-    report = validate_scenario(bad)
-    assert not report.ok
-    text = "\n".join(report.violations)
+    # building a scenario runs every check and raises once, naming them all
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_channels(
+            (JumpChannel("neg", "A", SIGMA_MINUS, -1.0),
+             JumpChannel("odd", "B", np.eye(4), 1.0),
+             JumpChannel("where", "C", SIGMA_MINUS, 1.0),
+             JumpChannel("hetless", "A", SIGMA_MINUS, 1.0, het_freq=2.0)),
+            initial=np.zeros(4),
+            h0=np.array([[0, 1j], [1j, 0]]))
+    text = str(exc.value)
+    assert text.startswith("invalid scenario:")
     assert "neg" in text and "rate" in text
     assert "odd" in text and "shape" in text
     assert "where" in text and "locality" in text
     assert "hetless" in text and "het_freq" in text
-    assert "not normalized" in text
+    assert "initial state is the zero vector" in text
     assert "h0 must be 4x4" in text
-    # an infinite rate (json.loads accepts Infinity) leaves K undiagonalizable;
-    # both problems are reported, not raised
-    with np.errstate(invalid="ignore"):  # inf * 0 in K is the point
-        inf = validate_scenario(scenario_from_channels(
-            (JumpChannel("inf", "A", SIGMA_MINUS, float("inf")),)))
-    text = "\n".join(inf.violations)
-    assert "'inf': rate inf is negative or non-finite" in text
-    assert "could not diagonalize K" in text
-    # so does JSON's NaN or Infinity in a displacement: the field is named,
-    # and K, which it would poison, is not examined
+    # an infinite rate (json.loads accepts Infinity) is named, and K, which
+    # it would poison, is not examined, although the channel rotates unpaired
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_channels((JumpChannel("inf", "A", SIGMA_MINUS,
+                                            float("inf"), shift=0.5,
+                                            het_freq=3.0),))
+    assert "'inf': rate inf is negative or non-finite" in str(exc.value)
+    assert "K" not in str(exc.value)
+    # so is JSON's NaN or Infinity in a displacement
     nan = float("nan")
-    bad = validate_scenario(scenario_from_channels(
-        (JumpChannel("nan-shift", "A", SIGMA_MINUS, 1.0, shift=complex(nan)),
-         JumpChannel("inf-het", "A", SIGMA_MINUS, 1.0, shift=0.5,
-                     het_freq=float("inf")),
-         JumpChannel("nan-het", "B", SIGMA_MINUS, 1.0, shift=0.5,
-                     het_freq=nan))))
-    text = "\n".join(bad.violations)
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_channels(
+            (JumpChannel("nan-shift", "A", SIGMA_MINUS, 1.0, shift=complex(nan)),
+             JumpChannel("inf-het", "A", SIGMA_MINUS, 1.0, shift=0.5,
+                         het_freq=float("inf")),
+             JumpChannel("nan-het", "B", SIGMA_MINUS, 1.0, shift=0.5,
+                         het_freq=nan)))
+    text = str(exc.value)
     assert "'nan-shift': shift (nan+0j) is non-finite" in text
     assert "'inf-het': het_freq inf is non-finite" in text
     assert "'nan-het': het_freq nan is non-finite" in text
     assert "K" not in text
 
 
+def test_every_route_to_a_scenario_checks_it():
+    # the constructor, scenario_from_channels, dataclasses.replace, the
+    # transforms and with_initial all build a Scenario, so all of them check
+    slight = (JumpChannel("m", "A", SIGMA_MINUS, 1.0),
+              JumpChannel("p", "A", SIGMA_PLUS, -1e-7))
+    valid = scenario_from_channels(slight[:1])
+    for build, named in (
+            (lambda: Scenario(np.zeros((4, 4)), slight, bell_state()),
+             "'p': rate -1e-07"),
+            (lambda: scenario_from_channels(slight), "'p': rate -1e-07"),
+            (lambda: replace(valid, channels=slight), "'p': rate -1e-07"),
+            (lambda: with_phase_rotation(valid, np.nan), "non-finite"),
+            (lambda: with_homodyne_shift(valid, np.inf), "'m~p': shift"),
+            (lambda: valid.with_initial([np.nan, 0, 0, 1]), "non-finite"),
+            (lambda: valid.with_initial(np.zeros(4)), "zero vector"),
+            (lambda: valid.with_initial(np.ones(3)), "4 amplitudes")):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            build()
+
+
+def test_rank_one_joint_channels_build_at_any_rate():
+    # K = (gamma/2) J^dag J is positive semidefinite for gamma >= 0, so a
+    # rank-1 joint channel builds at any rate, through the library and a file
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        op = np.outer(u, np.conjugate(v))
+        s = scenario_from_channels((JumpChannel("r1", "joint", op, 1e8),))
+        assert s.k_op.shape == (4, 4)
+        scenario_from_dict({"custom_channels": [{
+            "id": "r1", "locality": "joint", "rate": 1e8,
+            "matrix": [[[z.real, z.imag] for z in row] for row in op]}]})
+
+
 def test_generator_deviation_flags_mismatch():
     s = preset_photon_counting(1.0, 1.0)
     other = preset_photon_counting(1.0, 1.1)
-    assert validate_scenario(other).ok
     assert generator_deviation(other, s) > GEN_TOL
 
 
