@@ -275,7 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_rates)
 
-    sp = sub.add_parser("fit", help="fit a decay rate to a simulate CSV")
+    sp = sub.add_parser(
+        "fit", help="fit a decay rate to a simulate CSV",
+        description="Fit mean_C ~ c0 exp(-rate t) over the leading points "
+        "with mean_C > 5 stderr_C.  rate_stderr treats the grid points as "
+        "independent; they average the same trajectories, so it understates "
+        "the seed-to-seed spread of the rate (about fivefold in the README "
+        "example).")
     sp.add_argument("csv", help="CSV file written by 'simulate'")
     sp.add_argument("--column", default="mean_C")
     sp.add_argument("--out", default=None)

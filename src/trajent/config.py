@@ -13,8 +13,8 @@ A scenario file is a JSON object with up to four keys:
                        heterodyne_frequencies   positive floats
                        phases                   detector phases
     initial_state    four [re, im] amplitude pairs in the {uu,ud,du,dd}
-                     basis; renormalized on load (a deviation larger than
-                     1e-6 triggers a warning)
+                     basis, kept as given and normalized by Scenario.psi0
+                     (a norm off 1 by more than 1e-6 triggers a warning)
     custom_channels  explicit channel list instead of a preset; each entry
                      has id, locality ("A"|"B"|"joint"), matrix (nested
                      [re, im] pairs, 2x2 or 4x4), rate, and optional
@@ -209,7 +209,7 @@ def _from_dict(doc: dict, source: str) -> Scenario:
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"{source}: initial state norm {norm:.8f} differs "
                           "from 1; renormalizing", stacklevel=3)
-        s = s.with_initial(psi / norm)
+        s = s.with_initial(psi)  # Scenario.psi0 normalizes it
     return s
 
 

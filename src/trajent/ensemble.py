@@ -457,6 +457,12 @@ def fit_rate_series(times: np.ndarray, mean_c: np.ndarray,
     (zero stderr) points pinned at the largest finite weight; a fully exact
     series falls back to an ordinary least-squares fit.
 
+    ``rate_stderr`` is the slope's standard error for independent points.
+    The points of an ensemble mean are not independent (each averages the
+    same trajectories), so it understates the seed-to-seed spread of the
+    rate: about fivefold for photon counting at N = 1500, T = 3, 101 points
+    (0.0018 against 0.0085 over seeds 0-19).
+
     Raises
     ------
     FitWindowError

@@ -20,8 +20,16 @@ by exp(-i lambda g), or replaced by its last post-click state if it clicked
 in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
 psi (prec is quadratic); only kept states are normalized.
 
+Product states leave early.  When every channel acts on one qubit and H0 has
+no two-qubit part, every no-click propagator and every click is a product
+F_A (x) F_B, which multiplies the preconcurrence by det F_A det F_B.  So a
+row whose state has a preconcurrence of exactly 0 (a product start state, or
+a click on a rank-one local channel such as sigma_-) keeps C = 0: unless the
+caller keeps states or clicks, it leaves the click loop there, and the
+record fill writes C = 0 at its later points without evolving it.
+
 Reproducibility: the batch kernel returns arrays (record points,
-concurrences, optional states, clicks as (row, time, channel)), which
+concurrences, optional states, optional clicks as (row, time, channel)), which
 `ensemble` turns into records or reduces to moments.  Trajectory k of a run
 with master seed s draws only from its substream `ensemble.trajectory_rng(s,
 k)`, read for the whole call by `ensemble.Substreams`: the first threshold,
@@ -31,13 +39,14 @@ depend on the rows that share its call or on the worker count.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
 
 from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
                        run_records)
-from .entanglement import concurrence_batch
+from .entanglement import concurrence_batch, preconcurrence_batch
 from .errors import ConvergenceError, NumericalError
 from .models import Scenario
 
@@ -120,11 +129,13 @@ def _jump(s: Scenario, psi: np.ndarray, t: np.ndarray,
 
 
 def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
-               w: np.ndarray, w_inv: np.ndarray, keep_states: bool, seed: int,
-               indices) -> tuple:
+               w: np.ndarray, w_inv: np.ndarray, keep_states: bool,
+               keep_clicks: bool, exits: bool, seed: int, indices) -> tuple:
     """Exact waiting-time kernel evolving a batch of trajectories together.
     A row draws only from its own substream, so it does not depend on its
-    batch.  Returns the columns `ensemble.run_batches` takes."""
+    batch.  With ``exits``, a row whose state has a preconcurrence of exactly
+    0 leaves the click loop, and its later record points read C = 0.
+    Returns the columns `ensemble.run_batches` takes."""
     b, g = len(indices), len(times)
 
     draws = Substreams(seed, indices)
@@ -133,6 +144,10 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
     c = np.tile(w_inv @ s.psi0, (b, 1))
     segs = [(act, c, t_last)]
     channels = [np.zeros(0, dtype=int)]  # each round's click channels
+    exit_at = np.full(b, g)  # each row's first record point with C = 0
+    if exits and preconcurrence_batch(s.psi0) == 0.0:
+        exit_at[:] = 0
+        act, c, t_last = act[:0], c[:0], t_last[:0]
     while True:
         more = _norm2(_evolve(c, mlam, w, t_max - t_last)) <= threshold[act]
         act, c, t_last = act[more], c[more], t_last[more]
@@ -145,6 +160,11 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
         at /= np.sqrt(_norm2(at))[:, None]
         after, m = _jump(s, at, t_last, draws.random(act))
         channels.append(m)
+        if exits:
+            product = preconcurrence_batch(after) == 0.0
+            exit_at[act[product]] = np.minimum(
+                np.searchsorted(times, t_last[product]), g - 1)
+            act, after, t_last = (a[~product] for a in (act, after, t_last))
         threshold[act] = draws.random(act)
         c = after @ w_inv.T
         segs.append((act, c, t_last))
@@ -153,52 +173,95 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
     # record point at or after its click (clipped: a click may round past
     # t_max), and is shifted there.  `order` takes a row's segments in click
     # order and keeps the last of those with one `first`, then sorts them by
-    # `first`, the b initial segments leading.  d carries each row's W^-1 psi.
+    # `first`, the b initial segments leading.
     seg_row, seg_c, seg_t = map(np.concatenate, zip(*segs))
     del segs  # freed, and the outputs taken before the sort: a lower peak
-    conc = np.empty((b, g))
+    conc = np.zeros((b, g))
     states = np.empty((b, g, 4), dtype=complex) if keep_states else None
     ids = np.array([ch.id for ch in s.channels], dtype=object)
-    clicks = seg_row[b:], seg_t[b:], ids[np.concatenate(channels)]
+    clicks = (seg_row[b:], seg_t[b:], ids[np.concatenate(channels)]) \
+        if keep_clicks else None
+    small = np.min_scalar_type(g)  # radix sorts on a small dtype
     first = np.minimum(np.searchsorted(times, seg_t), g - 1)
     order = np.argsort(seg_row, kind="stable")
     order = order[np.append(np.diff((first * b + seg_row)[order]) != 0, True)]
-    order = order[np.argsort(first[order].astype(np.min_scalar_type(g)),
-                             kind="stable")]  # radix sort on a small dtype
+    order = order[np.argsort(first[order].astype(small), kind="stable")]
     seg_c *= np.exp(np.outer(times[first] - seg_t, mlam))
     start = np.searchsorted(first[order], np.arange(g + 1))  # by point
-    d, hop = seg_c[order[:b]], np.exp(times[1] * mlam)  # times[k] = k * grid
+    # `rank` lists the rows by exit point, latest first, so the rows still
+    # simulated at point k are its first live[k]; d carries their W^-1 psi
+    # in that order, and a row's later points keep C = 0 once it leaves.
+    rank = np.argsort((g - exit_at).astype(small), kind="stable")
+    pos = np.empty(b, dtype=int)
+    pos[rank] = np.arange(b)
+    live = b - np.cumsum(np.bincount(exit_at, minlength=g + 1))
+    d, hop = seg_c[order[:b]][rank], np.exp(times[1] * mlam)  # times[k] = k g
     for k in range(g):
+        n = live[k]
+        if not n:
+            break
         j = order[start[k]:start[k + 1]]
-        d[seg_row[j]] = seg_c[j]
-        psi = d @ w.T
+        d[pos[seg_row[j]]] = seg_c[j]
+        psi = d[:n] @ w.T
         n2 = _norm2(psi)
-        np.divide(concurrence_batch(psi), n2, out=conc[:, k])
-        if keep_states:
+        conc[rank[:n], k] = concurrence_batch(psi) / n2
+        if keep_states:  # no row leaves, so rank is the identity
             np.divide(psi, np.sqrt(n2)[:, None], out=states[:, k])
-        d *= hop
+        d[:n] *= hop
     return times, conc, states, clicks
 
 
+def _local(s: Scenario) -> bool:
+    """Every channel acts on one qubit and H0 = H_A (x) 1 + 1 (x) H_B exactly.
+
+    Then every no-click propagator and every click is a product F_A (x) F_B,
+    which multiplies the preconcurrence by det F_A det F_B, so a state with
+    preconcurrence 0 keeps it.  H0 passes when its off-diagonal 2x2 blocks
+    (indexed by qubit A) and the difference of its diagonal blocks are
+    multiples of the identity; the one sum this takes is exact (`math.fsum`
+    of four entries is 0 only if their exact sum is), and H0 = 0 passes.
+    """
+    if any(ch.locality == "joint" for ch in s.channels):
+        return False
+    for part in (s.h0.real, s.h0.imag):
+        blk = part.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blk[i, j]: <i.|H0|j.>
+        top, bottom = blk[0, 0], blk[1, 1]
+        if not (all(m[0, 1] == m[1, 0] == 0 and m[0, 0] == m[1, 1]
+                    for m in (blk[0, 1], blk[1, 0]))
+                and top[0, 1] == bottom[0, 1] and top[1, 0] == bottom[1, 0]
+                and math.fsum((top[0, 0], -top[1, 1], -bottom[0, 0],
+                               bottom[1, 1])) == 0.0):
+            return False
+    return True
+
+
 def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
-                 keep_states: bool = False):
+                 keep_states: bool = False, keep_clicks: bool = False):
     """The engine as a picklable ``kernel(seed, indices)`` for `ensemble`;
-    every check runs here, once, before any kernel call."""
+    every check runs here, once, before any kernel call.
+
+    The kernel returns the clicks only with ``keep_clicks`` (None otherwise).
+    When it keeps neither states nor clicks and the dynamics are local
+    (`_local`), a row leaves the click loop as soon as its state is a product
+    (preconcurrence exactly 0): its later record points read C = 0 and its
+    later clicks are not sampled.
+    """
     times = record_times(t_max, record_grid)
     lam, w = np.linalg.eig(s.h_eff)
     if np.linalg.cond(w) > 1e8:
         raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
                              "do not give a stable no-click propagator")
+    exits = not (keep_states or keep_clicks) and _local(s)
     return partial(_run_batch, s, t_max, times, -1j * lam, w,
-                   np.linalg.inv(w), keep_states)
+                   np.linalg.inv(w), keep_states, keep_clicks, exits)
 
 
 def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,
                    record_grid: float | None = None,
                    keep_states: bool = False) -> TrajectoryRecord:
     """Single trajectory, deterministic for a given (seed, index)."""
-    return run_one(batch_kernel(s, t_max, record_grid, keep_states), seed,
-                   index)
+    return run_one(batch_kernel(s, t_max, record_grid, keep_states,
+                                keep_clicks=True), seed, index)
 
 
 def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
@@ -206,5 +269,5 @@ def run_ensemble(s: Scenario, t_max: float, n_traj: int, seed: int = 0,
                  workers: int = 1) -> list[TrajectoryRecord]:
     """Ensemble of trajectories with per-trajectory substreams; the records
     are identical for any ``workers`` value (`run_batches`)."""
-    return run_records(batch_kernel(s, t_max, record_grid, keep_states),
-                       seed, n_traj, workers)
+    return run_records(batch_kernel(s, t_max, record_grid, keep_states,
+                                    keep_clicks=True), seed, n_traj, workers)

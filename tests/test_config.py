@@ -72,8 +72,11 @@ def test_initial_state_parsing():
     }
     with pytest.warns(UserWarning):  # norm sqrt(5) input is renormalized
         s = scenario_from_dict(doc)
+    # the file's vector is kept as given; psi0, the start state of every
+    # engine, is its one normalized copy
+    assert np.array_equal(s.initial, [0, 1, -2j, 0])
     want = np.array([0, 1, -2j, 0]) / np.sqrt(5)
-    assert np.max(np.abs(s.initial - want)) < 1e-12
+    assert np.max(np.abs(s.psi0 - want)) < 1e-12
 
     bad = dict(doc, initial_state=[[0, 0]] * 3)
     with pytest.raises(ConfigError, match="4"):
@@ -91,7 +94,8 @@ def test_initial_state_renormalization_warns():
     }
     with pytest.warns(UserWarning, match="renormalizing"):
         s = scenario_from_dict(doc)
-    assert abs(np.linalg.norm(s.initial) - 1.0) < 1e-12
+    assert np.array_equal(s.initial, [1.01, 0, 0, 0])
+    assert abs(np.linalg.norm(s.psi0) - 1.0) < 1e-12
 
 
 def test_transforms_applied_in_order():

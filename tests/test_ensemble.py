@@ -13,6 +13,7 @@ from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
                               run_average, run_records, trajectory_rng)
+from trajent.config import load_scenario
 from trajent.errors import FitWindowError
 from trajent.models import preset_photon_counting
 from trajent.quantum_jump import batch_kernel, run_ensemble
@@ -78,11 +79,17 @@ def test_average_rejects_bad_input():
 
 
 def _engines(keep_states=False):
-    """Each engine's kernel and its records path, on the same scenario."""
+    """Each engine's kernel and its records path, on the same scenario; the
+    streamed jump kernels let product rows leave the click loop (photon
+    counting and thermal_bell), the records keep every click."""
     s = preset_photon_counting(1.0, 0.6)
+    thermal = load_scenario("thermal_bell")
     return {
         "qj": (batch_kernel(s, 1.0, 0.05, keep_states),
                lambda n: run_ensemble(s, 1.0, n, seed=17, record_grid=0.05)),
+        "qj-thermal": (batch_kernel(thermal, 1.0, 0.05, keep_states),
+                       lambda n: run_ensemble(thermal, 1.0, n, seed=17,
+                                              record_grid=0.05)),
         "qsd": (batch_kernel_qsd("heterodyne", s, 1.0, 0.005, 0.05,
                                  keep_states),
                 lambda n: run_ensemble_qsd("heterodyne", s, 1.0, n, dt=0.005,
@@ -90,7 +97,7 @@ def _engines(keep_states=False):
     }
 
 
-@pytest.mark.parametrize("engine", ["qj", "qsd"])
+@pytest.mark.parametrize("engine", ["qj", "qj-thermal", "qsd"])
 def test_streamed_average_equals_average_of_records(engine):
     # 1100 trajectories are batches of 512, 512 and 76; `average` reduces
     # the records in the same blocks, by the same formula and merge order
@@ -113,7 +120,7 @@ def test_streamed_average_equals_average_of_records(engine):
     assert np.all(got.stderr == 0.0)                       # n == 1
 
 
-@pytest.mark.parametrize("engine", ["qj", "qsd"])
+@pytest.mark.parametrize("engine", ["qj", "qj-thermal", "qsd"])
 def test_streamed_average_keeps_the_empirical_density(engine):
     # a kernel that keeps states: each batch also reduces to its projector
     # sum, so `run_average` gives empirical_rho with no records, bit for bit

@@ -1,6 +1,7 @@
 """Jump unraveling engine: draws, determinism, batching, physics checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -384,20 +385,25 @@ def test_click_times_match_gathered_search():
 def test_kernel_scratch_memory_flat_in_grid():
     # the record fill carries each row's state from point to point, so the
     # kernel's scratch memory (the peak less what it returns) does not grow
-    # with the number of record points G
+    # with the number of record points G, with and without the click columns
+    # (without them, rows leave the click loop once they are product states)
     s = load_scenario(bundled_scenario_path("thermal_bell"))
-    scratch = []
-    for grid in (0.03, 0.0075):  # G = 101 and 401
-        kernel = quantum_jump.batch_kernel(s, 3.0, grid)
-        tracemalloc.start()
-        try:
-            out = kernel(89, np.arange(4096))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        times, conc, _, clicks = out
-        scratch.append(peak - sum(a.nbytes for a in (times, conc, *clicks)))
-    assert scratch[1] <= 1.2 * scratch[0]
+    for keep_clicks in (True, False):
+        scratch = []
+        for grid in (0.03, 0.0075):  # G = 101 and 401
+            kernel = quantum_jump.batch_kernel(s, 3.0, grid,
+                                               keep_clicks=keep_clicks)
+            tracemalloc.start()
+            try:
+                out = kernel(89, np.arange(4096))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            times, conc, _, clicks = out
+            assert (clicks is not None) == keep_clicks
+            scratch.append(peak - sum(a.nbytes for a in
+                                      (times, conc, *(clicks or ()))))
+        assert scratch[1] <= 1.2 * scratch[0], keep_clicks
 
 
 def test_click_rounds_and_long_horizons(monkeypatch):
@@ -431,3 +437,82 @@ def test_click_rounds_and_long_horizons(monkeypatch):
             assert np.max(np.abs(r.concurrences - want)) < 1e-12
     # the no-click fraction is S(inf) = 1/2: 100 +/- 7 rows, bound 7 sigma
     assert 50 < silent < 150
+
+
+def _search_rows(monkeypatch):
+    """Record the number of rows each click-time search is given."""
+    rows = []
+    search = quantum_jump._click_delay
+    monkeypatch.setattr(quantum_jump, "_click_delay",
+                        lambda c, *a: rows.append(len(c)) or search(c, *a))
+    return rows
+
+
+def test_product_rows_leave_the_click_loop(monkeypatch):
+    # thermal_bell: every channel is a rank-one local operator, so the first
+    # click leaves a product state.  Without click columns a row is searched
+    # at most once, and the concurrences equal those of the kernel that keeps
+    # the clicks bit for bit (its product states are basis states, C = 0
+    # exactly)
+    s = load_scenario(bundled_scenario_path("thermal_bell"))
+    rows = _search_rows(monkeypatch)
+    full = quantum_jump.batch_kernel(s, 3.0, 0.03, keep_clicks=True)(
+        13, np.arange(1000))
+    n_clicks = len(full[3][0])
+    assert sum(rows) == n_clicks > 3000
+    rows.clear()
+    lean = quantum_jump.batch_kernel(s, 3.0, 0.03)(13, np.arange(1000))
+    assert len(rows) == 1 and rows[0] <= 1000
+    assert lean[2] is None and lean[3] is None
+    assert np.array_equal(lean[0], full[0])
+    assert np.array_equal(lean[1], full[1])
+
+
+def test_exit_needs_local_dynamics():
+    # a joint channel, or an H0 with a two-qubit part, may entangle a product
+    # state again: such kernels sample every click with or without the click
+    # columns, and give the same arrays either way
+    thermal = load_scenario(bundled_scenario_path("thermal_bell"))
+    zz, xx = (scenario_from_channels(thermal.channels,
+                                     h0=0.4 * np.kron(op, op))
+              for op in (np.diag([1, -1]), SIGMA_X))
+    for s in (load_scenario(bundled_scenario_path("common_bath_revival")),
+              zz, xx):
+        assert not quantum_jump._local(s)
+        a = quantum_jump.batch_kernel(s, 3.0, 0.05)(19, np.arange(300))
+        b = quantum_jump.batch_kernel(s, 3.0, 0.05, keep_clicks=True)(
+            19, np.arange(300))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert a[3] is None and len(b[3][0]) > 0
+    # local Hamiltonians, as local_hamiltonian builds them, pass
+    for h0 in (np.zeros((4, 4)), local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X),
+               local_hamiltonian(None, SIGMA_MINUS + SIGMA_MINUS.T)):
+        s = scenario_from_channels(thermal.channels, h0=h0)
+        assert quantum_jump._local(s)
+
+
+def test_product_start_state_needs_no_search(monkeypatch):
+    # a product start state under local dynamics stays a product: C = 0 at
+    # every point, and no click time is searched
+    rows = _search_rows(monkeypatch)
+    for s in (preset_photon_counting(1.0, 0.5, initial=UU),
+              load_scenario(bundled_scenario_path("thermal_bell"))
+              .with_initial(state_from_amplitudes(0.6, 0.8j, 0, 0))):
+        summary = ensemble.run_average(quantum_jump.batch_kernel(s, 2.0),
+                                       3, 700, 1)
+        assert np.all(summary.mean_c == 0.0)
+        assert np.all(summary.stderr == 0.0)
+    assert rows == []
+
+
+def test_long_horizon_exits_stay_finite():
+    # a product row is not evolved after it leaves: at t_max = 400 its
+    # no-click norm would underflow, and C = 0/0 would be NaN
+    s = load_scenario(bundled_scenario_path("thermal_bell"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = ensemble.run_average(quantum_jump.batch_kernel(s, 400.0, 4.0),
+                                       5, 512, 1)
+    assert np.all(np.isfinite(summary.mean_c))
+    assert np.all(np.isfinite(summary.stderr))
+    assert summary.mean_c[-1] == 0.0
