@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from trajent import ensemble
+from trajent.config import load_scenario
 from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
                               run_average, run_records, trajectory_rng)
-from trajent.config import load_scenario
 from trajent.errors import FitWindowError
 from trajent.models import preset_photon_counting
 from trajent.quantum_jump import batch_kernel, run_ensemble
