@@ -20,8 +20,9 @@ per-batch step runs where the call is computed.  There are two steps:
   memory is one kernel call, O(4096 G), per process).
 `average` and `empirical_density` stack records 512 at a time, as the batches
 are, and reduce and merge them the same way, so `average(run_records(...))`
-is `run_average(...)` bit for bit, and their memory does not grow with N
-beyond the records.  Trajectory k of a run with master seed s draws only from
+is `run_average(...)` bit for bit (the jump engine's records keep clicks and
+its streamed kernel does not; their concurrences agree bit for bit too), and
+their memory does not grow with N beyond the records.  Trajectory k of a run with master seed s draws only from
 its own substream, and batches are merged in a fixed order, so records and
 summaries are identical for any worker count and bit-stable for a given
 (seed, n_traj).

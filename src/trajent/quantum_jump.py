@@ -20,13 +20,16 @@ by exp(-i lambda g), or replaced by its last post-click state if it clicked
 in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
 psi (prec is quadratic); only kept states are normalized.
 
-Product states leave early.  When every channel acts on one qubit and H0 has
-no two-qubit part, every no-click propagator and every click is a product
-F_A (x) F_B, which multiplies the preconcurrence by det F_A det F_B.  So a
-row whose state has a preconcurrence of exactly 0 (a product start state, or
-a click on a rank-one local channel such as sigma_-) keeps C = 0: unless the
-caller keeps states or clicks, it leaves the click loop there, and the
-record fill writes C = 0 at its later points without evolving it.
+Product states leave early.  A row with one qubit in a basis state (a zero
+amplitude in each of the pairs uu, dd and ud, du) has a preconcurrence of
+exactly 0, and it keeps one when the scenario keeps zero amplitudes zero:
+H_eff is diagonal, and every channel is static, acts on one qubit and maps
+each basis state to a multiple of one (sigma_-, sigma_+, sigma_z).  The
+kernel's own arithmetic then computes C = 0 exactly at every later point,
+so unless the caller keeps states or clicks, such a row leaves the click
+loop, and the record fill writes C = 0 at its later points without evolving
+it: the same concurrences, bit for bit, as a kernel that samples every
+click.
 
 Reproducibility: the batch kernel returns arrays (record points,
 concurrences, optional states, optional clicks as (row, time, channel)), which
@@ -39,14 +42,13 @@ depend on the rows that share its call or on the worker count.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
 
 from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
                        run_records)
-from .entanglement import concurrence_batch, preconcurrence_batch
+from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
 from .models import Scenario
 
@@ -128,13 +130,32 @@ def _jump(s: Scenario, psi: np.ndarray, t: np.ndarray,
     return after / norm[:, None], m
 
 
+def _pinned(psi: np.ndarray) -> np.ndarray:
+    """Rows with one qubit in a basis state: a zero amplitude in each of the
+    pairs (uu, dd) and (ud, du), so both products of prec are exactly 0."""
+    z = psi == 0.0
+    return (z[..., 0] | z[..., 3]) & (z[..., 1] | z[..., 2])
+
+
+def _keeps_zeros(s: Scenario, w: np.ndarray, w_inv: np.ndarray) -> bool:
+    """Whether every step of the kernel keeps a zero amplitude exactly 0 and
+    a `_pinned` row pinned: W and W^-1 (so H_eff diagonal) and every lifted
+    channel operator have at most one nonzero per column, and no channel is
+    joint (a CNOT would entangle) or rotating (only its t = 0 operator is
+    in `lifted_ops`)."""
+    return (not s.time_dependent
+            and all(ch.locality != "joint" for ch in s.channels)
+            and all((np.count_nonzero(m, axis=-2) <= 1).all()
+                    for m in (w, w_inv, s.lifted_ops)))
+
+
 def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
                w: np.ndarray, w_inv: np.ndarray, keep_states: bool,
                keep_clicks: bool, exits: bool, seed: int, indices) -> tuple:
     """Exact waiting-time kernel evolving a batch of trajectories together.
     A row draws only from its own substream, so it does not depend on its
-    batch.  With ``exits``, a row whose state has a preconcurrence of exactly
-    0 leaves the click loop, and its later record points read C = 0.
+    batch.  With ``exits``, a `_pinned` row leaves the click loop, and its
+    later record points read C = 0.
     Returns the columns `ensemble.run_batches` takes."""
     b, g = len(indices), len(times)
 
@@ -145,7 +166,7 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
     segs = [(act, c, t_last)]
     channels = [np.zeros(0, dtype=int)]  # each round's click channels
     exit_at = np.full(b, g)  # each row's first record point with C = 0
-    if exits and preconcurrence_batch(s.psi0) == 0.0:
+    if exits and _pinned(s.psi0):
         exit_at[:] = 0
         act, c, t_last = act[:0], c[:0], t_last[:0]
     while True:
@@ -161,7 +182,7 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
         after, m = _jump(s, at, t_last, draws.random(act))
         channels.append(m)
         if exits:
-            product = preconcurrence_batch(after) == 0.0
+            product = _pinned(after)
             exit_at[act[product]] = np.minimum(
                 np.searchsorted(times, t_last[product]), g - 1)
             act, after, t_last = (a[~product] for a in (act, after, t_last))
@@ -189,50 +210,31 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
     seg_c *= np.exp(np.outer(times[first] - seg_t, mlam))
     start = np.searchsorted(first[order], np.arange(g + 1))  # by point
     # `rank` lists the rows by exit point, latest first, so the rows still
-    # simulated at point k are its first live[k]; d carries their W^-1 psi
-    # in that order, and a row's later points keep C = 0 once it leaves.
+    # simulated at point k are its first live[k]; d carries their W^-1 psi,
+    # and conc their concurrences, in that order until the fill ends, and a
+    # row's later points keep C = 0 once it leaves.
     rank = np.argsort((g - exit_at).astype(small), kind="stable")
     pos = np.empty(b, dtype=int)
     pos[rank] = np.arange(b)
     live = b - np.cumsum(np.bincount(exit_at, minlength=g + 1))
-    d, hop = seg_c[order[:b]][rank], np.exp(times[1] * mlam)  # times[k] = k g
+    slot, d = pos[seg_row], seg_c[order[:b]][rank]
+    hop = np.exp(times[1] * mlam)  # times[k] = k g
     for k in range(g):
         n = live[k]
         if not n:
             break
         j = order[start[k]:start[k + 1]]
-        d[pos[seg_row[j]]] = seg_c[j]
+        d[slot[j]] = seg_c[j]
         psi = d[:n] @ w.T
         n2 = _norm2(psi)
-        conc[rank[:n], k] = concurrence_batch(psi) / n2
+        np.divide(concurrence_batch(psi), n2, out=conc[:n, k])
         if keep_states:  # no row leaves, so rank is the identity
             np.divide(psi, np.sqrt(n2)[:, None], out=states[:, k])
         d[:n] *= hop
+    if exits:  # back to row order, 64 points at a time: no (B, G) copy
+        for k in range(0, g, 64):
+            conc[:, k:k + 64] = conc[pos, k:k + 64]
     return times, conc, states, clicks
-
-
-def _local(s: Scenario) -> bool:
-    """Every channel acts on one qubit and H0 = H_A (x) 1 + 1 (x) H_B exactly.
-
-    Then every no-click propagator and every click is a product F_A (x) F_B,
-    which multiplies the preconcurrence by det F_A det F_B, so a state with
-    preconcurrence 0 keeps it.  H0 passes when its off-diagonal 2x2 blocks
-    (indexed by qubit A) and the difference of its diagonal blocks are
-    multiples of the identity; the one sum this takes is exact (`math.fsum`
-    of four entries is 0 only if their exact sum is), and H0 = 0 passes.
-    """
-    if any(ch.locality == "joint" for ch in s.channels):
-        return False
-    for part in (s.h0.real, s.h0.imag):
-        blk = part.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blk[i, j]: <i.|H0|j.>
-        top, bottom = blk[0, 0], blk[1, 1]
-        if not (all(m[0, 1] == m[1, 0] == 0 and m[0, 0] == m[1, 1]
-                    for m in (blk[0, 1], blk[1, 0]))
-                and top[0, 1] == bottom[0, 1] and top[1, 0] == bottom[1, 0]
-                and math.fsum((top[0, 0], -top[1, 1], -bottom[0, 0],
-                               bottom[1, 1])) == 0.0):
-            return False
-    return True
 
 
 def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
@@ -241,19 +243,21 @@ def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
     every check runs here, once, before any kernel call.
 
     The kernel returns the clicks only with ``keep_clicks`` (None otherwise).
-    When it keeps neither states nor clicks and the dynamics are local
-    (`_local`), a row leaves the click loop as soon as its state is a product
-    (preconcurrence exactly 0): its later record points read C = 0 and its
-    later clicks are not sampled.
+    When it keeps neither states nor clicks and the scenario keeps zero
+    amplitudes zero (`_keeps_zeros`), a row leaves the click loop as soon as
+    one of its qubits is in a basis state (`_pinned`): its later record
+    points read C = 0, as the records' own do, and its later clicks are not
+    sampled.
     """
     times = record_times(t_max, record_grid)
     lam, w = np.linalg.eig(s.h_eff)
     if np.linalg.cond(w) > 1e8:
         raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
                              "do not give a stable no-click propagator")
-    exits = not (keep_states or keep_clicks) and _local(s)
-    return partial(_run_batch, s, t_max, times, -1j * lam, w,
-                   np.linalg.inv(w), keep_states, keep_clicks, exits)
+    w_inv = np.linalg.inv(w)
+    exits = not (keep_states or keep_clicks) and _keeps_zeros(s, w, w_inv)
+    return partial(_run_batch, s, t_max, times, -1j * lam, w, w_inv,
+                   keep_states, keep_clicks, exits)
 
 
 def run_trajectory(s: Scenario, t_max: float, seed: int = 0, index: int = 0,

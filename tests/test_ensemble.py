@@ -15,7 +15,9 @@ from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
                               run_average, run_records, trajectory_rng)
 from trajent.errors import FitWindowError
-from trajent.models import preset_photon_counting
+from trajent.linalg import SIGMA_MINUS
+from trajent.models import (JumpChannel, bell_state, preset_photon_counting,
+                            scenario_from_channels)
 from trajent.quantum_jump import batch_kernel, run_ensemble
 
 
@@ -80,16 +82,26 @@ def test_average_rejects_bad_input():
 
 def _engines(keep_states=False):
     """Each engine's kernel and its records path, on the same scenario; the
-    streamed jump kernels let product rows leave the click loop (photon
-    counting and thermal_bell), the records keep every click."""
+    streamed jump kernels let rows with a qubit in a basis state leave the
+    click loop (photon counting and thermal_bell), the records keep every
+    click.  The rank-one channel |u><+| leaves such states too, but its
+    H_eff is not diagonal, so its later records are not exactly 0 and its
+    rows stay."""
     s = preset_photon_counting(1.0, 0.6)
     thermal = load_scenario("thermal_bell")
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    rank_one = scenario_from_channels(
+        (JumpChannel("u+", "A", np.outer([1.0, 0.0], plus), 1.0),
+         JumpChannel("d", "B", SIGMA_MINUS, 0.7)), bell_state())
     return {
         "qj": (batch_kernel(s, 1.0, 0.05, keep_states),
                lambda n: run_ensemble(s, 1.0, n, seed=17, record_grid=0.05)),
         "qj-thermal": (batch_kernel(thermal, 1.0, 0.05, keep_states),
                        lambda n: run_ensemble(thermal, 1.0, n, seed=17,
                                               record_grid=0.05)),
+        "qj-rank-one": (batch_kernel(rank_one, 1.0, 0.05, keep_states),
+                        lambda n: run_ensemble(rank_one, 1.0, n, seed=17,
+                                               record_grid=0.05)),
         "qsd": (batch_kernel_qsd("heterodyne", s, 1.0, 0.005, 0.05,
                                  keep_states),
                 lambda n: run_ensemble_qsd("heterodyne", s, 1.0, n, dt=0.005,
@@ -97,7 +109,7 @@ def _engines(keep_states=False):
     }
 
 
-@pytest.mark.parametrize("engine", ["qj", "qj-thermal", "qsd"])
+@pytest.mark.parametrize("engine", ["qj", "qj-thermal", "qj-rank-one", "qsd"])
 def test_streamed_average_equals_average_of_records(engine):
     # 1100 trajectories are batches of 512, 512 and 76; `average` reduces
     # the records in the same blocks, by the same formula and merge order

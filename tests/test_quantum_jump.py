@@ -18,7 +18,7 @@ from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
                             preset_photon_counting, scenario_from_channels,
                             state_from_amplitudes, with_heterodyne,
                             with_homodyne_shift)
-from trajent.linalg import SIGMA_MINUS, SIGMA_X
+from trajent.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from trajent.quantum_jump import run_ensemble, run_trajectory
 from trajent.rates import analytic_mean_concurrence
 
@@ -449,8 +449,8 @@ def _search_rows(monkeypatch):
 
 
 def test_product_rows_leave_the_click_loop(monkeypatch):
-    # thermal_bell: every channel is a rank-one local operator, so the first
-    # click leaves a product state.  Without click columns a row is searched
+    # thermal_bell: every channel is sigma_- or sigma_+ on one qubit, so the
+    # first click leaves a qubit in a basis state.  Without click columns a row is searched
     # at most once, and the concurrences equal those of the kernel that keeps
     # the clicks bit for bit (its product states are basis states, C = 0
     # exactly)
@@ -468,32 +468,41 @@ def test_product_rows_leave_the_click_loop(monkeypatch):
     assert np.array_equal(lean[1], full[1])
 
 
-def test_exit_needs_local_dynamics():
-    # a joint channel, or an H0 with a two-qubit part, may entangle a product
-    # state again: such kernels sample every click with or without the click
-    # columns, and give the same arrays either way
+def test_exit_only_where_records_read_exact_zero(monkeypatch):
+    # a row leaves only where the kernel that samples every click computes
+    # C = 0 exactly at its later points, so the arrays with and without the
+    # click columns are the same either way.  Not where a joint channel or a
+    # non-diagonal H_eff (sigma_x (x) sigma_x, a driven local pair, or H0 = 0
+    # with the rank-one channel |u><+| on A) may leave a product state with
+    # a rounding residue; but a diagonal H0, even sigma_z (x) sigma_z, keeps
+    # a basis-state qubit in its basis state
     thermal = load_scenario(bundled_scenario_path("thermal_bell"))
-    zz, xx = (scenario_from_channels(thermal.channels,
-                                     h0=0.4 * np.kron(op, op))
-              for op in (np.diag([1, -1]), SIGMA_X))
-    for s in (load_scenario(bundled_scenario_path("common_bath_revival")),
-              zz, xx):
-        assert not quantum_jump._local(s)
+    zz, xx, driven = (scenario_from_channels(thermal.channels, h0=h0)
+                      for h0 in (0.4 * np.kron(SIGMA_Z, SIGMA_Z),
+                                 0.4 * np.kron(SIGMA_X, SIGMA_X),
+                                 local_hamiltonian(1.5 * SIGMA_X,
+                                                   0.7 * SIGMA_X)))
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    rank_one = scenario_from_channels(
+        (JumpChannel("u+", "A", np.outer([1.0, 0.0], plus), 1.0),
+         JumpChannel("d", "B", SIGMA_MINUS, 0.7)), bell_state())
+    rows = _search_rows(monkeypatch)
+    for s, exits in ((load_scenario(bundled_scenario_path(
+            "common_bath_revival")), False), (xx, False), (driven, False),
+            (rank_one, False), (thermal, True), (zz, True)):
+        rows.clear()
         a = quantum_jump.batch_kernel(s, 3.0, 0.05)(19, np.arange(300))
+        searched = sum(rows)
         b = quantum_jump.batch_kernel(s, 3.0, 0.05, keep_clicks=True)(
             19, np.arange(300))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert a[3] is None and len(b[3][0]) > 0
-    # local Hamiltonians, as local_hamiltonian builds them, pass
-    for h0 in (np.zeros((4, 4)), local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X),
-               local_hamiltonian(None, SIGMA_MINUS + SIGMA_MINUS.T)):
-        s = scenario_from_channels(thermal.channels, h0=h0)
-        assert quantum_jump._local(s)
+        assert a[3] is None and len(b[3][0]) == sum(rows) - searched
+        assert (searched < len(b[3][0])) == exits
 
 
 def test_product_start_state_needs_no_search(monkeypatch):
-    # a product start state under local dynamics stays a product: C = 0 at
-    # every point, and no click time is searched
+    # a start state with a qubit in a basis state keeps it under these
+    # dynamics: C = 0 at every point, and no click time is searched
     rows = _search_rows(monkeypatch)
     for s in (preset_photon_counting(1.0, 0.5, initial=UU),
               load_scenario(bundled_scenario_path("thermal_bell"))
