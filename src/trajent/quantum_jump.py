@@ -210,9 +210,8 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
     seg_c *= np.exp(np.outer(times[first] - seg_t, mlam))
     start = np.searchsorted(first[order], np.arange(g + 1))  # by point
     # `rank` lists the rows by exit point, latest first, so the rows still
-    # simulated at point k are its first live[k]; d carries their W^-1 psi,
-    # and conc their concurrences, in that order until the fill ends, and a
-    # row's later points keep C = 0 once it leaves.
+    # simulated at point k are its first live[k]; d carries their W^-1 psi
+    # in that order, and a row's later points keep C = 0 once it leaves.
     rank = np.argsort((g - exit_at).astype(small), kind="stable")
     pos = np.empty(b, dtype=int)
     pos[rank] = np.arange(b)
@@ -227,13 +226,13 @@ def _run_batch(s: Scenario, t_max: float, times: np.ndarray, mlam: np.ndarray,
         d[slot[j]] = seg_c[j]
         psi = d[:n] @ w.T
         n2 = _norm2(psi)
-        np.divide(concurrence_batch(psi), n2, out=conc[:n, k])
+        if exits:  # rank is not the identity
+            conc[rank[:n], k] = concurrence_batch(psi) / n2
+        else:
+            np.divide(concurrence_batch(psi), n2, out=conc[:, k])
         if keep_states:  # no row leaves, so rank is the identity
             np.divide(psi, np.sqrt(n2)[:, None], out=states[:, k])
         d[:n] *= hop
-    if exits:  # back to row order, 64 points at a time: no (B, G) copy
-        for k in range(0, g, 64):
-            conc[:, k:k + 64] = conc[pos, k:k + 64]
     return times, conc, states, clicks
 
 
