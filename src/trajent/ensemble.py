@@ -3,7 +3,7 @@
 `run_batches` runs a batch kernel, a pure array function, over trajectories
 0..N-1, split over processes if asked: the calling process computes every
 workers-th kernel call and a pool of workers - 1 processes the others, so
-only their arrays cross a pipe.  A kernel call covers up to 4096 rows (8
+only their arrays cross a pipe.  A kernel call covers up to 3584 rows (7
 batches; a worker's share if that is less), and its arrays are cut into
 fixed 512-row batches, the unit of steps, merge order and progress.  A
 per-batch step runs where the call is computed.  There are two steps:
@@ -17,7 +17,7 @@ per-batch step runs where the call is computed.  There are two steps:
   concurrences, and, if the kernel kept states, the projector sum
   sum_k |psi_k><psi_k|.  It merges them in batch order by the Chan-Golub-
   LeVeque update into the `EnsembleSummary`, with no records (the CLI path;
-  memory is one kernel call, O(4096 G), per process).
+  memory is one kernel call, O(3584 G), per process).
 `average` and `empirical_density` stack records 512 at a time, as the batches
 are, and reduce and merge them the same way, so `average(run_records(...))`
 is `run_average(...)` bit for bit (the jump engine's records keep clicks and
@@ -56,7 +56,14 @@ __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
 _BATCH = 512  # rows per batch: the unit of steps, merges and progress
-_CALL_ROWS = 8 * _BATCH  # rows per kernel call at most
+# Rows per kernel call at most.  The jump kernel's products are all
+# (<= _CALL_ROWS, 4) @ (4, 4), so each stays under 65,536 multiply-adds, the
+# size from which numpy's OpenBLAS hands a complex GEMM to its thread pool.
+# Two processes on two CPUs each timing one product: 0.09-3.8 ms at 4096
+# rows, 50-100 us at 4095 or 3584; `run_average` of 16,384 thermal_bell
+# rows with keep_clicks and two workers: 0.4-2.0 s at 4096-row calls,
+# 0.22-0.29 s at 3584 (2-CPU Xeon, OpenBLAS 0.3.31).
+_CALL_ROWS = 7 * _BATCH
 
 log = logging.getLogger("trajent")
 

@@ -55,8 +55,13 @@ def concurrence_pure(psi: np.ndarray) -> float:
 
 
 def concurrence_batch(states: np.ndarray) -> np.ndarray:
-    """Concurrences of a stack of normalized states, shape (..., 4)."""
-    return np.abs(preconcurrence_batch(states))
+    """Concurrences of a stack of normalized states, shape (..., 4).
+
+    The modulus of prec read without its conjugation (|conj z| = |z|), so
+    bit for bit |`preconcurrence_batch`|.
+    """
+    c = np.asarray(states, dtype=complex)
+    return np.abs(2.0 * (c[..., 1] * c[..., 2] - c[..., 0] * c[..., 3]))
 
 
 def eof_from_concurrence(c: float) -> float:

@@ -193,10 +193,13 @@ class Scenario:
     def jump_amplitudes(self, psi: np.ndarray, t: np.ndarray) -> np.ndarray:
         """J_m(t_b) psi_b for rows psi (B, 4) at times t (B,); shape (B, M, 4).
 
-        A rotating displacement alpha e^{i Omega t} differs from its value at
-        t = 0 by alpha (e^{i Omega t} - 1) times the identity.
+        One (B, 4) @ (4, 4) product per channel.  A rotating displacement
+        alpha e^{i Omega t} differs from its value at t = 0 by
+        alpha (e^{i Omega t} - 1) times the identity.
         """
-        out = np.einsum("mij,bj->bmi", self.lifted_ops, psi)
+        out = np.empty((len(psi), len(self.channels), 4), dtype=complex)
+        for m, op in enumerate(self.lifted_ops):
+            np.matmul(psi, op.T, out=out[:, m])
         if self.time_dependent:
             alpha = np.array([ch.shift_at(0.0) for ch in self.channels])
             omega = np.array([ch.het_freq or 0.0 for ch in self.channels])

@@ -14,10 +14,13 @@ All rates reduce to sums of single-channel contributions:
     heterodyne        kappa = sum_m gamma_m [ tr(J^dag J)/2 - |tr J|^2/4 ]
 
 (J is the channel's 2x2 operator; static displacements J -> J + alpha enter
-literally, rotating displacements drop out).  The jump-counting rate is also
-a sum of two explicit non-negative squares per channel, which proves
-kappa >= 0; the homodyne rate depends on the monitoring phase theta through
-J -> e^{-i theta} J while the jump-counting rate does not.
+literally, rotating displacements drop out).  They hold for a local H0 =
+A (x) 1 + 1 (x) B, which only multiplies each qubit's no-click determinant by
+a phase; an H0 that couples the qubits has no closed form here.  The
+jump-counting rate is also a sum of two explicit non-negative squares per
+channel, which proves kappa >= 0; the homodyne rate depends on the
+monitoring phase theta through J -> e^{-i theta} J while the jump-counting
+rate does not.
 
 The common bath (one collective channel sigma_-^A + sigma_-^B) does not decay
 exponentially; its exact mean-concurrence curve, vanishing time, and residual
@@ -32,7 +35,7 @@ import numpy as np
 
 from .entanglement import concurrence_pure
 from .linalg import dag, det2, require_finite, trace2
-from .models import COLLECTIVE_DECAY, Scenario
+from .models import COLLECTIVE_DECAY, Scenario, local_hamiltonian
 
 __all__ = [
     "ChannelRateTerms", "RateReport", "CommonBathCurve",
@@ -42,7 +45,23 @@ __all__ = [
 ]
 
 
+_LOCAL_TOL = 1e-12  # entrywise residual of a local H0 after its projection
+
+
+def _coupling_residual(h: np.ndarray) -> float:
+    """Largest entry of H minus its projection A (x) 1 + 1 (x) B onto the
+    local operators (A, B from the partial traces): 0 for a local H."""
+    r = h.reshape(2, 2, 2, 2)
+    local = local_hamiltonian(np.trace(r, axis1=1, axis2=3) / 2.0,
+                              np.trace(r, axis1=0, axis2=2) / 2.0)
+    return float(np.max(np.abs(h - local + 0.25 * np.trace(h) * np.eye(4))))
+
+
 def _local_rate_ops(s: Scenario) -> list[tuple[float, np.ndarray, str]]:
+    if _coupling_residual(s.h0) > _LOCAL_TOL:
+        raise ValueError(
+            "H0 couples the qubits; the closed-form decay rates are defined "
+            "for a local H0 = A (x) 1 + 1 (x) B only")
     ops = []
     for ch in s.channels:
         if ch.locality == "joint":
@@ -245,9 +264,12 @@ def analytic_mean_concurrence(s: Scenario, unraveling: str, times
 
     Independent local channels give C0 e^{-kappa t} with the rate matching
     the requested unraveling; the collective-decay scenario has its exact
-    jump-counting curve.  Returns None when no closed form applies.
+    jump-counting curve.  Returns None when no closed form applies, as for
+    an H0 that couples the qubits.
     """
     times = np.asarray(times, dtype=float)
+    if _coupling_residual(s.h0) > _LOCAL_TOL:
+        return None
     joint = [ch for ch in s.channels if ch.locality == "joint"]
     if joint:
         if len(joint) == 1 and len(s.channels) == 1 and unraveling == "qj":

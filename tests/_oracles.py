@@ -7,7 +7,8 @@ concurrence, partial traces, no-click propagators taken from
 one-trajectory loop form of the diffusion step, the ensemble generator with
 each channel's J^dag J written out, the comparison of two scenarios'
 ensemble generators, and the jump engine's click-time search in its gathered
-form.
+form, reading S and <K> through the kernel's real-view helpers or through
+complex einsums.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from trajent.entanglement import _check_state
 from trajent.errors import ConvergenceError
 from trajent.linalg import SYSY, dag, det2, trace2
 from trajent.models import Scenario, lindblad_superoperator, preset_common_bath
-from trajent.quantum_jump import _MAX_ITERS, _NEWTON_ITERS, _TAU_TOL
+from trajent.quantum_jump import (_MAX_ITERS, _NEWTON_ITERS, _TAU_TOL,
+                                  _k_mean, _norm2)
 from trajent.rates import CommonBathCurve, _local_rate_ops
 
 PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
@@ -203,15 +205,25 @@ def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
     return new / np.linalg.norm(new)
 
 
+def norm2_complex(psi: np.ndarray) -> np.ndarray:
+    """|psi_b|^2 as a complex einsum, with no real view."""
+    return np.einsum("bi,bi->b", np.conjugate(psi), psi).real
+
+
+def k_mean_complex(psi: np.ndarray, k_op: np.ndarray) -> np.ndarray:
+    """<psi_b|K|psi_b> as one complex einsum, with no real view."""
+    return np.einsum("bi,ij,bj->b", np.conjugate(psi), k_op, psi).real
+
+
 def click_delay_gathered(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
                          k_op: np.ndarray, log_r: np.ndarray,
-                         span: np.ndarray) -> np.ndarray:
+                         span: np.ndarray, norm2=_norm2,
+                         k_mean=_k_mean) -> np.ndarray:
     """The jump engine's click-time search written over the full bracket
     arrays, gathering the rows still searching at every iteration; rows are
-    c = W^-1 psi for H_eff = W diag(lam) W^-1."""
-    def norm2(psi):
-        return np.einsum("bi,bi->b", np.conjugate(psi), psi).real
-
+    c = W^-1 psi for H_eff = W diag(lam) W^-1.  S and <K> are read through
+    ``norm2`` and ``k_mean``: the kernel's own helpers by default, or the
+    complex einsum forms above."""
     lo = np.zeros(len(c))
     hi = np.array(span, dtype=float)
     tau = lo.copy()
@@ -226,9 +238,7 @@ def click_delay_gathered(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
             below = f <= 0.0
             lo[todo] = np.where(below, lo[todo], t)
             hi[todo] = np.where(below, t, hi[todo])
-            k_mean = np.einsum("bi,ij,bj->b", np.conjugate(psi), k_op,
-                               psi).real
-            new = t + f * s2 / (2.0 * k_mean)
+            new = t + f * s2 / (2.0 * k_mean(psi, k_op))
             bisect = ((new < lo[todo]) | ~(new <= hi[todo])
                       | (it >= _NEWTON_ITERS))
             new = np.where(bisect, 0.5 * (lo[todo] + hi[todo]), new)

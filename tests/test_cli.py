@@ -13,6 +13,8 @@ import pytest
 
 from trajent.cli import main
 from trajent.config import bundled_scenario_path
+from trajent.linalg import SIGMA_X, kron2
+from trajent.models import preset_photon_counting, scenario_from_channels
 
 
 def _write_config(tmp_path, name="photon_counting", params=None, initial=None):
@@ -111,6 +113,15 @@ def test_rates_subcommand(tmp_path):
     rc = main(["rates", "--config",
                str(bundled_scenario_path("common_bath_single_excitation"))])
     assert rc == 2                               # joint channel: no local rates
+
+
+def test_rates_refuse_a_coupling_h0(monkeypatch, capsys):
+    # a scenario whose H0 couples the qubits has no closed-form rates
+    coupled = scenario_from_channels(preset_photon_counting(1.0, 1.0).channels,
+                                     h0=2.0 * kron2(SIGMA_X, SIGMA_X))
+    monkeypatch.setattr("trajent.cli.load_scenario", lambda path: coupled)
+    assert main(["rates", "--config", "thermal_bell"]) == 2
+    assert "H0 couples the qubits" in capsys.readouterr().err
 
 
 def test_rates_error_message(tmp_path, capsys):

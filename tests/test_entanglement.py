@@ -10,7 +10,7 @@ import pytest
 
 from trajent.entanglement import (
     concurrence_batch, concurrence_mixed, concurrence_pure,
-    eof_from_concurrence, preconcurrence,
+    eof_from_concurrence, preconcurrence, preconcurrence_batch,
 )
 from trajent.linalg import SYSY, dag, kron2, normalized
 
@@ -102,6 +102,21 @@ def test_concurrence_batch_matches_single():
     # arbitrary leading shape
     grid = states.reshape(8, 8, 4)
     assert np.max(np.abs(concurrence_batch(grid) - batch.reshape(8, 8))) == 0.0
+
+
+def test_concurrence_batch_is_modulus_of_preconcurrence():
+    # |prec| read without the conjugation is bit for bit |prec|, on random
+    # (unnormalized) stacks, strided views and zero rows
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(6, 50, 8)) + 1j * rng.normal(size=(6, 50, 8))
+    x[:, ::7] = 0.0
+    x[2, :, 1] = 0.0
+    for states in (x[..., :4], x[..., 4:], x[:, ::3, ::2],
+                   x.transpose(1, 0, 2)[..., 2:6],
+                   np.asfortranarray(x[0, :, :4])):
+        want = np.abs(preconcurrence_batch(states))
+        assert np.array_equal(concurrence_batch(states), want)
+    assert not concurrence_batch(x[:, ::7, :4]).any()
 
 
 def test_state_norm_check():

@@ -22,7 +22,8 @@ from trajent.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from trajent.quantum_jump import run_ensemble, run_trajectory
 from trajent.rates import analytic_mean_concurrence
 
-from _oracles import click_delay_gathered, survival_probability
+from _oracles import (click_delay_gathered, k_mean_complex, norm2_complex,
+                      survival_probability)
 
 UU = state_from_amplitudes(1, 0, 0, 0)
 DD = state_from_amplitudes(0, 0, 0, 1)
@@ -176,7 +177,7 @@ def test_records_keep_click_columns(monkeypatch, workers):
 
 def test_records_equal_across_kernel_call_boundaries(monkeypatch):
     # span + 4 rows: one worker makes calls of span and 4 rows, two workers
-    # of 2560 and 1540, three of 1536, 1536 and 1028, the caller taking call
+    # of 2048 and 1540, three of 1536, 1536 and 516, the caller taking call
     # 0; with one-batch calls, three workers make 9 calls and the caller takes
     # calls 0, 3 and 6.  A row's record does not depend on the call it shares
     # or the process that computed it, and its clicks are re-based to its
@@ -358,10 +359,10 @@ def test_records_replay_their_events():
     assert silent and doubled and tripled
 
 
-def test_click_times_match_gathered_search():
-    # the compacted search returns the gathered form's click times bit for
-    # bit: 1,000 unit rows per scenario, spans from 1e-3 to t_max, and
-    # thresholds uniform over the no-click norms S(span) <= r < S(0) = 1
+def _search_cases():
+    """(s, c, lam, w, log_r, span) of 1,000 unit rows per scenario, spans
+    from 1e-3 to t_max, and thresholds uniform over the no-click norms
+    S(span) <= r < S(0) = 1."""
     driven = scenario_from_channels(
         preset_photon_counting(1.0, 0.6).channels,
         h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
@@ -376,10 +377,60 @@ def test_click_times_match_gathered_search():
         end = (c * np.exp(-1j * np.multiply.outer(span, lam))) @ w.T
         s_end = np.linalg.norm(end, axis=1) ** 2
         log_r = np.log(s_end + rng.random(1000) * (1.0 - s_end))
+        yield s, c, lam, w, log_r, span
+
+
+def test_click_times_match_gathered_search():
+    # the compacted search returns the gathered form's click times bit for
+    # bit when both read S and <K> through the kernel's helpers
+    for s, c, lam, w, log_r, span in _search_cases():
         want = click_delay_gathered(c, lam, w, s.k_op, log_r, span)
         got = quantum_jump._click_delay(c, -1j * lam, w, s.k_op, log_r, span)
         assert np.all((0 < want) & (want <= span))
         assert np.array_equal(got, want)
+
+
+def test_click_times_match_complex_einsum_search():
+    # the real-view S and <K> move click times only within the search's own
+    # accuracy, _TAU_TOL max(1, span), of the complex einsum forms
+    for s, c, lam, w, log_r, span in _search_cases():
+        want = click_delay_gathered(c, lam, w, s.k_op, log_r, span,
+                                    norm2=norm2_complex,
+                                    k_mean=k_mean_complex)
+        got = quantum_jump._click_delay(c, -1j * lam, w, s.k_op, log_r, span)
+        tol = quantum_jump._TAU_TOL * np.maximum(1.0, span)
+        assert np.all(np.abs(got - want) <= tol)
+
+
+def test_real_view_contractions_match_complex_forms():
+    # S, <K>, and the jump's channel choice and post-click state, read
+    # through real views, agree with the complex einsum forms to 1e-14, with
+    # a rotating displacement among the channels
+    het = with_heterodyne(preset_photon_counting(1.0, 0.6), 0.4, 2.0)
+    rng = np.random.default_rng(29)
+    psi = rng.normal(size=(1000, 4)) + 1j * rng.normal(size=(1000, 4))
+    assert np.allclose(quantum_jump._norm2(psi), norm2_complex(psi),
+                       rtol=1e-14, atol=0)
+    assert np.allclose(quantum_jump._k_mean(psi, het.k_op),
+                       k_mean_complex(psi, het.k_op), rtol=1e-14, atol=0)
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    t, u = 3.0 * rng.random(1000), rng.random(1000)
+    after, m = quantum_jump._jump(het, psi, t, u)
+    amp = het.jump_amplitudes(psi, t)
+    cum = np.cumsum(het.rates * (np.conjugate(amp) * amp).real.sum(axis=2),
+                    axis=1)
+    want_m = (cum <= u[:, None] * cum[:, -1:]).sum(axis=1)
+    want = amp[np.arange(1000), want_m]
+    want /= np.linalg.norm(want, axis=1)[:, None]
+    assert np.array_equal(m, want_m)
+    assert np.max(np.abs(after - want)) < 1e-14
+
+
+def test_kernel_products_stay_single_threaded():
+    # every product in the jump kernel is (<= _CALL_ROWS, 4) @ (4, 4), which
+    # stays under the 65,536 multiply-adds from which OpenBLAS threads a GEMM
+    assert ensemble._CALL_ROWS * 16 < 65_536
+    assert ensemble._CALL_ROWS % ensemble._BATCH == 0
 
 
 def test_kernel_scratch_memory_flat_in_grid():

@@ -5,19 +5,21 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from trajent.ensemble import run_average
 from trajent.entanglement import concurrence_pure
-from trajent.linalg import normalized
+from trajent.linalg import SIGMA_X, kron2, normalized
 from trajent.models import (
-    JumpChannel, bell_state, preset_common_bath, preset_dephasing,
-    preset_photon_counting, preset_rotated_thermal, preset_thermal,
-    scenario_from_channels, with_heterodyne, with_homodyne_shift,
-    with_phase_rotation,
+    JumpChannel, bell_state, local_hamiltonian, preset_common_bath,
+    preset_dephasing, preset_photon_counting, preset_rotated_thermal,
+    preset_thermal, scenario_from_channels, with_heterodyne,
+    with_homodyne_shift, with_phase_rotation,
 )
+from trajent.quantum_jump import batch_kernel
 from trajent.rates import (
-    CommonBathCurve, analytic_mean_concurrence, common_bath_mean,
-    common_bath_residual, common_bath_vanish_time, kappa_het, kappa_ho,
-    kappa_ho_opt, kappa_opt_thermal, kappa_qj, mean_concurrence_independent,
-    rate_report,
+    CommonBathCurve, _coupling_residual, analytic_mean_concurrence,
+    common_bath_mean, common_bath_residual, common_bath_vanish_time,
+    kappa_het, kappa_ho, kappa_ho_opt, kappa_opt_thermal, kappa_qj,
+    mean_concurrence_independent, rate_report,
 )
 
 from _oracles import (common_bath_one_jump_pieces, kappa_ho_phase_scan,
@@ -149,6 +151,36 @@ def test_rates_refuse_joint_channels():
             fn(s)
     with pytest.raises(ValueError, match="local"):
         rate_report(s)
+
+
+def test_closed_forms_need_a_local_h0():
+    # H0 = 2 sigma_x (x) sigma_x couples the qubits: photon counting keeps a
+    # mean concurrence near 0.69 at t = 2, where C0 e^{-t} reads 0.135, so
+    # there is no closed form and the rates refuse it.  A local H0 (residual
+    # 0 after its projection onto A (x) 1 + 1 (x) B) keeps the channels'
+    # curve, and the engine follows it within 4 sigma at every point
+    pc = preset_photon_counting(1.0, 1.0)
+    coupled = scenario_from_channels(pc.channels,
+                                     h0=2.0 * kron2(SIGMA_X, SIGMA_X))
+    local = scenario_from_channels(
+        pc.channels, h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
+    assert abs(_coupling_residual(coupled.h0) - 2.0) < 1e-12
+    assert _coupling_residual(local.h0) <= 1e-12
+    t = np.linspace(0.0, 2.0, 9)
+    for unraveling in ("qj", "qsd-homodyne", "qsd-heterodyne"):
+        assert analytic_mean_concurrence(coupled, unraveling, t) is None
+        assert np.array_equal(analytic_mean_concurrence(local, unraveling, t),
+                              analytic_mean_concurrence(pc, unraveling, t))
+    for fn in (kappa_qj, kappa_ho, kappa_ho_opt, kappa_het, rate_report):
+        with pytest.raises(ValueError, match="local"):
+            fn(coupled)
+    for s in (coupled, local):
+        got = run_average(batch_kernel(s, 2.0, 0.25), 61, 2000, 1)
+        off = np.abs(got.mean_c - np.exp(-t))
+        if s is local:
+            assert np.all(off <= 4.0 * got.stderr + 1e-12)
+        else:
+            assert off[-1] > 20.0 * got.stderr[-1]
 
 
 def test_rate_report():
