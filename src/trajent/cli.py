@@ -96,6 +96,11 @@ def _write_json(doc, out_path: str | None) -> None:
         stream.write(text)
 
 
+def _log_health(command: str, evo) -> None:
+    log.info("%s: master equation min eigenvalue %.3e, max trace drift "
+             "%.3e", command, evo.min_eigenvalue, evo.max_trace_drift)
+
+
 def cmd_simulate(args) -> int:
     unraveling = args.unraveling
     if unraveling in ("qj", "master") and args.dt is not None:
@@ -121,6 +126,7 @@ def cmd_simulate(args) -> int:
     log.info("simulate: %s unraveling=%s traj=%d tmax=%g grid=%g seed=%d",
              args.config, unraveling, args.traj, t_max, evo.times[1],
              args.seed)
+    _log_health("simulate", evo)
     if unraveling == "master":
         mean = stderr = None
         times = evo.times
@@ -149,6 +155,7 @@ def cmd_simulate(args) -> int:
 def cmd_master(args) -> int:
     s = load_scenario(args.config)
     evo = evolve_rho(s, args.tmax, record_grid=args.grid)
+    _log_health("master", evo)
     c_rho = concurrence_series(evo)
     with _output(args.out) as stream:
         w = csv.writer(stream, lineterminator="\n")

@@ -7,9 +7,10 @@ complex bilinear
 
 equal to the expectation <sigma_y (x) sigma_y . T> of the spin-flip operation
 (T is complex conjugation in the product basis).  Its modulus is the
-concurrence.  Mixed states go through the standard square-root construction:
-C(rho) = max(0, l1 - l2 - l3 - l4) where the l_i are the descending
-eigenvalues of sqrt(sqrt(rho) rho_tilde sqrt(rho)).
+concurrence.  Mixed states take Wootters' formula
+C(rho) = max(0, l1 - l2 - l3 - l4), the l_i the descending eigenvalues of
+sqrt(sqrt(rho) rho_tilde sqrt(rho)), read in rho's eigenbasis from one
+Hermitian eigendecomposition (`concurrence_mixed`).
 
 Entanglement of formation is reported in nats throughout.
 """
@@ -82,23 +83,11 @@ def eof_from_concurrence(c: float) -> float:
     return float(-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
 
 
-def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
-    """Wootters concurrence of a two-qubit density matrix, or of a stack.
-
-    ``rho`` is one (4, 4) matrix, which gives a float, or a stack (..., 4, 4),
-    which gives an array (...) from one batched evaluation.  The lambda_i are
-    the square roots of the eigenvalues of the Hermitian product
-    sqrt(rho) rho_tilde sqrt(rho), taken here as the singular values of its
-    factor A = sqrt(rho) (sigma_y(x)sigma_y) sqrt(rho)* (note A A^dag equals
-    the Hermitian product).  Going through the SVD keeps the error of the
-    small lambda_i at machine precision even for rank-deficient rho, where
-    square-rooting near-zero eigenvalues would lose half the digits.  Every
-    matrix must be finite and Hermitian within 1e-10; eigenvalues in
-    [-1e-8, 0) are clipped to zero before the square root, anything below
-    -1e-8 is an error.
+def _wootters(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrences and smallest eigenvalues of a finite (G, 4, 4) stack,
+    by the eigenbasis form of `concurrence_mixed` from one `eigh`.  A matrix
+    not Hermitian within 1e-10 is a ValueError; the caller checks the floor.
     """
-    rho = require_finite(rho, "density matrix")
-    stack = rho.reshape(-1, 4, 4)
     rho_dag = np.conjugate(stack.transpose(0, 2, 1))
     asym = np.max(np.abs(stack - rho_dag), axis=(1, 2))
     bad = np.flatnonzero(asym > _HERM_TOL)
@@ -106,15 +95,35 @@ def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"density matrix {bad[0]} is not Hermitian: "
                          f"max |rho - rho^dag| = {asym[bad[0]]:.3e}")
     w, v = np.linalg.eigh(0.5 * (stack + rho_dag))
-    bad = np.flatnonzero(w[:, 0] < EIG_FLOOR)
+    r = np.sqrt(np.clip(w, 0.0, None))
+    flip = np.conjugate(v.transpose(0, 2, 1)) @ SYSY @ np.conjugate(v)
+    lam = np.linalg.svd(r[:, :, None] * flip * r[:, None, :],
+                        compute_uv=False)
+    return (np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]),
+            w[:, 0])
+
+
+def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of a two-qubit density matrix, or of a stack.
+
+    ``rho`` is one (4, 4) matrix, which gives a float, or a stack (..., 4, 4),
+    which gives an array (...) from one batched evaluation.  The lambda_i are
+    the singular values of sqrt(rho) (sigma_y(x)sigma_y) sqrt(rho)*.  With
+    rho = V diag(w) V^dag the unitary factors drop out, leaving the singular
+    values of diag(sqrt w) V^dag (sigma_y(x)sigma_y) V* diag(sqrt w): one
+    `eigh` serves the positivity check and the formula, sqrt(rho) is never
+    formed, and the small lambda_i keep machine precision even for
+    rank-deficient rho, with no square root of near-zero eigenvalues of
+    the Hermitian product sqrt(rho) rho_tilde sqrt(rho).  Every matrix must
+    be finite and Hermitian within 1e-10; eigenvalues in [-1e-8, 0) are
+    clipped to zero, anything below -1e-8 is an error.
+    """
+    rho = require_finite(rho, "density matrix")
+    c, w0 = _wootters(rho.reshape(-1, 4, 4))
+    bad = np.flatnonzero(w0 < EIG_FLOOR)
     if bad.size:
         raise ValueError(f"density matrix {bad[0]} has negative eigenvalue "
-                         f"{w[bad[0], 0]:.3e}")
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) \
-        @ np.conjugate(v.transpose(0, 2, 1))
-    lam = np.linalg.svd(sqrt_rho @ SYSY @ np.conjugate(sqrt_rho),
-                        compute_uv=False)
-    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+                         f"{w0[bad[0]]:.3e}")
     if rho.ndim < 3:
         return float(c[0])
     return c.reshape(rho.shape[:-2])

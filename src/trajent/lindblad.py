@@ -14,10 +14,14 @@ vec rho_{k+1} = P vec rho_k (column-stacked) on the record points of
 `ensemble.record_times`, the grid of the trajectory engines.  The run
 starts from |psi0><psi0| with the scenario's `Scenario.psi0`, the start
 state of every engine and closed form.  There is no time step and the
-trace is not renormalized.  Trace drift and the smallest eigenvalue are
-reported over the record points; an eigenvalue below
-`entanglement.EIG_FLOOR`, the one floor `concurrence_mixed` also
-enforces, aborts the run.
+trace is not renormalized.  Each recorded rho is decomposed once, by the
+Wootters routine `concurrence_mixed` also runs: one Hermitian
+eigendecomposition gives the smallest eigenvalue and, in rho's eigenbasis,
+the concurrence C_rho, so sqrt(rho) is never formed.  Trace drift and the
+smallest eigenvalue are reported over the record points; a matrix that is
+not finite or not Hermitian within 1e-10 is a ValueError, and an
+eigenvalue below `entanglement.EIG_FLOOR`, the floor `concurrence_mixed`
+also enforces, aborts the run.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import record_times
-from .entanglement import EIG_FLOOR, concurrence_mixed
+from .entanglement import EIG_FLOOR, _wootters
 from .errors import PositivityError
-from .linalg import expm
+from .linalg import expm, require_finite
 from .models import Scenario, lindblad_superoperator
 
 __all__ = ["DensityEvolution", "density_from_state", "evolve_rho",
@@ -47,6 +51,7 @@ class DensityEvolution:
     rhos: np.ndarray          # (G, 4, 4)
     max_trace_drift: float
     min_eigenvalue: float
+    c_rho: np.ndarray         # (G,) Wootters concurrence of each rho
 
 
 def evolve_rho(s: Scenario, t_max: float,
@@ -64,7 +69,7 @@ def evolve_rho(s: Scenario, t_max: float,
     rhos = np.ascontiguousarray(vecs.reshape(-1, 4, 4).transpose(0, 2, 1))
 
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
-    w0 = np.linalg.eigvalsh(rhos)[:, 0]
+    c_rho, w0 = _wootters(require_finite(rhos, "density matrix"))
     bad = np.flatnonzero(w0 < EIG_FLOOR)
     if bad.size:
         raise PositivityError(
@@ -72,9 +77,10 @@ def evolve_rho(s: Scenario, t_max: float,
             f"{EIG_FLOOR:.1e} at t = {times[bad[0]]:.4f}")
     return DensityEvolution(times=times, rhos=rhos,
                             max_trace_drift=float(drift.max()),
-                            min_eigenvalue=float(w0.min()))
+                            min_eigenvalue=float(w0.min()), c_rho=c_rho)
 
 
 def concurrence_series(evolution: DensityEvolution) -> np.ndarray:
-    """Mixed-state concurrence at every recorded time, in one batched call."""
-    return concurrence_mixed(evolution.rhos)
+    """Mixed-state concurrence at every recorded time, as `evolve_rho`
+    computed it with the positivity check."""
+    return evolution.c_rho

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from trajent.cli import main
-from trajent.config import bundled_scenario_path
+from trajent.config import bundled_scenario_path, load_scenario
 from trajent.linalg import SIGMA_X, kron2
-from trajent.models import preset_photon_counting, scenario_from_channels
+from trajent.lindblad import evolve_rho
+from trajent.models import (lindblad_superoperator, preset_photon_counting,
+                            scenario_from_channels)
 
 
 def _write_config(tmp_path, name="photon_counting", params=None, initial=None):
@@ -412,6 +414,35 @@ def test_progress_logged_per_batch_at_info(tmp_path, monkeypatch, caplog):
     assert [line.split()[1] for line in lines] == ["512/1100", "1024/1100",
                                                    "1100/1100"]
     assert all("elapsed" in line and "ETA" in line for line in lines)
+
+
+def test_master_health_logged_at_info(tmp_path, caplog):
+    # both commands that run the master equation report its smallest
+    # eigenvalue and trace drift, the figures evolve_rho returns
+    evo = evolve_rho(load_scenario("thermal_bell"), 1.0)
+    want = (f"master equation min eigenvalue {evo.min_eigenvalue:.3e}, "
+            f"max trace drift {evo.max_trace_drift:.3e}")
+    caplog.set_level("INFO", logger="trajent")
+    for argv in (["master"], ["simulate", "--traj", "20"]):
+        caplog.clear()
+        assert main([*argv, "--config", "thermal_bell", "--tmax", "1",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "trajent" and r.levelname == "INFO"]
+        assert f"{argv[0]}: {want}" in lines
+
+
+def test_non_hermitian_master_states_are_exit_2(monkeypatch, capsys):
+    # a generator that breaks rho = rho^dag fails the Hermiticity check of
+    # the one Wootters pass in evolve_rho: ValueError, exit 2
+    gen = lindblad_superoperator(load_scenario("thermal_bell")) \
+        + 1e-6j * np.eye(16)
+    monkeypatch.setattr("trajent.lindblad.lindblad_superoperator",
+                        lambda _: gen)
+    assert main(["master", "--config", "thermal_bell", "--tmax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: density matrix 1 is not Hermitian: "
+                          "max |rho - rho^dag| = ")
 
 
 def test_simulate_builds_no_records(tmp_path, monkeypatch):

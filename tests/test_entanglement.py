@@ -200,7 +200,7 @@ def test_concurrence_mixed_pure_state_reduction():
     for _ in range(60):
         psi = random_state(rng)
         rho = np.outer(psi, psi.conj())
-        assert abs(concurrence_mixed(rho) - concurrence_pure(psi)) < 1e-9
+        assert abs(concurrence_mixed(rho) - concurrence_pure(psi)) < 1e-13
 
 
 def test_concurrence_mixed_convexity():

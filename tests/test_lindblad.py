@@ -83,6 +83,26 @@ def test_concurrence_series_matches_per_matrix_on_bundled_scenarios():
         assert abs(got[0] - concurrence_pure(s.psi0)) < 1e-12, name
 
 
+def test_one_eigendecomposition_per_master_run(monkeypatch):
+    # evolve_rho's positivity check and the C_rho series share one batched
+    # eigh over the record stack; no eigvalsh pass, no second decomposition
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    c = concurrence_series(evolve_rho(load_scenario("thermal_bell"), 20.0,
+                                      record_grid=0.02))
+    assert calls == [(1001, 4, 4)]
+    assert c.shape == (1001,)
+
 def test_step_halving_converged():
     # the propagator is exact, so halving the record step changes nothing
     s = preset_thermal(1.0, 2.0, 1.0, 2.0)
