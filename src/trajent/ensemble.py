@@ -2,11 +2,16 @@
 
 `run_batches` runs a batch kernel, a pure array function, over trajectories
 0..N-1, split over processes if asked: the calling process computes every
-workers-th kernel call and a pool of workers - 1 processes the others, so
-only their arrays cross a pipe.  A kernel call covers up to 3584 rows (7
-batches; a worker's share if that is less), and its arrays are cut into
-fixed 512-row batches, the unit of steps, merge order and progress.  A
-per-batch step runs where the call is computed.  There are two steps:
+workers-th kernel call and a pool of workers - 1 processes the others.  A
+pooled call writes its arrays to a file in the run's temporary directory
+(pickle protocol 5 out-of-band buffers, PEP 574) and sends only a small
+pickle through the result pipe; the calling process reads the file into one
+buffer, unlinks it, and unpickles arrays that are views of that buffer, so
+neither process holds a second copy of them.  A kernel call covers up to
+3584 rows (7 batches; a worker's share if that is less), and its arrays are
+cut into fixed 512-row batches, the unit of steps, merge order and
+progress.  A per-batch step runs where the call is computed.  There are
+two steps:
 - keep the arrays: `run_records` builds the `TrajectoryRecord`s from them in
   the calling process (the library path; memory grows with N).  A record's
   concurrences, states and click columns are views of its batch's arrays,
@@ -39,6 +44,9 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import logging
+import os
+import pickle
+import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -46,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitWindowError
+from .errors import ConfigError, FitWindowError
 
 __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
            "TrajectoryRecord", "average", "empirical_density", "fit_rate",
@@ -343,6 +351,41 @@ def _chunk(kernel, step, seed: int, k0: int, k1: int) -> list:
             for i in range(0, k1 - k0, _BATCH)]
 
 
+def _pooled_chunk(kernel, step, seed: int, k0: int, k1: int, directory: str,
+                  i: int) -> tuple[bytes, list[int]]:
+    """`_chunk` in a pool process.  Its result is pickled with protocol 5,
+    whose out-of-band buffers (the arrays' memory, uncopied) are written to
+    ``<directory>/<i>``, each padded to 64 bytes; only the in-band pickle and
+    the buffers' sizes go back through the result pipe."""
+    buffers = []
+    head = pickle.dumps(_chunk(kernel, step, seed, k0, k1), protocol=5,
+                        buffer_callback=buffers.append)
+    sizes = [buf.raw().nbytes for buf in buffers]
+    path = os.path.join(directory, str(i))
+    try:
+        with open(path, "wb") as f:
+            for buf, n in zip(buffers, sizes):
+                f.write(buf)
+                f.write(bytes(-n % 64))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    return head, sizes
+
+
+def _received(directory: str, i: int, head: bytes, sizes: list[int]) -> list:
+    """The result of `_pooled_chunk` call i: its file is read into one
+    buffer and unlinked, and the arrays unpickled are views of that buffer."""
+    path = os.path.join(directory, str(i))
+    padded = [n + -n % 64 for n in sizes]
+    data = bytearray(sum(padded))
+    with open(path, "rb") as f:
+        f.readinto(data)
+    os.unlink(path)
+    view, starts = memoryview(data), np.cumsum([0] + padded).tolist()
+    return pickle.loads(head, buffers=[view[j:j + n]
+                                       for j, n in zip(starts, sizes)])
+
+
 def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
     """Yield ``step(kernel(seed, indices))`` for trajectories 0..n_traj-1,
     _BATCH at a time, in batch order.
@@ -355,11 +398,13 @@ def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
     call, so the batches are the same for any ``workers``.  ``step`` runs
     where the batch is computed: `_keep` passes the arrays on, `_reduce`
     makes them moments.  Call i runs in this process when ``i % workers`` is
-    0, so its arrays cross no pipe; the others go to a pool of at most
-    ``workers - 1`` processes, all submitted up front, and none is started
-    for one call or one worker.  ``kernel`` must pickle (e.g. a partial of a
-    module-level function).  Progress is logged at INFO as each batch is
-    yielded.
+    0; the others go to a pool of at most ``workers - 1`` processes, all
+    submitted up front, and none is started for one call or one worker.  A
+    pooled call hands its arrays back through a file in one temporary
+    directory of the run (`_pooled_chunk`, `_received`), made only when a
+    pool is; a directory that cannot be made or written raises ConfigError.
+    ``kernel`` must pickle (e.g. a partial of a module-level function).
+    Progress is logged at INFO as each batch is yielded.
     """
     if n_traj <= 0:
         raise ValueError("n_traj must be positive")
@@ -369,15 +414,23 @@ def run_batches(kernel, seed: int, n_traj: int, workers: int, step=_keep):
     span = min(_BATCH * share, _CALL_ROWS)  # trajectories per kernel call
     calls = [(k0, min(k0 + span, n_traj)) for k0 in range(0, n_traj, span)]
     n_proc = min(workers, len(calls)) - 1
+    try:
+        directory = (tempfile.TemporaryDirectory() if n_proc
+                     else contextlib.nullcontext())
+    except OSError as exc:
+        raise ConfigError(f"cannot make a temporary directory: {exc}") \
+            from exc
     pool = (concurrent.futures.ProcessPoolExecutor(max_workers=n_proc)
             if n_proc else None)
     t0, done = time.perf_counter(), 0
-    with pool or contextlib.nullcontext():
-        pooled = {i: pool.submit(_chunk, kernel, step, seed, k0, k1)
+    # the pool shuts down before the directory, and its files, are removed
+    with directory as path, pool or contextlib.nullcontext():
+        pooled = {i: pool.submit(_pooled_chunk, kernel, step, seed, k0, k1,
+                                 path, i)
                   for i, (k0, k1) in enumerate(calls) if i % workers}
         for i, (k0, k1) in enumerate(calls):
-            chunk = (pooled.pop(i).result() if i in pooled
-                     else _chunk(kernel, step, seed, k0, k1))
+            chunk = (_received(path, i, *pooled.pop(i).result())
+                     if i in pooled else _chunk(kernel, step, seed, k0, k1))
             for batch in chunk:
                 # a call's rows are all computed before its first batch
                 done = min(done + _BATCH, n_traj)

@@ -40,7 +40,10 @@ then per click the channel draw and the next threshold, so it does not
 depend on the rows that share its call or on the worker count: records are
 byte-identical for any ``workers``.  For a fixed seed they differ from
 those of versions before the real-view contractions (`_norm2`, `_k_mean`,
-`_scaled`) at rounding level only, by at most about 1e-14.
+`_scaled`) and before the real no-click exponentials (-i lambda is kept
+real when it is, as for every bundled scenario but the two common-bath
+ones) at rounding level only, by at most about 1e-14, with the same click
+channels.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ def _k_mean(psi: np.ndarray, k_op: np.ndarray) -> np.ndarray:
 
 def _evolve(c: np.ndarray, mlam: np.ndarray, w: np.ndarray,
             tau: np.ndarray) -> np.ndarray:
-    """exp(-i H_eff tau_b) psi_b for rows c_b = W^-1 psi_b; mlam = -i lam."""
+    """exp(-i H_eff tau_b) psi_b for rows c_b = W^-1 psi_b; mlam = -i lam,
+    real if it has no imaginary part, so that the exponentials are real."""
     return (c * np.exp(np.multiply.outer(tau, mlam))) @ w.T
 
 
@@ -273,7 +277,10 @@ def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
                              "do not give a stable no-click propagator")
     w_inv = np.linalg.inv(w)
     exits = not (keep_states or keep_clicks) and _keeps_zeros(s, w, w_inv)
-    return partial(_run_batch, s, t_max, times, -1j * lam, w, w_inv,
+    mlam = -1j * lam
+    if not mlam.imag.any():  # a real spectrum: real exponentials
+        mlam = mlam.real
+    return partial(_run_batch, s, t_max, times, mlam, w, w_inv,
                    keep_states, keep_clicks, exits)
 
 

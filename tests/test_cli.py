@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,23 @@ def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):
             assert capsys.readouterr().err.startswith(
                 f"error: cannot write {bad}: {why}")
     assert not (tmp_path / "missing").exists()
+
+
+def test_unusable_temp_directory_is_exit_2(tmp_path, monkeypatch, capsys):
+    # --threads 2 over two kernel calls hands the second call's arrays back
+    # through a file in a temporary directory; one that cannot be made is
+    # one line and exit 2, and --threads 1 never looks for one
+    cfg = _write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(tempfile, "tempdir", str(blocker))
+    argv = ["simulate", "--config", cfg, "--tmax", "0.5", "--traj", "1100",
+            "--out", str(tmp_path / "run.csv"), "--threads"]
+    assert main([*argv, "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot make a temporary directory: ")
+    assert f"{blocker}/" in err and err.count("\n") == 1
+    assert main([*argv, "1"]) == 0
 
 
 def _run_python(code, *args):

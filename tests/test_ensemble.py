@@ -1,6 +1,9 @@
 """Ensemble substreams, drivers, reduction and rate fitting."""
 
 import concurrent.futures
+import functools
+import multiprocessing
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -13,11 +16,12 @@ from trajent.config import load_scenario
 from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
-                              run_average, run_records, trajectory_rng)
-from trajent.errors import FitWindowError
+                              run_average, run_batches, run_records,
+                              trajectory_rng)
+from trajent.errors import ConfigError, FitWindowError, NumericalError
 from trajent.linalg import SIGMA_MINUS
 from trajent.models import (JumpChannel, bell_state, preset_photon_counting,
-                            scenario_from_channels)
+                            scenario_from_channels, with_homodyne_shift)
 from trajent.quantum_jump import batch_kernel, run_ensemble
 
 
@@ -199,6 +203,105 @@ def test_pool_holds_at_most_workers_processes(monkeypatch):
     assert submitted == [i for i in range(20) if i % 3]
     assert summary.n_traj == 20 * span
     assert np.array_equal(summary.mean_c, [1.0])
+
+
+def _same_records(a, b):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert (ra.seed, ra.index) == (rb.seed, rb.index)
+        for name in ("times", "concurrences", "states", "click_times"):
+            x, y = getattr(ra, name), getattr(rb, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert ra.click_channels.tolist() == rb.click_channels.tolist()
+
+
+def _same_summaries(a, b):
+    assert a.n_traj == b.n_traj
+    for name in ("times", "mean_c", "stderr", "empirical_rho"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("method,workers", [("fork", 2), ("fork", 3),
+                                            ("spawn", 2)])
+def test_pooled_results_byte_identical(monkeypatch, method, workers):
+    # a pooled call's arrays come back through a file: records and summaries
+    # equal a one-process run byte for byte, for both engines, also when the
+    # workers start as fresh interpreters (spawn, the macOS default)
+    monkeypatch.setattr(
+        ensemble.concurrent.futures, "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor,
+                          mp_context=multiprocessing.get_context(method)))
+    s = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [1, 1])
+    for kernel in (batch_kernel(s, 0.5, 0.05, keep_states=True,
+                                keep_clicks=True),
+                   batch_kernel_qsd("heterodyne", s, 0.5, 0.005, 0.05,
+                                    keep_states=True)):
+        _same_records(run_records(kernel, 23, 1100, workers),
+                      run_records(kernel, 23, 1100, 1))
+        _same_summaries(run_average(kernel, 23, 1100, workers),
+                        run_average(kernel, 23, 1100, 1))
+
+
+def test_pooled_records_hold_one_copy():
+    # the caller reads a pooled call's file into one buffer whose views are
+    # the records' arrays, so its peak stays near a one-process run's; with
+    # the arrays pickled through the result pipe it read 1.4x
+    kernel = batch_kernel(preset_photon_counting(1.0, 1.0), 1.0, 0.02,
+                          keep_states=True, keep_clicks=True)
+    peaks = []
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            run_records(kernel, 3, 1024, workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+def _stub_kernel(seed, indices):
+    """Ones, or an error for the call that starts at row ``seed``."""
+    if indices[0] == seed:
+        raise NumericalError(f"no rows from {seed}")
+    return np.zeros(2), np.ones((len(indices), 2)), None, None
+
+
+def test_pooled_calls_leave_no_file(monkeypatch, tmp_path):
+    # calls 1 and 3 of four go to the pool; each call's file is unlinked
+    # when the caller reads it, and the run's directory goes with the run,
+    # also when a pooled kernel raises, whose error reaches the caller
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    span = ensemble._CALL_ROWS
+    for i, _ in enumerate(run_batches(_stub_kernel, -1, 4 * span, 2)):
+        call = i * ensemble._BATCH // span
+        [run] = tmp_path.iterdir()
+        assert all(int(f.name) > call for f in run.iterdir())
+    assert not any(tmp_path.iterdir())
+    assert run_average(_stub_kernel, -1, 4 * span, 2).n_traj == 4 * span
+    assert len(run_records(_stub_kernel, -1, 4 * span, 2)) == 4 * span
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(NumericalError, match=f"no rows from {span}"):
+        run_records(_stub_kernel, span, 4 * span, 2)
+    assert not any(tmp_path.iterdir())
+
+
+def test_one_process_makes_no_directory(monkeypatch):
+    # one worker, or one call, starts no pool and so needs no directory
+    def refuse():
+        raise AssertionError("a temporary directory was made")
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
+    assert run_average(_stub_kernel, -1, 3000, 1).n_traj == 3000
+    assert len(run_records(_stub_kernel, -1, 500, 4)) == 500
+
+
+def test_unwritable_call_file_is_a_config_error(tmp_path):
+    # a worker that cannot write its call's file names it (a directory that
+    # cannot be made: tests/test_cli.py)
+    gone = tmp_path / "gone"
+    with pytest.raises(ConfigError, match=f"cannot write {gone}/1: No such"):
+        ensemble._pooled_chunk(_stub_kernel, ensemble._keep, -1, 0, 10,
+                               str(gone), 1)
 
 
 def test_progress_eta_counts_the_rows_computed(caplog):

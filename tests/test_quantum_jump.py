@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -424,6 +425,32 @@ def test_real_view_contractions_match_complex_forms():
     want /= np.linalg.norm(want, axis=1)[:, None]
     assert np.array_equal(m, want_m)
     assert np.max(np.abs(after - want)) < 1e-14
+
+
+def test_real_spectrum_keeps_real_exponentials():
+    # a real -i lambda (6 of the 8 bundled scenarios) makes the no-click
+    # exponentials real; against the same kernel on a complex -i lambda, the
+    # clicks' rows and channels are identical, and their times, the
+    # concurrences and the states agree to 1e-13
+    dense = with_homodyne_shift(preset_photon_counting(1.0, 1.0), [2, 2])
+    for s in (load_scenario(bundled_scenario_path("thermal_bell")), dense):
+        kernel = quantum_jump.batch_kernel(s, 3.0, 0.03, keep_states=True,
+                                           keep_clicks=True)
+        args = list(kernel.args)
+        assert args[3].dtype == float
+        args[3] = args[3] + 0j
+        forced = partial(kernel.func, *args)
+        (_, conc, states, (row, t, channel)), \
+            (_, conc_c, states_c, (row_c, t_c, channel_c)) = (
+                k(31, range(600)) for k in (kernel, forced))
+        assert len(row) > 600
+        assert np.array_equal(row, row_c)
+        assert np.array_equal(channel, channel_c)
+        assert np.max(np.abs(t - t_c)) <= 1e-13
+        assert np.max(np.abs(conc - conc_c)) <= 1e-13
+        assert np.max(np.abs(states - states_c)) <= 1e-13
+    bath = load_scenario(bundled_scenario_path("common_bath_revival"))
+    assert quantum_jump.batch_kernel(bath, 1.0).args[3].dtype == complex
 
 
 def test_kernel_products_stay_single_threaded():
