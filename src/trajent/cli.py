@@ -7,7 +7,7 @@ simulate   trajectory ensemble of a scenario file, with the ensemble
 master     master-equation evolution only, exact on the record grid
 rates      closed-form decay rates of a scenario, as JSON
 fit        exponential rate fit of a previously written CSV
-optimize   best channel mixing for a thermal scenario, as JSON
+optimize   best channel mixing when the channels are thermal baths, as JSON
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
 environment variable TRAJENT_LOG selects the log level (DEBUG, INFO, ...).
@@ -219,11 +219,7 @@ def cmd_fit(args) -> int:
 
 def cmd_optimize(args) -> int:
     s = load_scenario(args.config)
-    if s.thermal_rates is None:
-        raise ConfigError(
-            "the mixing optimizer needs a thermal-type scenario "
-            "(presets photon_counting, thermal, or rotated_thermal)")
-    opt = optimize_unraveling(*s.thermal_rates)
+    opt = optimize_unraveling(s)
     doc = {
         "achieved": opt.achieved,
         "reference_balanced_mixing": opt.reference,
@@ -294,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_fit)
 
-    sp = sub.add_parser("optimize", help="best channel mixing (thermal baths)")
+    sp = sub.add_parser("optimize", help="best channel mixing when the "
+                        "channels, preset or custom, are thermal baths")
     common(sp)
     sp.set_defaults(fn=cmd_optimize)
 

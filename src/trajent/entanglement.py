@@ -39,10 +39,14 @@ def _check_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _prec_conj(states: np.ndarray) -> np.ndarray:
+    c = np.asarray(states, dtype=complex)
+    return 2.0 * (c[..., 1] * c[..., 2] - c[..., 0] * c[..., 3])
+
+
 def preconcurrence_batch(states: np.ndarray) -> np.ndarray:
     """Complex preconcurrences prec(psi) of a stack of states, shape (..., 4)."""
-    c = np.conjugate(np.asarray(states, dtype=complex))
-    return 2.0 * (c[..., 1] * c[..., 2] - c[..., 0] * c[..., 3])
+    return np.conjugate(_prec_conj(states))
 
 
 def preconcurrence(psi: np.ndarray) -> complex:
@@ -61,8 +65,7 @@ def concurrence_batch(states: np.ndarray) -> np.ndarray:
     The modulus of prec read without its conjugation (|conj z| = |z|), so
     bit for bit |`preconcurrence_batch`|.
     """
-    c = np.asarray(states, dtype=complex)
-    return np.abs(2.0 * (c[..., 1] * c[..., 2] - c[..., 0] * c[..., 3]))
+    return np.abs(_prec_conj(states))
 
 
 def eof_from_concurrence(c: float) -> float:

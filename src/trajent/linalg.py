@@ -16,7 +16,7 @@ __all__ = [
     "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_PLUS", "SIGMA_MINUS",
     "SYSY",
     "kron2", "dag", "det2", "trace2", "expm",
-    "require_finite", "normalized",
+    "require_finite",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -49,7 +49,9 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with qubit A as the left factor (basis {uu,ud,du,dd})."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -91,12 +93,4 @@ def expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def normalized(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    n = np.linalg.norm(psi)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return psi / n
 

@@ -11,7 +11,8 @@ the displaced operators J + alpha used by homodyne-style monitoring; a channel
 with a nonzero ``het_freq`` Omega carries the rotating displacement
 alpha e^{i Omega t} (`JumpChannel.rotates`; Omega = 0 is a static shift).
 Displacements come in +/- pairs at half the original rate, which leaves the
-ensemble (Lindblad) generator unchanged.  Every engine starts from
+ensemble generator (`_generator`, which also reads thermal baths off the
+channels: `Scenario.thermal_rates`) unchanged.  Every engine starts from
 `Scenario.psi0`.  A `Scenario` is checked once, when it is built by any
 route (``dataclasses.replace`` and the ``with_*`` transforms included), so
 the engines, `rates` and `optimize` trust every scenario they are given.
@@ -19,7 +20,7 @@ the engines, `rates` and `optimize` trust every scenario they are given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +40,6 @@ __all__ = [
     "COLLECTIVE_DECAY",
 ]
 
-ID4 = np.eye(4, dtype=complex)
 KERNEL_DRIFT_TOL = 1e-10  # largest allowed oscillating coefficient of K(t)
 COLLECTIVE_DECAY = kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS)
 
@@ -127,9 +127,9 @@ def _lift(locality: str, op: np.ndarray) -> np.ndarray:
 class Scenario:
     """Immutable bundle of Hamiltonian, channels and initial state.
 
-    Derived quantities (damping kernel K, effective generator H_eff, lifted
-    operator stack) are cached on first use.  Engines never mutate a
-    scenario; transformed copies are produced by the ``with_*`` helpers.
+    Derived quantities (K, H_eff, lifted operators, thermal bath rates) are
+    cached on first use.  Engines never mutate a scenario; transformed
+    copies are produced by the ``with_*`` helpers.
     Building one raises a `ConfigError` listing every `_violations` entry;
     ``initial`` may be unnormalized (`psi0` normalizes it) but not zero.
     """
@@ -137,8 +137,6 @@ class Scenario:
     h0: np.ndarray
     channels: tuple[JumpChannel, ...]
     initial: np.ndarray
-    thermal_rates: tuple[float, float, float, float] | None = field(
-        default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h0", np.asarray(self.h0, dtype=complex))
@@ -158,9 +156,8 @@ class Scenario:
         is exact.
         """
         k = np.zeros((4, 4), dtype=complex)
-        for ch in self.channels:
-            j = ch.lifted(0.0)
-            k += 0.5 * ch.rate * (dag(j) @ j)
+        for g, j in zip(self.rates, self.lifted_ops):
+            k += 0.5 * g * (dag(j) @ j)
         return k
 
     @cached_property
@@ -190,6 +187,28 @@ class Scenario:
     def rates(self) -> np.ndarray:
         return np.array([ch.rate for ch in self.channels], dtype=float)
 
+    @cached_property
+    def thermal_rates(self) -> tuple[float, float, float, float] | None:
+        """(gamma_+A, gamma_-A, gamma_+B, gamma_-B), gamma_+/- = sum_m gamma_m
+        |<u|J_m|d>|^2 / |<d|J_m|u>|^2, when each qubit's generator is that of
+        sigma_+/- at those rates within 1e-10 max(1, gamma_max); else None."""
+        if any(ch.locality == "joint" for ch in self.channels):
+            return None
+        found, tol = (), 1e-10 * max(1.0, self.gamma_max)
+        for qubit in "AB":
+            chans = [ch for ch in self.channels if ch.locality == qubit]
+            g = np.array([ch.rate for ch in chans])
+            ops = np.reshape([ch.operator(0.0) for ch in chans], (-1, 2, 2))
+            bath = tuple(float(g @ abs(ops[:, i, 1 - i]) ** 2) for i in (0, 1))
+            # less the bath's generator: sigma_+ and sigma_- at rates -bath
+            g = np.append(g, np.negative(bath))
+            ops = np.concatenate([ops, [SIGMA_PLUS, SIGMA_MINUS]])
+            a = -0.5 * np.einsum("m,mji,mjk->ik", g, np.conjugate(ops), ops)
+            if np.max(np.abs(_generator(a, g, ops))) > tol:
+                return None
+            found += bath
+        return found
+
     def jump_amplitudes(self, psi: np.ndarray, t: np.ndarray) -> np.ndarray:
         """J_m(t_b) psi_b for rows psi (B, 4) at times t (B,); shape (B, M, 4).
 
@@ -211,21 +230,13 @@ class Scenario:
         return replace(self, initial=psi)
 
 
-def scenario_from_channels(channels, initial=None, h0=None,
-                           thermal_rates=None) -> Scenario:
+def scenario_from_channels(channels, initial=None, h0=None) -> Scenario:
     """Assemble a scenario from explicit channels, a Bell state by default."""
     if initial is None:
         initial = bell_state()
     if h0 is None:
         h0 = np.zeros((4, 4), dtype=complex)
-    return Scenario(h0=h0, channels=tuple(channels), initial=initial,
-                    thermal_rates=thermal_rates)
-
-
-def _check_rates(*rates: float) -> None:
-    for g in rates:
-        if not np.isfinite(g) or g < 0:
-            raise ValueError(f"decay rates must be finite and >= 0, got {g}")
+    return Scenario(h0=h0, channels=tuple(channels), initial=initial)
 
 
 def preset_photon_counting(gamma_a: float, gamma_b: float,
@@ -235,8 +246,7 @@ def preset_photon_counting(gamma_a: float, gamma_b: float,
         JumpChannel("decay-A", "A", SIGMA_MINUS, gamma_a),
         JumpChannel("decay-B", "B", SIGMA_MINUS, gamma_b),
     )
-    return scenario_from_channels(channels, initial,
-                                  thermal_rates=(0.0, gamma_a, 0.0, gamma_b))
+    return scenario_from_channels(channels, initial)
 
 
 def preset_thermal(gamma_plus_a: float, gamma_minus_a: float,
@@ -249,8 +259,7 @@ def preset_thermal(gamma_plus_a: float, gamma_minus_a: float,
         JumpChannel("up-B", "B", SIGMA_PLUS, gamma_plus_b),
         JumpChannel("down-B", "B", SIGMA_MINUS, gamma_minus_b),
     )
-    return scenario_from_channels(channels, initial, thermal_rates=(
-        gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b))
+    return scenario_from_channels(channels, initial)
 
 
 def preset_dephasing(v_a, v_b, gamma_a: float, gamma_b: float,
@@ -286,7 +295,9 @@ def preset_rotated_thermal(u_a, u_b,
     g_mu would be a pure reparametrization: the ensemble generator, the click
     statistics and the post-click states depend only on g_mu J_mu^dag J_mu.
     """
-    _check_rates(gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b)
+    rates = (gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b)
+    if not all(np.isfinite(g) and g >= 0 for g in rates):
+        raise ValueError(f"decay rates must be finite and >= 0, got {rates}")
     channels = []
     for qubit, u, gp, gm in (("A", u_a, gamma_plus_a, gamma_minus_a),
                              ("B", u_b, gamma_plus_b, gamma_minus_b)):
@@ -306,8 +317,7 @@ def preset_rotated_thermal(u_a, u_b,
             op = (np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
                   + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
             channels.append(JumpChannel(f"mix{mu + 1}-{qubit}", qubit, op, g_mu))
-    return scenario_from_channels(tuple(channels), initial, thermal_rates=(
-        gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b))
+    return scenario_from_channels(tuple(channels), initial)
 
 
 def preset_common_bath(gamma: float,
@@ -406,17 +416,20 @@ def kernel_oscillation(channels) -> float:
                default=0.0)
 
 
-def lindblad_superoperator(s: Scenario) -> np.ndarray:
-    """16x16 generator on column-stacked density matrices, the vec form of
-    A rho + rho A^dag + sum_m gamma_m J_m rho J_m^dag with A = -i H_eff:
-    L = 1 (x) A + A* (x) 1 + sum_m gamma_m J_m* (x) J_m.  The mean of
-    psi psi^T over trajectories obeys the same sum without the two conjugations.
-    """
-    a = -1j * s.h_eff
-    gen = np.kron(ID4, a) + np.kron(np.conjugate(a), ID4)
-    for g, j in zip(s.rates, s.lifted_ops):
-        gen += g * np.kron(np.conjugate(j), j)
+def _generator(a: np.ndarray, rates, ops) -> np.ndarray:
+    """1 (x) A + A* (x) 1 + sum_m gamma_m J_m* (x) J_m, in any dimension: on
+    column-stacked rho, A rho + rho A^dag + sum_m gamma_m J_m rho J_m^dag."""
+    ident = np.eye(len(a), dtype=complex)
+    gen = kron2(ident, a) + kron2(np.conjugate(a), ident)
+    for g, j in zip(rates, ops):
+        gen += g * kron2(np.conjugate(j), j)
     return gen
+
+
+def lindblad_superoperator(s: Scenario) -> np.ndarray:
+    """The 16x16 ensemble generator, `_generator` with A = -i H_eff.  The mean
+    of psi psi^T over trajectories obeys it without the two conjugations."""
+    return _generator(-1j * s.h_eff, s.rates, s.lifted_ops)
 
 
 def _violations(s: Scenario) -> list[str]:

@@ -17,9 +17,10 @@ The two qubits decouple.  For u in U(2) the moduli are fixed by one angle,
 kappa(phi) = (1/2)(gamma_+ + gamma_-) - sqrt(gamma_+ gamma_-) sin(2 phi) per
 qubit, for every pair of rates smallest at the balanced mixing phi = pi/4,
 |u_{mu m}| = 1/sqrt(2): kappa = (1/2)(sqrt(gamma_-) - sqrt(gamma_+))^2
-(``rates.kappa_opt_thermal``).  The achieved rate is the bracket on the L_mu
-of the returned u, independent of that closed form, and each detector's
-homodyne phase is half the argument of det L_mu.
+(``rates.kappa_opt_thermal``), at the rates `Scenario.thermal_rates` reads
+from the channels.  The achieved rate is the bracket on the L_mu of the
+returned u, independent of that closed form, and each detector's homodyne
+phase is half the argument of det L_mu.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .linalg import SIGMA_MINUS, SIGMA_PLUS, det2
-from .models import _check_rates
+from .models import Scenario
 from .rates import _channel_terms, kappa_opt_thermal
 
 __all__ = ["UnravelingOptimum", "optimize_unraveling"]
@@ -63,16 +65,17 @@ class UnravelingOptimum:
     reference: float
 
 
-def optimize_unraveling(gamma_plus_a: float, gamma_minus_a: float,
-                        gamma_plus_b: float, gamma_minus_b: float
-                        ) -> UnravelingOptimum:
-    """The jump-counting decay rate minimized over per-qubit channel mixings."""
-    _check_rates(gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b)
+def optimize_unraveling(s: Scenario) -> UnravelingOptimum:
+    """The jump-counting decay rate minimized over per-qubit channel mixings;
+    channels that are not thermal baths are a `ConfigError`."""
+    if (g := s.thermal_rates) is None:
+        raise ConfigError(
+            "the mixing optimizer needs a thermal-type scenario "
+            "(presets photon_counting, thermal, or rotated_thermal)")
     u_a, u_b = _BALANCED.copy(), _BALANCED.copy()
-    rate_a, phases_a = _mixed_qubit(u_a, gamma_plus_a, gamma_minus_a)
-    rate_b, phases_b = _mixed_qubit(u_b, gamma_plus_b, gamma_minus_b)
+    rate_a, phases_a = _mixed_qubit(u_a, *g[:2])
+    rate_b, phases_b = _mixed_qubit(u_b, *g[2:])
     return UnravelingOptimum(
         u_a=u_a, u_b=u_b, phases_a=phases_a, phases_b=phases_b,
         achieved=rate_a + rate_b,
-        reference=kappa_opt_thermal(gamma_plus_a, gamma_minus_a,
-                                    gamma_plus_b, gamma_minus_b))
+        reference=kappa_opt_thermal(*g))

@@ -131,9 +131,9 @@ class ChannelRateTerms:
 class RateReport:
     """All closed-form decay rates of a scenario, with per-channel terms.
 
-    ``kappa_qj_opt_thermal`` is filled only for scenarios built from
-    independent thermal (or zero-temperature) baths, where the optimal
-    channel mixing is known in closed form.
+    ``kappa_qj_opt_thermal`` is filled only for scenarios whose channels are
+    independent thermal (or zero-temperature) baths (`Scenario.thermal_rates`),
+    where the optimal channel mixing is known in closed form.
     """
     kappa_qj: float
     kappa_ho: float

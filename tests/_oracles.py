@@ -1,6 +1,7 @@
 """Independent evaluation routes that only the tests use.
 
-Each function recomputes something the package computes another way: a
+Besides a state normalizer for building test states, each function
+recomputes something the package computes another way: a
 brute-force or differently factored closed form, an operator form of the
 concurrence, partial traces, no-click propagators taken from
 ``scipy.linalg.expm`` rather than the package's own Pade ``expm``, the
@@ -24,6 +25,15 @@ from trajent.rates import CommonBathCurve, _local_rate_ops
 
 PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
 GEN_TOL = 1e-10  # entrywise ensemble-generator deviation between monitorings
+
+
+def normalized(psi: np.ndarray) -> np.ndarray:
+    """psi / |psi|, for building test states."""
+    psi = np.asarray(psi, dtype=complex)
+    n = np.linalg.norm(psi)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return psi / n
 
 
 def trace4(m: np.ndarray) -> complex:

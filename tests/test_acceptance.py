@@ -20,7 +20,8 @@ from trajent.entanglement import concurrence_mixed, concurrence_pure
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
 from trajent.models import (JumpChannel, Scenario, bell_state,
                             preset_dephasing, preset_photon_counting,
-                            state_from_amplitudes, with_phase_rotation)
+                            preset_thermal, state_from_amplitudes,
+                            with_phase_rotation)
 from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import (analytic_mean_concurrence, kappa_het,
@@ -211,5 +212,5 @@ def test_optimizer_recovers_balanced_mixing_rate():
     rng = np.random.default_rng(4002)
     quads = rng.uniform(0.1, 3.0, (20, 4))
     for row in quads:
-        opt = optimize_unraveling(*row)
+        opt = optimize_unraveling(preset_thermal(*row))
         assert abs(opt.achieved - kappa_opt_thermal(*row)) < 1e-12

@@ -175,6 +175,34 @@ def test_optimize_subcommand(tmp_path):
     assert main(["optimize", "--config", str(deph)]) == 2
 
 
+def test_custom_thermal_channels_match_the_preset(tmp_path, capsys):
+    # the same channels written out give the preset's rates and optimum
+    ref = load_scenario("thermal_bell")
+
+    def pairs(m):
+        return [[[z.real, z.imag] for z in row] for row in m]
+
+    cfg = {"custom_channels": [{"id": ch.id, "locality": ch.locality,
+                                "matrix": pairs(ch.op), "rate": ch.rate}
+                               for ch in ref.channels],
+           "initial_state": pairs([ref.initial])[0]}
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps(cfg))
+    for command in ("rates", "optimize"):
+        docs = []
+        for config in ("thermal_bell", str(twin)):
+            out = tmp_path / f"{command}-{len(docs)}.json"
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1], command
+    cfg["custom_channels"] = [{"id": "flip-A", "locality": "A",
+                               "matrix": pairs(SIGMA_X), "rate": 1.0}]
+    twin.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["optimize", "--config", str(twin)]) == 2
+    assert "thermal-type scenario" in capsys.readouterr().err
+
+
 def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):
     # every subcommand reports an --out it cannot open by name, no traceback,
     # before anything is computed, and without creating the file

@@ -12,9 +12,9 @@ from trajent.entanglement import (
     concurrence_batch, concurrence_mixed, concurrence_pure,
     eof_from_concurrence, preconcurrence, preconcurrence_batch,
 )
-from trajent.linalg import SYSY, dag, kron2, normalized
+from trajent.linalg import SYSY, dag, kron2
 
-from _oracles import concurrence_op_form, ptrace_b, spin_flip
+from _oracles import concurrence_op_form, normalized, ptrace_b, spin_flip
 
 EOF_HALF = 0.24577536666847116  # h((1 + sqrt(3/4))/2) in nats
 
@@ -116,6 +116,12 @@ def test_concurrence_batch_is_modulus_of_preconcurrence():
                    np.asfortranarray(x[0, :, :4])):
         want = np.abs(preconcurrence_batch(states))
         assert np.array_equal(concurrence_batch(states), want)
+        # prec is the conjugate of the bilinear whose modulus is C, equal to
+        # the product of conjugates up to the sign of a zero imaginary part
+        c = np.conjugate(states)
+        assert np.array_equal(preconcurrence_batch(states),
+                              2.0 * (c[..., 1] * c[..., 2]
+                                     - c[..., 0] * c[..., 3]))
     assert not concurrence_batch(x[:, ::7, :4]).any()
 
 

@@ -10,13 +10,13 @@ from trajent.config import bundled_scenario_names, load_scenario
 from trajent.entanglement import concurrence_mixed
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
-    dag, det2, expm, kron2, normalized, require_finite, trace2,
+    dag, det2, expm, kron2, require_finite, trace2,
 )
 from trajent.models import (JumpChannel, lindblad_superoperator,
                             preset_photon_counting, scenario_from_channels)
 from trajent.quantum_jump import run_ensemble
 
-from _oracles import ptrace_a, ptrace_b, trace4
+from _oracles import normalized, ptrace_a, ptrace_b, trace4
 
 
 def random_complex(rng, shape):

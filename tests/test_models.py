@@ -21,6 +21,7 @@ from trajent.models import (
     state_from_amplitudes, with_heterodyne, with_homodyne_shift,
     with_phase_rotation,
 )
+from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import rate_report
 
@@ -420,3 +421,135 @@ def test_scenario_with_initial():
     assert np.allclose(s2.initial, psi)
     assert np.allclose(s.initial, bell_state())  # original untouched
     assert s2.thermal_rates == s.thermal_rates
+
+
+# the rates each bundled scenario's preset is built with; None where no
+# preset names a thermal bath
+BUNDLED_BATHS = {
+    "common_bath_revival": None,
+    "common_bath_single_excitation": None,
+    "dephasing_phi0": None,
+    "dephasing_phi_half_pi": None,
+    "photon_counting": (0.0, 1.0, 0.0, 1.0),
+    "photon_counting_shifted": (0.0, 1.0, 0.0, 1.0),
+    "thermal_bell": (1.0, 2.0, 1.0, 2.0),
+    "thermal_optimal": (1.0, 2.0, 1.0, 2.0),
+}
+
+
+def test_thermal_rates_of_bundled_scenarios():
+    assert sorted(BUNDLED_BATHS) == bundled_scenario_names()
+    for name, want in BUNDLED_BATHS.items():
+        got = load_scenario(name).thermal_rates
+        if name == "thermal_optimal":  # read back through the mixing
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+        else:
+            assert got == want, name
+
+
+def _isometry(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q[:, :2]
+
+
+def test_thermal_rates_of_random_rotated_mixings():
+    rng = np.random.default_rng(251)
+    for _ in range(200):
+        g = rng.uniform(0.0, 3.0, 4)
+        s = preset_rotated_thermal(_isometry(rng, rng.integers(2, 5)),
+                                   _isometry(rng, rng.integers(2, 5)), *g)
+        assert np.max(np.abs(np.subtract(s.thermal_rates, g))) <= 1e-14
+
+
+def test_thermal_rates_survive_monitoring_transforms():
+    s = preset_thermal(0.4, 1.2, 0.7, 0.9)
+    for t in (with_homodyne_shift(s, [0.3, 0.5j, -0.2, 1.1]),
+              with_heterodyne(s, 0.6, 2.5),
+              with_phase_rotation(s, [0.3, 1.1, 2.0, 0.7]),
+              s.with_initial(state_from_amplitudes(0, S2, -S2, 0)),
+              replace(s, h0=local_hamiltonian(0.3 * SIGMA_X, 0.8 * SIGMA_Z))):
+        assert t.thermal_rates == pytest.approx(s.thermal_rates, abs=1e-14)
+
+
+def test_replaced_channels_are_read_afresh():
+    # the channels, not the preset a scenario came from, name its bath
+    deph = preset_dephasing([0, 0, 1], [0, 0, 1], 1.0, 1.0)
+    s = replace(preset_thermal(1.0, 2.0, 1.0, 2.0), channels=deph.channels)
+    assert s.thermal_rates is None
+    assert rate_report(s).kappa_qj_opt_thermal is None
+    with pytest.raises(ConfigError, match="thermal-type"):
+        optimize_unraveling(s)
+
+
+def test_displaced_sigma_pair_is_a_thermal_bath():
+    # sigma_+ + alpha and sigma_- + alpha* carry identity parts, but their
+    # displacement terms cancel in the generator
+    a = 0.3 + 0.4j
+    up = JumpChannel("up", "A", SIGMA_PLUS, 1.0, shift=a)
+    s = scenario_from_channels(
+        [up, JumpChannel("down", "A", SIGMA_MINUS, 1.0, shift=np.conj(a))])
+    assert s.thermal_rates == (1.0, 1.0, 0.0, 0.0)
+    assert generator_deviation(s, preset_thermal(1.0, 1.0, 0.0, 0.0)) < GEN_TOL
+    # with alpha on both they leave a Hamiltonian term behind
+    s = scenario_from_channels(
+        [up, JumpChannel("down", "A", SIGMA_MINUS, 1.0, shift=a)])
+    assert s.thermal_rates is None
+
+
+def _bath_candidate(rng):
+    """A random scenario that is an independent thermal bath or is not."""
+    g = rng.uniform(0.1, 3.0, 4)
+    kind = rng.integers(6)
+    if kind == 0:
+        s = preset_rotated_thermal(_isometry(rng, rng.integers(2, 4)),
+                                   _isometry(rng, rng.integers(2, 4)), *g)
+    elif kind == 1:
+        s = with_homodyne_shift(preset_thermal(*g), rng.standard_normal(4)
+                                + 1j * rng.standard_normal(4))
+    elif kind == 2:
+        s = with_heterodyne(preset_thermal(*g), rng.uniform(0.2, 1.0, 4),
+                            rng.uniform(0.5, 3.0, 4))
+    elif kind == 3:
+        s = _random_channel_set(rng)
+    elif kind == 4:
+        # sigma_+ + alpha with sigma_- + alpha* (a bath) or + alpha (none)
+        a = complex(*rng.standard_normal(2))
+        b = np.conj(a) if rng.random() < 0.5 else a
+        s = scenario_from_channels(
+            [JumpChannel("up-A", "A", SIGMA_PLUS, g[0], shift=a),
+             JumpChannel("down-A", "A", SIGMA_MINUS, g[0], shift=b),
+             JumpChannel("down-B", "B", SIGMA_MINUS, g[3])])
+    else:
+        # a bath plus a dephasing or a joint channel
+        extra = (JumpChannel("z-A", "A", SIGMA_Z, g[1]) if rng.random() < 0.5
+                 else JumpChannel("j", "joint", rng.standard_normal((4, 4))
+                                  + 1j * rng.standard_normal((4, 4)), g[2]))
+        s = preset_thermal(*g)
+        s = replace(s, channels=s.channels + (extra,))
+    if rng.random() < 0.3:
+        s = replace(s, h0=local_hamiltonian(rng.standard_normal() * SIGMA_X,
+                                            rng.standard_normal() * SIGMA_Y))
+    return s
+
+
+def test_thermal_rates_agree_with_the_generator_route():
+    # the 16x16 route: s is a bath exactly when its generator is that of
+    # sigma_+/sigma_- channels at the rates read from its local operators
+    rng = np.random.default_rng(252)
+    verdicts = []
+    for _ in range(240):
+        s = _bath_candidate(rng)
+        rates = []
+        for qubit in "AB":
+            chans = [(ch.rate, ch.operator(0.0)) for ch in s.channels
+                     if ch.locality == qubit]
+            rates += [sum(g * abs(j[0, 1]) ** 2 for g, j in chans),
+                      sum(g * abs(j[1, 0]) ** 2 for g, j in chans)]
+        ref = replace(preset_thermal(*rates), h0=s.h0)
+        bath = generator_deviation(s, ref) <= GEN_TOL
+        assert (s.thermal_rates is not None) == bath
+        if bath:
+            assert s.thermal_rates == pytest.approx(rates, abs=1e-14)
+        verdicts.append(bath)
+    assert 60 <= sum(verdicts) <= 180  # both verdicts are exercised

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trajent.models import preset_rotated_thermal
+from trajent.models import preset_rotated_thermal, preset_thermal
 from trajent.optimize import optimize_unraveling
 from trajent.rates import kappa_opt_thermal, kappa_qj
 
@@ -22,13 +22,13 @@ def test_balanced_mixing_is_optimal_over_random_unitaries():
         best = kappa_opt_thermal(*g)
         u_a, u_b = _random_u2(rng), _random_u2(rng)
         assert kappa_qj(preset_rotated_thermal(u_a, u_b, *g)) >= best - 1e-12
-        opt = optimize_unraveling(*g)
+        opt = optimize_unraveling(preset_thermal(*g))
         assert abs(kappa_qj(preset_rotated_thermal(opt.u_a, opt.u_b, *g))
                    - opt.reference) < 1e-12
 
 
 def test_recovers_thermal_optimum():
-    opt = optimize_unraveling(1.0, 2.0, 1.0, 2.0)
+    opt = optimize_unraveling(preset_thermal(1.0, 2.0, 1.0, 2.0))
     assert abs(opt.reference - (3.0 - 2.0 * np.sqrt(2.0))) < 1e-12
     assert abs(opt.achieved - opt.reference) < 1e-12
     # the optimum is the balanced mixing: all moduli 1/sqrt(2)
@@ -40,14 +40,14 @@ def test_random_quadruples():
     rng = np.random.default_rng(52)
     for _ in range(6):
         g = rng.uniform(0.1, 3.0, 4)
-        opt = optimize_unraveling(*g)
+        opt = optimize_unraveling(preset_thermal(*g))
         want = kappa_opt_thermal(*g)
         assert abs(opt.achieved - want) < 1e-12
         assert opt.achieved >= want - 1e-12  # closed form is a true lower bound
 
 
 def test_zero_temperature():
-    opt = optimize_unraveling(0.0, 1.2, 0.0, 0.7)
+    opt = optimize_unraveling(preset_thermal(0.0, 1.2, 0.0, 0.7))
     assert abs(opt.achieved - 0.95) < 1e-12  # (1.2 + 0.7)/2
     # with det J = 0 on every channel the phase convention is 0
     assert np.all((opt.phases_a >= 0) & (opt.phases_a < np.pi))
@@ -55,29 +55,29 @@ def test_zero_temperature():
 
 def test_unmonitored_qubit():
     # a qubit with no channels mixes zero operators: rate 0, phases 0
-    opt = optimize_unraveling(0.0, 0.0, 0.5, 1.5)
+    opt = optimize_unraveling(preset_thermal(0.0, 0.0, 0.5, 1.5))
     want = kappa_opt_thermal(0.0, 0.0, 0.5, 1.5)
     assert opt.achieved == pytest.approx(want, abs=1e-15)
     assert np.array_equal(opt.phases_a, np.zeros(2))
 
 
 def test_equal_temperature_protection():
-    opt = optimize_unraveling(0.9, 0.9, 0.4, 0.4)
+    opt = optimize_unraveling(preset_thermal(0.9, 0.9, 0.4, 0.4))
     assert opt.reference == 0.0
     assert abs(opt.achieved) < 1e-12
 
 
 def test_detector_phases_range():
-    opt = optimize_unraveling(0.5, 1.5, 0.5, 1.5)
+    opt = optimize_unraveling(preset_thermal(0.5, 1.5, 0.5, 1.5))
     for ph in (opt.phases_a, opt.phases_b):
         assert ph.shape == (2,)
         assert np.all((ph >= 0) & (ph < np.pi))
 
 
 def test_determinism_and_validation():
-    a = optimize_unraveling(1.0, 2.0, 0.5, 1.5)
-    b = optimize_unraveling(1.0, 2.0, 0.5, 1.5)
+    a = optimize_unraveling(preset_thermal(1.0, 2.0, 0.5, 1.5))
+    b = optimize_unraveling(preset_thermal(1.0, 2.0, 0.5, 1.5))
     assert a.achieved == b.achieved
     assert np.array_equal(a.u_a, b.u_a)
     with pytest.raises(ValueError):
-        optimize_unraveling(-1.0, 1.0, 1.0, 1.0)
+        optimize_unraveling(preset_thermal(-1.0, 1.0, 1.0, 1.0))

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from trajent.ensemble import run_average
 from trajent.entanglement import concurrence_pure
-from trajent.linalg import SIGMA_X, kron2, normalized
+from trajent.linalg import SIGMA_X, kron2
 from trajent.models import (
     JumpChannel, bell_state, local_hamiltonian, preset_common_bath,
     preset_dephasing, preset_photon_counting, preset_rotated_thermal,
@@ -23,7 +23,7 @@ from trajent.rates import (
 )
 
 from _oracles import (common_bath_one_jump_pieces, kappa_ho_phase_scan,
-                      kappa_qj_decomposed)
+                      kappa_qj_decomposed, normalized)
 
 S2 = 1 / np.sqrt(2)
 OPT_UNIT = 3.0 - 2.0 * np.sqrt(2.0)  # (sqrt2 - 1)^2 = 0.17157287525381
