@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dt", type=float, default=None,
-                    help="Euler-Maruyama step upper bound for the qsd "
+                    help="split-step upper bound for the qsd "
                          "unravelings only (default: automatic); an error "
                          "with qj, whose click times are exact")
     sp.add_argument("--tmax", type=float, required=True)

@@ -15,60 +15,77 @@ heterodyne-type monitoring with one complex increment per channel
               + sum_m sqrt(gamma_m) ( (J_m - <J_m>/2) d xi_m
                                       - (<J_m>*/2) d xi_m* ) ] psi .
 
-Both are integrated with Euler-Maruyama and an exact renormalization after
-every step (the suppressed drift is O(dt^{3/2}) and sits inside the
-first-order convergence budget).  One step of either kind has the form
+Both are integrated by one split step, the Kraus form of Rouchon & Ralph,
+PRA 91, 012118 (2015): the exact no-click drift E = exp(h A0), A0 = -i H0 -
+K = -i H_eff, after one factor per channel, and a renormalization,
 
-    new = (1 + h A0) psi + sum_m coef_m J_m psi - scal psi ,   A0 = -i H0 - K,
+    psi' = E F_{M-1} ... F_1 F_0 psi / |.| ,   F_m = (1 - scal_m) 1 + coef_m J_m,
 
     homodyne:    coef_m = h gamma_m Re<J_m> + sqrt(gamma_m) dw_m,
-                 scal   = sum_m Re<J_m> (h gamma_m Re<J_m> / 2
-                                         + sqrt(gamma_m) dw_m),
+                 scal_m = Re<J_m> (h gamma_m Re<J_m> / 2 + sqrt(gamma_m) dw_m),
     heterodyne:  coef_m = h gamma_m <J_m>* / 2 + sqrt(gamma_m) d xi_m,
-                 scal   = sum_m (h gamma_m |<J_m>|^2 / 4
-                                 + sqrt(gamma_m) Re(d xi_m <J_m>)),
+                 scal_m = h gamma_m |<J_m>|^2 / 4
+                          + sqrt(gamma_m) Re(d xi_m <J_m>),
 
-so the batch kernel advances all its rows with one matmul against the
-stacked operators [1 + h A0; J_1; ...; J_M], one expectation contraction and
-one coefficient contraction per step.  A detector phase theta is applied by
-rotating the channel operators J -> e^{-i theta} J before the run (see
-`models.with_phase_rotation`).
+with every <J_m> read from the state before the step.  To first order in h
+this is the Euler-Maruyama step, and unlike it the split step is exact where
+the dynamics is: a local scenario's factors and E are local, so a product
+state stays a product state, and collective decay from a single-excitation
+state reaches C = 0 at the time the jump engine does.  E is static, so it is
+computed once, with `linalg.expm`, when the kernel is built.  A detector
+phase theta is applied by rotating the channel operators J -> e^{-i theta} J
+before the run (see `models.with_phase_rotation`).
+
+The mean concurrence is an expectation, so only weak convergence matters,
+and the increments are two-point (the simplified weak Euler scheme, Kloeden
+& Platen, Numerical Solution of SDEs, 14.1): dw_m = +-sqrt(h) and d xi_m =
+sqrt(h/2) (s' + i s''), each sign +1 or -1 with probability 1/2.  They keep
+the first three moments of the Gaussian increments: E dw = 0, E dw^2 = h,
+E d xi = 0, E |d xi|^2 = h and E d xi^2 = 0.
 
 `batch_kernel_qsd` checks the kind, the grid, the step bound and that the
 channels are static, once, before any kernel call.  The batch kernel is then
 a pure array function: it returns the batch's record points, concurrences
 and optional states, which `ensemble` turns into records or reduces to
-moments.  Trajectory k of a run draws only from its own
-substream `ensemble.trajectory_rng(seed, k)`, so ensembles are bit-stable for
-a given (seed, n_traj) regardless of batching or workers.
-The kernel steps its rows _ROWS at a time and streams the noise: each row
-draws the next block of steps from its substream into a reused buffer of at
-most _NOISE_VALUES normals per row block.  A row reads its normals step by
-step and, within a step, channel by channel: one normal z per channel for
-homodyne, dw_m = sqrt(h) z, and a pair for heterodyne,
-d xi_m = sqrt(h/2) (z' + i z''), with the pair of channel m read before that
-of channel m+1.  Consecutive draws continue one stream, so the increments
-are those of a single whole-horizon draw and memory does not grow with t_max.
+moments.  It steps its rows _ROWS at a time as one (4 + 4M, B) block
+[psi; J_0 psi; ...; J_{M-1} psi]: a step is one (4 + 4M, 4) @ (4, B) matmul
+against [1; J_0; ...] E, which also gives every <J_m> of the next step, and
+one (4, 4) matmul for each channel after the first.
+
+Trajectory k of a run with master seed s reads only its own substream
+(`ensemble.Substreams`), so ensembles are bit-stable for a given
+(seed, n_traj) regardless of batching or workers.  Its signs are the bits
+of the substream's raw 64-bit words, s = 1 - 2 bit, read within a word from
+the least significant bit up: step by step, each step from a new byte,
+within a step channel by channel, and a heterodyne channel's real part
+before its imaginary part.  So bit j of a step's bytes is the sign of
+channel j (homodyne) or of channel j // 2 (heterodyne), and a step reads
+ceil(M / 8) or ceil(M / 4) bytes.  The signs are never expanded to numbers:
+each byte indexes a table of its channels' increments for all 256 values.
+A row block reads its words _BLOCK steps at a time, so memory does not grow
+with t_max.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import (TrajectoryRecord, record_times, run_one, run_records,
-                       trajectory_rng)
+from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
+                       run_records)
 from .entanglement import concurrence_batch
 from .errors import StepSizeError
+from .linalg import expm
 from .models import Scenario
 
 __all__ = ["MAX_DIFFUSION_STEP", "batch_kernel_qsd", "run_trajectory_qsd",
            "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
-_NOISE_VALUES = 1 << 18  # normals a row block buffers at a time (2 MB)
-_ROWS = 512  # rows stepped together; wider blocks are slower (cache, draws)
+_ROWS = 512  # rows stepped together; wider blocks are slower (GEMM threading)
+_BLOCK = 512  # steps whose words a row block reads at once; a multiple of 8
 
 KINDS = ("homodyne", "heterodyne")
 
@@ -102,75 +119,113 @@ def _grid(s: Scenario, t_max: float, dt: float | None,
     return times, int(n_sub), h
 
 
-def _run_batch_qsd(het: bool, s: Scenario, times: np.ndarray, n_sub: int,
-                   h: float, keep_states: bool, seed: int, indices) -> tuple:
-    """Fused Euler-Maruyama kernel, _ROWS rows at a time; no clicks."""
+class _Step(NamedTuple):
+    """One split step's operators, built once with the kernel."""
+    het: bool
+    ops: np.ndarray  # (4 + 4M, 4): 1; J_0; ...; J_{M-1} stacked
+    prop_ops: np.ndarray  # ops @ E, E = exp(h A0)
+    half_drift: np.ndarray  # (M, 1): h gamma_m / 2 (homodyne), h gamma_m / 4
+    tables: tuple  # per byte of a step: (first channel, (c, 256) increments)
+
+
+def _tables(het: bool, scale: np.ndarray) -> tuple:
+    """The increments of every value of every byte of a step's signs.
+
+    Byte j of a step holds the signs of channels j c, ..., j c + c - 1,
+    c = 8 (homodyne) or 4 (heterodyne), fewer in the last byte, whose unused
+    high bits are skipped.  Entry [i, v] of byte j's table is the increment
+    of its i-th channel when the byte reads v: scale s for homodyne and
+    scale (s' + i s'') for heterodyne, s = 1 - 2 bit, with the bits of the
+    i-th channel at i (homodyne) or 2i and 2i + 1 (heterodyne) of v.
+    """
+    per = 2 if het else 1
+    signs = 1.0 - 2.0 * (np.arange(256) >> np.arange(8)[:, None] & 1)
+    unit = signs[::2] + 1j * signs[1::2] if het else signs
+    return tuple((c0, scale[c0:c0 + 8 // per, None] * unit[:len(scale) - c0])
+                 for c0 in range(0, len(scale), 8 // per))
+
+
+def _bytes(words: np.ndarray, n_steps: int, per_step: int) -> np.ndarray:
+    """(n_steps, per_step, B) bytes of the (W, B) words of a row block:
+    byte j of step k is byte k per_step + j of a row's stream, and byte i of
+    the stream is bits 8 (i % 8) to 8 (i % 8) + 7 of word i // 8."""
+    b = words.shape[1]
+    stream = words.astype("<u8", copy=False).view(np.uint8)
+    return (stream.reshape(-1, b, 8).transpose(0, 2, 1).reshape(-1, b)
+            [:n_steps * per_step].reshape(n_steps, per_step, b))
+
+
+def _run_batch_qsd(step: _Step, psi0: np.ndarray, times: np.ndarray,
+                   n_sub: int, keep_states: bool, seed: int,
+                   indices) -> tuple:
+    """The split-step kernel, _ROWS rows at a time; no clicks."""
     b = len(indices)
     conc = np.empty((b, len(times)))
     states = (np.empty((b, len(times), 4), dtype=complex) if keep_states
               else None)
     for i in range(0, b, _ROWS):
         j = min(i + _ROWS, b)
-        _step_rows(het, s, n_sub, h, seed, indices[i:j], conc[i:j],
+        _step_rows(step, psi0, n_sub, seed, indices[i:j], conc[i:j],
                    None if states is None else states[i:j])
     return times, conc, states, None
 
 
-def _step_rows(het: bool, s: Scenario, n_sub: int, h: float, seed: int,
+def _step_rows(step: _Step, psi0: np.ndarray, n_sub: int, seed: int,
                indices, conc: np.ndarray, states: np.ndarray | None) -> None:
-    """Step rows ``indices`` on a (4, B) state, filling their (B, G)
-    concurrences and, if given, (B, G, 4) states."""
+    """Step rows ``indices``, filling their (B, G) concurrences and, if
+    given, (B, G, 4) states.
+
+    The rows are held as z = [psi; J_0 psi; ...; J_{M-1} psi], (4 + 4M, B),
+    with psi unnormalized: each step ends with z = [E; J_0 E; ...] @ phi, and
+    the next one reads |psi|^2 and every <psi|J_m|psi> from z at once and
+    folds 1 / |psi| into the first channel's factor.
+    """
     n_steps = (conc.shape[1] - 1) * n_sub
     b = len(indices)
-    m_ch = len(s.channels)
-    per_step = 2 * m_ch if het else m_ch   # normals per row and step
-    block = max(1, min(n_steps, _NOISE_VALUES // max(1, b * per_step)))
-    gens = [trajectory_rng(seed, k) for k in indices]
-    raw = np.empty((b, block * per_step))
-    # sqrt(gamma_m) dw_m = sqrt(gamma_m h) z and sqrt(gamma_m) d xi_m =
-    # sqrt(gamma_m h / 2) (z' + i z''): a (z', z'') pair read as one complex
-    dtype = complex if het else float
-    dn = np.empty((block, m_ch, b), dtype=dtype)        # dn[k] is (M, B)
-    dn_scale = np.sqrt((0.5 * h if het else h) * s.rates)[:, None]
-
-    stack = np.concatenate([np.eye(4) + h * (-1j * s.h_eff),
-                            *s.lifted_ops])
-    h_rates = h * s.rates[:, None]
-    half_h_rates = 0.5 * h_rates
-    quarter_h_rates = 0.25 * h_rates
-
-    psi = np.broadcast_to(s.psi0[:, None], (4, b)).copy()     # (4, B)
-    conc[:, 0] = concurrence_batch(psi.T)
-    if states is not None:
-        states[:, 0] = psi.T
-
-    for b0 in range(0, n_steps, block):
-        nb = min(block, n_steps - b0)
-        for g, row in zip(gens, raw):
-            g.standard_normal(out=row[:nb * per_step])
-        z = raw[:, :nb * per_step].view(dtype).reshape(b, nb, m_ch)
-        np.multiply(dn_scale, z.transpose(1, 2, 0), out=dn[:nb])
-        for k in range(nb):
-            y = stack @ psi
-            jpsi = y[4:].reshape(m_ch, 4, b)
-            ex = (psi.conj() * jpsi).sum(axis=1)                # (M, B)
-            if het:
-                coef = half_h_rates * ex.conj() + dn[k]
-                scal = (quarter_h_rates * (ex * ex.conj()).real
-                        + (dn[k] * ex).real).sum(axis=0)
-            else:
-                re = ex.real
-                coef = h_rates * re + dn[k]
-                scal = (re * (half_h_rates * re + dn[k])).sum(axis=0)
-            new = (coef[:, None] * jpsi).sum(axis=0)
-            new += y[:4]
-            new -= scal * psi
-            psi = new / np.linalg.norm(new, axis=0)
-            done, rem = divmod(b0 + k + 1, n_sub)
-            if not rem:
-                conc[:, done] = concurrence_batch(psi.T)
-                if states is not None:
-                    states[:, done] = psi.T
+    m_ch = len(step.half_drift)
+    per_step = len(step.tables)  # bytes of signs a step reads
+    draws = Substreams(seed, indices)
+    dn = np.empty((m_ch, b), dtype=step.half_drift.dtype)
+    z = step.ops @ np.broadcast_to(psi0[:, None], (4, b))
+    for k in range(n_steps + 1):
+        psi = z[:4]
+        q = (psi.conj() * z.reshape(m_ch + 1, 4, b)).sum(axis=1)
+        inv_n2 = 1.0 / q[0].real
+        done, rem = divmod(k, n_sub)
+        if not rem:
+            conc[:, done] = concurrence_batch(psi.T) * inv_n2
+            if states is not None:
+                states[:, done] = (psi * np.sqrt(inv_n2)).T
+        if k == n_steps:
+            break
+        if not k % _BLOCK:
+            nb = min(_BLOCK, n_steps - k)
+            signs = _bytes(draws.raw(-(-nb * per_step // 8)), nb, per_step)
+        for (c0, table), byte in zip(step.tables, signs[k % _BLOCK]):
+            np.take(table, byte, axis=1, out=dn[c0:c0 + len(table)])
+        # with x = <J> (heterodyne) or Re<J> (homodyne) and a = drift x* / 2:
+        # coef = 2a + dn and scal = Re(x (a + dn)); the first channel's
+        # factor also takes 1 / |psi|.  Complex arrays meet only complex
+        # ones, as a mixed multiply is slower.
+        x = (q[1:] * (1.0 / q[0]) if step.het
+             else q[1:].real * inv_n2)
+        a = step.half_drift * x.conj()
+        w = a + dn
+        coef = w + a
+        keep = 1.0 - (x * w).real
+        f = np.sqrt(inv_n2)
+        keep[:1] *= f
+        coef[:1] *= f.astype(coef.dtype)
+        coef = coef.astype(complex, copy=False)
+        keep = keep.astype(complex)
+        phi = psi  # z is read; its rows are overwritten in place
+        for m in range(m_ch):
+            jphi = (z[4:8] if m == 0
+                    else step.ops[4 * m + 4:4 * m + 8] @ phi)
+            jphi *= coef[m]
+            phi *= keep[m]
+            phi += jphi
+        z = step.prop_ops @ phi
 
 
 def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
@@ -180,8 +235,15 @@ def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
     every check runs here, once, before any kernel call."""
     if kind not in KINDS:
         raise ValueError(f"unraveling kind must be one of {KINDS}, got {kind!r}")
-    return partial(_run_batch_qsd, kind == "heterodyne", s,
-                   *_grid(s, t_max, dt, record_grid), keep_states)
+    het = kind == "heterodyne"
+    times, n_sub, h = _grid(s, t_max, dt, record_grid)
+    per = 2 if het else 1
+    ops = np.concatenate([np.eye(4), *s.lifted_ops])
+    step = _Step(het=het, ops=ops, prop_ops=ops @ expm(-1j * h * s.h_eff),
+                 half_drift=((0.5 * h / per) * s.rates[:, None]).astype(
+                     complex if het else float),
+                 tables=_tables(het, np.sqrt(h / per * s.rates)))
+    return partial(_run_batch_qsd, step, s.psi0, times, n_sub, keep_states)
 
 
 def run_trajectory_qsd(kind: str, s: Scenario, t_max: float,

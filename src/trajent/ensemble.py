@@ -33,10 +33,10 @@ summaries are identical for any worker count and bit-stable for a given
 (seed, n_traj).
 
 A substream is PCG64 seeded by SeedSequence(s, spawn_key=(k,)), and it has
-two readers: `trajectory_rng(s, k)`, a numpy Generator (the QSD engine draws
-its normals from it), and `Substreams(s, indices)`, which reads the same
-uniforms for a whole batch as arrays, without a Generator per trajectory (the
-jump engine).
+one reader, `Substreams(s, indices)`, which reads a whole batch's substreams
+as arrays, without a numpy Generator per trajectory: uniforms, numpy's
+``Generator.random()`` (the jump engine), or raw 64-bit words,
+``PCG64.random_raw`` (the QSD engine's signs).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import ConfigError, FitWindowError
 __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
            "TrajectoryRecord", "average", "empirical_density", "fit_rate",
            "fit_rate_series", "record_times", "run_average", "run_batches",
-           "run_one", "run_records", "trajectory_rng"]
+           "run_one", "run_records"]
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
@@ -103,12 +103,6 @@ class TrajectoryRecord:
         """The clicks as `JumpEvent`s, built from the columns on each read."""
         return tuple(map(JumpEvent._make, zip(self.click_times.tolist(),
                                               self.click_channels.tolist())))
-
-
-def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
-    """Independent generator for trajectory k of a run seeded with master_seed."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed,
-                                                        spawn_key=(k,)))
 
 
 # numpy's SeedSequence constants (a pool of 4 uint32 words), and PCG64's
@@ -169,16 +163,22 @@ def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
     return new_hi, new_lo
 
 
-class Substreams:
-    """The uniforms of ``trajectory_rng(seed, k).random()`` for a batch of k.
+def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of a state: hi ^ lo rotated right by hi >> 58."""
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    return x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
 
-    Row i reads the substream of ``indices[i]`` with no Generator: numpy's
-    SeedSequence(seed, spawn_key=(k,)) is mixed for every row at once in
-    uint32 columns, PCG64 is seeded from it as numpy does, and each draw
-    advances only the rows it is asked for, with the XSL-RR output and
-    numpy's 53-bit double.  Indices must be below 2^64.  So the jump engine
-    never imports ``numpy.random``, which numpy 2 loads, for milliseconds, on
-    first use.
+
+class Substreams:
+    """The substreams of trajectories ``indices`` of a run seeded with seed.
+
+    Row i reads PCG64 seeded by numpy's SeedSequence(seed,
+    spawn_key=(indices[i],)) with no Generator: the SeedSequence is mixed for
+    every row at once in uint32 columns, and PCG64 is seeded from it as numpy
+    does.  `random` gives numpy's ``Generator.random()`` and `raw` gives
+    ``PCG64.random_raw``, bit for bit; both advance one stream per row.
+    Indices must be below 2^64.  So no engine imports ``numpy.random``,
+    which numpy 2 loads, for milliseconds, on first use.
     """
 
     def __init__(self, seed: int, indices):
@@ -216,13 +216,22 @@ class Substreams:
         self.hi, self.lo = _step(hi, lo, self.inc_hi, self.inc_lo)
 
     def random(self, rows: np.ndarray) -> np.ndarray:
-        """The next uniform in [0, 1) of each row in ``rows`` (distinct)."""
+        """The next uniform in [0, 1) of each row in ``rows`` (distinct), as
+        numpy's 53-bit double of the next word."""
         hi, lo = _step(self.hi[rows], self.lo[rows], self.inc_hi[rows],
                        self.inc_lo[rows])
         self.hi[rows], self.lo[rows] = hi, lo
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        return (x >> np.uint64(11)) * 2.0 ** -53
+        return (_output(hi, lo) >> np.uint64(11)) * 2.0 ** -53
+
+    def raw(self, n: int) -> np.ndarray:
+        """The next n 64-bit words of every row, (n, B) uint64: column i is
+        ``random_raw(n)`` of row i's PCG64."""
+        out = np.empty((n, len(self.hi)), dtype=np.uint64)
+        for word in out:
+            self.hi, self.lo = _step(self.hi, self.lo, self.inc_hi,
+                                     self.inc_lo)
+            word[:] = _output(self.hi, self.lo)
+        return out
 
 
 def record_times(t_max: float, record_grid: float | None) -> np.ndarray:

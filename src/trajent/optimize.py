@@ -70,8 +70,9 @@ def optimize_unraveling(s: Scenario) -> UnravelingOptimum:
     channels that are not thermal baths are a `ConfigError`."""
     if (g := s.thermal_rates) is None:
         raise ConfigError(
-            "the mixing optimizer needs a thermal-type scenario "
-            "(presets photon_counting, thermal, or rotated_thermal)")
+            "the mixing optimizer needs a thermal-type scenario: local "
+            "channels only, whose generator on each qubit is that of "
+            "sigma_+ and sigma_- at some rates")
     u_a, u_b = _BALANCED.copy(), _BALANCED.copy()
     rate_a, phases_a = _mixed_qubit(u_a, *g[:2])
     rate_b, phases_b = _mixed_qubit(u_b, *g[2:])

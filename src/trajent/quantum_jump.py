@@ -34,9 +34,10 @@ click.
 Reproducibility: the batch kernel returns arrays (record points,
 concurrences, optional states, optional clicks as (row, time, channel)), which
 `ensemble` turns into records or reduces to moments.  Trajectory k of a run
-with master seed s draws only from its substream `ensemble.trajectory_rng(s,
-k)`, read for the whole call by `ensemble.Substreams`: the first threshold,
-then per click the channel draw and the next threshold, so it does not
+with master seed s draws only from its substream, PCG64 seeded by numpy's
+SeedSequence(s, spawn_key=(k,)), read as uniforms for the whole call by
+`ensemble.Substreams`: the first threshold, then per click the channel draw
+and the next threshold, so it does not
 depend on the rows that share its call or on the worker count: records are
 byte-identical for any ``workers``.  For a fixed seed they differ from
 those of versions before the real-view contractions (`_norm2`, `_k_mean`,

@@ -4,8 +4,10 @@ Besides a state normalizer for building test states, each function
 recomputes something the package computes another way: a
 brute-force or differently factored closed form, an operator form of the
 concurrence, partial traces, no-click propagators taken from
-``scipy.linalg.expm`` rather than the package's own Pade ``expm``, the
-one-trajectory loop form of the diffusion step, the ensemble generator with
+``scipy.linalg.expm`` rather than the package's own Pade ``expm``, numpy's
+own Generator on a trajectory's substream and the signs read from its raw
+words one bit at a time, the one-trajectory loop form of the diffusion split
+step, the ensemble generator with
 each channel's J^dag J written out, the comparison of two scenarios'
 ensemble generators, and the jump engine's click-time search in its gathered
 form, reading S and <K> through the kernel's real-view helpers or through
@@ -164,55 +166,66 @@ def generator_deviation(s: Scenario, reference: Scenario) -> float:
                                - lindblad_superoperator(reference))))
 
 
-def wiener_increments(rng: np.random.Generator, n_steps: int, n_channels: int,
-                      dt: float) -> np.ndarray:
-    """Real increments dw ~ N(0, dt), shape (n_steps, n_channels)."""
-    return np.sqrt(dt) * rng.standard_normal((n_steps, n_channels))
+def trajectory_rng(master_seed: int, k: int) -> np.random.Generator:
+    """numpy's own Generator on substream k of a run seeded with master_seed:
+    the reference that ``ensemble.Substreams`` reads bit for bit."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed,
+                                                        spawn_key=(k,)))
 
 
-def complex_wiener_increments(rng: np.random.Generator, n_steps: int,
-                              n_channels: int, dt: float) -> np.ndarray:
-    """Complex increments with <d xi d xi*> = dt and <d xi d xi> = 0.
+def step_signs(master_seed: int, k: int, n_steps: int,
+               per_step: int) -> np.ndarray:
+    """(n_steps, per_step) signs of trajectory k, read from numpy's own
+    ``random_raw`` words one bit at a time: each step starts at a new byte,
+    and sign n of the stream is bit n % 64 of word n // 64, a set bit -1 and
+    a clear one +1."""
+    stride = 8 * -(-per_step // 8)
+    n = n_steps * stride
+    words = trajectory_rng(master_seed, k).bit_generator.random_raw(
+        -(-n // 64)).tolist()
+    bits = [words[i // 64] >> (i % 64) & 1 for i in range(n)]
+    signs = 1.0 - 2.0 * np.array(bits, dtype=float)
+    return signs.reshape(n_steps, stride)[:, :per_step]
 
-    Built as (dw1 + i dw2)/sqrt(2) from independent real N(0, dt) pairs;
-    the pair for channel m is consumed before the pair for channel m+1.
-    """
-    raw = rng.standard_normal((n_steps, n_channels, 2))
-    return np.sqrt(dt / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
+
+def _split_step(psi: np.ndarray, s: Scenario, dt: float, coefs) -> np.ndarray:
+    """psi' = exp(-i H_eff dt) F_{M-1} ... F_0 psi, normalized, with
+    F_m = (1 - scal_m) 1 + coef_m J_m for (coef_m, scal_m) in coefs."""
+    phi = np.asarray(psi, dtype=complex).reshape(4)
+    for j, (coef, scal) in zip(s.lifted_ops, coefs):
+        phi = (1.0 - scal) * phi + coef * (j @ phi)
+    new = expm(-1j * s.h_eff * dt) @ phi
+    return new / np.linalg.norm(new)
 
 
 def step_homodyne(psi: np.ndarray, s: Scenario, dt: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One Euler-Maruyama step of the homodyne equation; returns unit norm."""
+                  signs: np.ndarray) -> np.ndarray:
+    """One split step of the homodyne equation with dw_m = sqrt(dt) signs[m];
+    returns unit norm."""
     psi = np.asarray(psi, dtype=complex).reshape(4)
-    dw = wiener_increments(rng, 1, len(s.channels), dt)[0]
-    new = psi + (-1j * s.h0 - s.k_op) @ psi * dt
-    for m, ch in enumerate(s.channels):
-        j = s.lifted_ops[m]
-        jpsi = j @ psi
-        ex = complex(np.vdot(psi, jpsi))
-        re = ex.real
-        new = new + ch.rate * (re * jpsi - 0.5 * re * re * psi) * dt
-        new = new + np.sqrt(ch.rate) * (jpsi - re * psi) * dw[m]
-    return new / np.linalg.norm(new)
+    coefs = []
+    for ch, j, sign in zip(s.channels, s.lifted_ops, signs):
+        re = complex(np.vdot(psi, j @ psi)).real
+        noise = np.sqrt(ch.rate * dt) * sign
+        coefs.append((ch.rate * dt * re + noise,
+                      re * (0.5 * ch.rate * dt * re + noise)))
+    return _split_step(psi, s, dt, coefs)
 
 
 def step_heterodyne(psi: np.ndarray, s: Scenario, dt: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One Euler-Maruyama step of the heterodyne equation; returns unit norm."""
+                    signs: np.ndarray) -> np.ndarray:
+    """One split step of the heterodyne equation with
+    d xi_m = sqrt(dt / 2) (signs[2m] + i signs[2m + 1]); returns unit norm."""
     psi = np.asarray(psi, dtype=complex).reshape(4)
-    dxi = complex_wiener_increments(rng, 1, len(s.channels), dt)[0]
-    new = psi + (-1j * s.h0 - s.k_op) @ psi * dt
-    for m, ch in enumerate(s.channels):
-        j = s.lifted_ops[m]
-        jpsi = j @ psi
-        ex = complex(np.vdot(psi, jpsi))
-        new = new + 0.5 * ch.rate * (np.conjugate(ex) * jpsi
-                                     - 0.5 * abs(ex) ** 2 * psi) * dt
-        new = new + np.sqrt(ch.rate) * ((jpsi - 0.5 * ex * psi) * dxi[m]
-                                        - 0.5 * np.conjugate(ex)
-                                        * np.conjugate(dxi[m]) * psi)
-    return new / np.linalg.norm(new)
+    coefs = []
+    for m, (ch, j) in enumerate(zip(s.channels, s.lifted_ops)):
+        ex = complex(np.vdot(psi, j @ psi))
+        dxi = np.sqrt(0.5 * dt) * complex(signs[2 * m], signs[2 * m + 1])
+        noise = np.sqrt(ch.rate) * dxi
+        coefs.append((0.5 * ch.rate * dt * np.conjugate(ex) + noise,
+                      0.25 * ch.rate * dt * abs(ex) ** 2
+                      + (noise * ex).real))
+    return _split_step(psi, s, dt, coefs)
 
 
 def norm2_complex(psi: np.ndarray) -> np.ndarray:

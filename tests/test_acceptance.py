@@ -152,26 +152,36 @@ def test_unnormalized_library_state_starts_every_engine_alike():
     assert np.all(summ.mean_c >= c_rho - 5 * summ.stderr - FLOAT_GUARD)
 
 
+def _within_5_sigma_of_closed_form(s, unraveling, summ):
+    """Every point with mean >= 5 stderr within 5 stderr of the closed form."""
+    want = analytic_mean_concurrence(s, unraveling, summ.times)
+    sel = (summ.stderr > 0) & (summ.mean_c >= 5.0 * summ.stderr)
+    assert sel.sum() >= 10
+    return np.all(np.abs(summ.mean_c - want)[sel] <= 5.0 * summ.stderr[sel])
+
+
 def test_diffusive_monitoring_decay_rates():
+    # N = 400 each, pointwise at 5 sigma against C0 e^{-kappa t}
     s = preset_photon_counting(1.0, 1.0, initial=bell_state())
     summ = _summary(run_ensemble_qsd("homodyne", s, 1.5, 400, dt=0.005,
                                      seed=101, record_grid=0.05))
-    assert abs(fit_rate(summ).rate - 1.0) <= 0.10
+    assert _within_5_sigma_of_closed_form(s, "qsd-homodyne", summ)
     summ = _summary(run_ensemble_qsd("heterodyne", s, 1.5, 400, dt=0.005,
                                      seed=103, record_grid=0.05))
-    assert abs(fit_rate(summ).rate - 1.0) <= 0.10
+    assert _within_5_sigma_of_closed_form(s, "qsd-heterodyne", summ)
 
     psi = state_from_amplitudes(1, 0, 0, -1j) / np.sqrt(2)
     deph = preset_dephasing(V_XY, V_XY, 1.0, 1.0, initial=psi)
     summ = _summary(run_ensemble_qsd("homodyne", deph, 0.8, 400, dt=0.0025,
                                      seed=107, record_grid=0.025))
-    assert abs(fit_rate(summ).rate - 4.0) <= 0.10 * 4.0
+    assert _within_5_sigma_of_closed_form(deph, "qsd-homodyne", summ)
+    # the quarter-turn phase switches the decay off: C = 1 on every
+    # trajectory
     quarter = with_phase_rotation(deph, np.pi / 2)
     recs = run_ensemble_qsd("homodyne", quarter, 0.8, 400, dt=0.0025,
                             seed=109, record_grid=0.025)
-    summ = _summary(recs)
-    fit = fit_rate(summ)
-    assert abs(fit.rate) <= 0.10               # 10% of the unit channel rate
+    c = np.array([r.concurrences for r in recs])
+    assert np.max(np.abs(c - 1.0)) <= FLOAT_GUARD
 
 
 def test_monitoring_rate_inequalities_hold():

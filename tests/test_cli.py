@@ -294,9 +294,9 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_only_qsd_loads_numpy_random():
+def test_no_subcommand_loads_numpy_random():
     # numpy 2 imports numpy.random on first use, which costs milliseconds per
-    # command; the jump engine reads its substreams through Substreams
+    # command; both engines read their substreams through Substreams
     code = ("import json, sys\n"
             "import numpy\n"
             "from trajent.cli import main\n"
@@ -317,12 +317,13 @@ def test_only_qsd_loads_numpy_random():
         ["rates", "--config", "thermal_bell", "--out", os.devnull],
         ["optimize", "--config", "thermal_bell", "--out", os.devnull],
         ["simulate", *small, "--traj", "20", "--unraveling", "qsd-homodyne"],
+        ["simulate", *small, "--traj", "20", "--unraveling",
+         "qsd-heterodyne"],
     ]
     out = _run_python(code, json.dumps(argvs))
     assert out.returncode == 0, out.stderr
-    # only the last command, the QSD engine, draws from numpy Generators
     loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert loaded == [False] * 5 + [True]
+    assert loaded == [False] * 7
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):

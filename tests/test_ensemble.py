@@ -16,13 +16,14 @@ from trajent.config import load_scenario
 from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               empirical_density, fit_rate, fit_rate_series,
-                              run_average, run_batches, run_records,
-                              trajectory_rng)
+                              run_average, run_batches, run_records)
 from trajent.errors import ConfigError, FitWindowError, NumericalError
 from trajent.linalg import SIGMA_MINUS
 from trajent.models import (JumpChannel, bell_state, preset_photon_counting,
                             scenario_from_channels, with_homodyne_shift)
 from trajent.quantum_jump import batch_kernel, run_ensemble
+
+from _oracles import trajectory_rng
 
 
 def _record(times, conc, states=None, index=0):
@@ -55,6 +56,26 @@ def test_substreams_read_exactly_what_trajectory_rng_gives():
             np.random.SeedSequence(seed, spawn_key=(min(indices),))
         with pytest.raises(ValueError, match="non-negative"):
             Substreams(seed, indices)
+
+
+def test_substreams_raw_words_are_random_raw():
+    # raw reads of every row, continued across calls and after uniforms,
+    # equal numpy's own PCG64.random_raw bit for bit
+    indices = [0, 3, 512, 2**32 + 5]
+    for seed in (0, 2601, 2**70 + 11):
+        reader = Substreams(seed, indices)
+        first = reader.raw(5)
+        reader.random(np.array([1, 3]))
+        rest = reader.raw(70)
+        assert first.dtype == rest.dtype == np.uint64
+        assert first.shape == (5, 4) and rest.shape == (70, 4)
+        for col, k in enumerate(indices):
+            bits = trajectory_rng(seed, k).bit_generator
+            assert np.array_equal(first[:, col], bits.random_raw(5))
+            if col in (1, 3):  # the uniform read one word
+                bits.random_raw(1)
+            assert np.array_equal(rest[:, col], bits.random_raw(70))
+        assert reader.raw(0).shape == (0, 4)
 
 
 def test_average_recovers_mean_and_stderr():

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from trajent import ensemble, quantum_jump
 from trajent.config import bundled_scenario_path, load_scenario
-from trajent.ensemble import trajectory_rng
 from trajent.entanglement import concurrence_pure
 from trajent.errors import ConfigError
 from trajent.lindblad import evolve_rho
@@ -24,7 +23,7 @@ from trajent.quantum_jump import run_ensemble, run_trajectory
 from trajent.rates import analytic_mean_concurrence
 
 from _oracles import (click_delay_gathered, k_mean_complex, norm2_complex,
-                      survival_probability)
+                      survival_probability, trajectory_rng)
 
 UU = state_from_amplitudes(1, 0, 0, 0)
 DD = state_from_amplitudes(0, 0, 0, 1)
