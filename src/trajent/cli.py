@@ -39,7 +39,6 @@ from .diffusion import batch_kernel_qsd
 from .ensemble import fit_rate_series, run_average
 from .errors import ConfigError, NumericalError
 from .lindblad import concurrence_series, evolve_rho
-from .models import Scenario
 from .optimize import optimize_unraveling
 from .quantum_jump import batch_kernel
 from .rates import analytic_mean_concurrence, rate_report

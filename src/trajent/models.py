@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 KERNEL_DRIFT_TOL = 1e-10  # largest allowed oscillating coefficient of K(t)
+_FACTOR_TOL = 1e-12  # entrywise rest of an operator after its local parts
 COLLECTIVE_DECAY = kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS)
 
 _LOCALITIES = ("A", "B", "joint")
@@ -101,15 +102,6 @@ class JumpChannel:
         a = self.shift_at(t)
         return self.op if a == 0.0 else self.op + a * np.eye(len(self.op))
 
-    def rate_operator(self) -> np.ndarray:
-        """Operator the closed-form decay rates are evaluated on.
-
-        Static displacements are part of the monitoring scheme and enter the
-        rate formulas literally; a rotating displacement averages out and is
-        dropped.
-        """
-        return self.op if self.rotates else self.operator(0.0)
-
     def lifted(self, t: float = 0.0) -> np.ndarray:
         """Effective operator at time t on the pair space."""
         return _lift(self.locality, self.operator(t))
@@ -127,9 +119,9 @@ def _lift(locality: str, op: np.ndarray) -> np.ndarray:
 class Scenario:
     """Immutable bundle of Hamiltonian, channels and initial state.
 
-    Derived quantities (K, H_eff, lifted operators, thermal bath rates) are
-    cached on first use.  Engines never mutate a scenario; transformed
-    copies are produced by the ``with_*`` helpers.
+    Derived quantities (K, H_eff, lifted operators, the per-qubit view,
+    thermal bath rates) are cached on first use.  Engines never mutate a
+    scenario; transformed copies are produced by the ``with_*`` helpers.
     Building one raises a `ConfigError` listing every `_violations` entry;
     ``initial`` may be unnormalized (`psi0` normalizes it) but not zero.
     """
@@ -188,17 +180,43 @@ class Scenario:
         return np.array([ch.rate for ch in self.channels], dtype=float)
 
     @cached_property
+    def qubits(self) -> tuple:
+        """(H0's parts, one entry per channel), read from the operators, not
+        the tags: (H_A, H_B) with H0 = H_A (x) 1 + 1 (x) H_B, or None; per
+        channel ("A", J) if its lifted operator X is J (x) 1, J = tr_B X / 2,
+        else ("B", J) if X is 1 (x) J, J = tr_A X / 2, else None; each rest
+        within _FACTOR_TOL.  X keeps a static displacement, part of the
+        monitoring scheme, and drops a rotating one, which averages out."""
+        ops = [_lift(ch.locality, ch.op if ch.rotates else ch.operator())
+               for ch in self.channels]
+        x = np.reshape([self.h0, *ops], (-1, 2, 2, 2, 2))  # H0 leads
+        j_a = np.einsum("mikjk->mij", x) / 2.0
+        j_b = np.einsum("mkikj->mij", x) / 2.0
+        is_a = np.abs(x - np.einsum("mij,kl->mikjl", j_a, ID2)).max(
+            axis=(1, 2, 3, 4)) <= _FACTOR_TOL
+        is_b = np.abs(x - np.einsum("kl,mij->mkilj", ID2, j_b)).max(
+            axis=(1, 2, 3, 4)) <= _FACTOR_TOL
+        shared = 0.125 * np.trace(self.h0) * ID2  # each part takes half
+        h0 = (j_a[0] - shared, j_b[0] - shared)
+        if np.max(np.abs(self.h0 - local_hamiltonian(*h0))) > _FACTOR_TOL:
+            h0 = None
+        return h0, tuple(("A", a) if in_a else ("B", b) if in_b else None
+                         for a, b, in_a, in_b in zip(j_a, j_b, is_a, is_b))[1:]
+
+    @cached_property
     def thermal_rates(self) -> tuple[float, float, float, float] | None:
         """(gamma_+A, gamma_-A, gamma_+B, gamma_-B), gamma_+/- = sum_m gamma_m
-        |<u|J_m|d>|^2 / |<d|J_m|u>|^2, when each qubit's generator is that of
-        sigma_+/- at those rates within 1e-10 max(1, gamma_max); else None."""
-        if any(ch.locality == "joint" for ch in self.channels):
+        |<u|J_m|d>|^2 / |<d|J_m|u>|^2 on each qubit of `qubits`, when its
+        generator is that of sigma_+/- at those rates within 1e-10
+        max(1, gamma_max); else None.  H0 is not read."""
+        _, view = self.qubits
+        if any(q is None for q in view):
             return None
         found, tol = (), 1e-10 * max(1.0, self.gamma_max)
         for qubit in "AB":
-            chans = [ch for ch in self.channels if ch.locality == qubit]
-            g = np.array([ch.rate for ch in chans])
-            ops = np.reshape([ch.operator(0.0) for ch in chans], (-1, 2, 2))
+            on = [m for m, (q, _) in enumerate(view) if q == qubit]
+            g = self.rates[on]
+            ops = np.reshape([view[m][1] for m in on], (-1, 2, 2))
             bath = tuple(float(g @ abs(ops[:, i, 1 - i]) ** 2) for i in (0, 1))
             # less the bath's generator: sigma_+ and sigma_- at rates -bath
             g = np.append(g, np.negative(bath))
@@ -344,15 +362,12 @@ def _displaced(s: Scenario, shifts, freqs, tag: str) -> Scenario:
     ids ``~{tag}p``/``~{tag}m``; Omega is None for a static displacement."""
     channels = []
     for ch, a, w in zip(s.channels, shifts, freqs):
-        if ch.locality == "joint":
-            raise ValueError(f"channel {ch.id!r} is non-local; displaced "
-                             "monitoring is defined per qubit only")
         if ch.shift is not None:
             raise ValueError(f"channel {ch.id!r} already carries a displacement")
         for sign, pm in ((+1, "p"), (-1, "m")):
-            channels.append(JumpChannel(f"{ch.id}~{tag}{pm}", ch.locality,
-                                        ch.op, ch.rate / 2.0, shift=sign * a,
-                                        het_freq=w))
+            channels.append(replace(ch, id=f"{ch.id}~{tag}{pm}",
+                                    rate=ch.rate / 2.0, shift=sign * a,
+                                    het_freq=w))
     return replace(s, channels=tuple(channels))
 
 
@@ -360,8 +375,7 @@ def with_homodyne_shift(s: Scenario, shifts) -> Scenario:
     """Split every channel (J, gamma) into (J +/- alpha, gamma/2).
 
     The displacement pairs leave the ensemble generator unchanged but change
-    the jump statistics and the jump-conditioned concurrence.  Only local
-    channels may be displaced.
+    the jump statistics and the jump-conditioned concurrence.
     """
     shifts = _per_channel(shifts, s, "displacement", complex)
     return _displaced(s, shifts, [None] * len(shifts), "")

@@ -23,13 +23,13 @@ psi (prec is quadratic); only kept states are normalized.
 Product states leave early.  A row with one qubit in a basis state (a zero
 amplitude in each of the pairs uu, dd and ud, du) has a preconcurrence of
 exactly 0, and it keeps one when the scenario keeps zero amplitudes zero:
-H_eff is diagonal, and every channel is static, acts on one qubit and maps
-each basis state to a multiple of one (sigma_-, sigma_+, sigma_z).  The
-kernel's own arithmetic then computes C = 0 exactly at every later point,
-so unless the caller keeps states or clicks, such a row leaves the click
-loop, and the record fill writes C = 0 at its later points without evolving
-it: the same concurrences, bit for bit, as a kernel that samples every
-click.
+H_eff is diagonal, and every channel is static, acts on one qubit
+(`Scenario.qubits`) and maps each basis state to a multiple of one
+(sigma_-, sigma_+, sigma_z).  The kernel's own arithmetic then gives C = 0
+exactly at every later point, so unless the caller keeps states or clicks,
+such a row leaves the click loop, and the record fill writes C = 0 at its
+later points without evolving it: the same concurrences, bit for bit, as a
+kernel that samples every click.
 
 Reproducibility: the batch kernel returns arrays (record points,
 concurrences, optional states, optional clicks as (row, time, channel)), which
@@ -37,14 +37,13 @@ concurrences, optional states, optional clicks as (row, time, channel)), which
 with master seed s draws only from its substream, PCG64 seeded by numpy's
 SeedSequence(s, spawn_key=(k,)), read as uniforms for the whole call by
 `ensemble.Substreams`: the first threshold, then per click the channel draw
-and the next threshold, so it does not
-depend on the rows that share its call or on the worker count: records are
-byte-identical for any ``workers``.  For a fixed seed they differ from
-those of versions before the real-view contractions (`_norm2`, `_k_mean`,
-`_scaled`) and before the real no-click exponentials (-i lambda is kept
-real when it is, as for every bundled scenario but the two common-bath
-ones) at rounding level only, by at most about 1e-14, with the same click
-channels.
+and the next threshold, so it does not depend on the rows that share its
+call or on the worker count: records are byte-identical for any
+``workers``.  For a fixed seed they differ from those of versions before
+the real-view contractions (`_norm2`, `_k_mean`, `_scaled`) and before the
+real no-click exponentials (-i lambda is kept real when it is, as for every
+bundled scenario but the two common-bath ones) at rounding level only, by
+at most about 1e-14, with the same click channels.
 """
 
 from __future__ import annotations
@@ -163,11 +162,11 @@ def _pinned(psi: np.ndarray) -> np.ndarray:
 def _keeps_zeros(s: Scenario, w: np.ndarray, w_inv: np.ndarray) -> bool:
     """Whether every step of the kernel keeps a zero amplitude exactly 0 and
     a `_pinned` row pinned: W and W^-1 (so H_eff diagonal) and every lifted
-    channel operator have at most one nonzero per column, and no channel is
-    joint (a CNOT would entangle) or rotating (only its t = 0 operator is
-    in `lifted_ops`)."""
+    channel operator have at most one nonzero per column, and no channel
+    acts on both qubits (`Scenario.qubits`; a CNOT would entangle) or
+    rotates (only its t = 0 operator is in `lifted_ops`)."""
     return (not s.time_dependent
-            and all(ch.locality != "joint" for ch in s.channels)
+            and all(q is not None for q in s.qubits[1])
             and all((np.count_nonzero(m, axis=-2) <= 1).all()
                     for m in (w, w_inv, s.lifted_ops)))
 

@@ -13,14 +13,14 @@ All rates reduce to sums of single-channel contributions:
                                               - |tr J|^2/4 ]
     heterodyne        kappa = sum_m gamma_m [ tr(J^dag J)/2 - |tr J|^2/4 ]
 
-(J is the channel's 2x2 operator; static displacements J -> J + alpha enter
-literally, rotating displacements drop out).  They hold for a local H0 =
-A (x) 1 + 1 (x) B, which only multiplies each qubit's no-click determinant by
-a phase; an H0 that couples the qubits has no closed form here.  The
-jump-counting rate is also a sum of two explicit non-negative squares per
-channel, which proves kappa >= 0; the homodyne rate depends on the
-monitoring phase theta through J -> e^{-i theta} J while the jump-counting
-rate does not.
+(J is the channel's 2x2 operator read by `Scenario.qubits`, so a 4x4 one
+that factors counts; static displacements J -> J + alpha enter literally,
+rotating ones drop out).  They hold for a local H0 = A (x) 1 + 1 (x) B,
+which only multiplies each qubit's no-click determinant by a phase; an H0
+that couples the qubits has no closed form here.  The jump-counting rate is
+also a sum of two explicit non-negative squares per channel, which proves
+kappa >= 0; the homodyne rate depends on the monitoring phase theta through
+J -> e^{-i theta} J while the jump-counting rate does not.
 
 The common bath (one collective channel sigma_-^A + sigma_-^B) does not decay
 exponentially; its exact mean-concurrence curve, vanishing time, and residual
@@ -35,7 +35,7 @@ import numpy as np
 
 from .entanglement import concurrence_pure
 from .linalg import dag, det2, require_finite, trace2
-from .models import COLLECTIVE_DECAY, Scenario, local_hamiltonian
+from .models import COLLECTIVE_DECAY, Scenario
 
 __all__ = [
     "ChannelRateTerms", "RateReport", "CommonBathCurve",
@@ -45,31 +45,18 @@ __all__ = [
 ]
 
 
-_LOCAL_TOL = 1e-12  # entrywise residual of a local H0 after its projection
-
-
-def _coupling_residual(h: np.ndarray) -> float:
-    """Largest entry of H minus its projection A (x) 1 + 1 (x) B onto the
-    local operators (A, B from the partial traces): 0 for a local H."""
-    r = h.reshape(2, 2, 2, 2)
-    local = local_hamiltonian(np.trace(r, axis1=1, axis2=3) / 2.0,
-                              np.trace(r, axis1=0, axis2=2) / 2.0)
-    return float(np.max(np.abs(h - local + 0.25 * np.trace(h) * np.eye(4))))
-
-
 def _local_rate_ops(s: Scenario) -> list[tuple[float, np.ndarray, str]]:
-    if _coupling_residual(s.h0) > _LOCAL_TOL:
+    h0, view = s.qubits
+    if h0 is None:
         raise ValueError(
             "H0 couples the qubits; the closed-form decay rates are defined "
             "for a local H0 = A (x) 1 + 1 (x) B only")
-    ops = []
-    for ch in s.channels:
-        if ch.locality == "joint":
+    for ch, q in zip(s.channels, view):
+        if q is None:
             raise ValueError(
                 f"channel {ch.id!r} acts on both qubits; the closed-form "
                 "decay rates are defined for independent local channels only")
-        ops.append((ch.rate, ch.rate_operator(), ch.id))
-    return ops
+    return [(ch.rate, j, ch.id) for ch, (_, j) in zip(s.channels, view)]
 
 
 def _channel_terms(j: np.ndarray) -> tuple[float, float, float, float]:
@@ -225,7 +212,9 @@ def common_bath_vanish_time(curve: CommonBathCurve) -> float | None:
 
         t0 = ln|c_+ / c_-| / gamma.
 
-    Returns None when no such crossing exists.
+    t0 holds for every unraveling and on every trajectory: c_uu stays 0, a
+    click ends in |dd>, and c_+ / c_- falls as e^{-gamma t} between clicks
+    and at every diffusive step.  Returns None when no such crossing exists.
     """
     if abs(curve.c_uu) > 1e-12:
         return None
@@ -268,17 +257,16 @@ def analytic_mean_concurrence(s: Scenario, unraveling: str, times
     an H0 that couples the qubits.
     """
     times = np.asarray(times, dtype=float)
-    if _coupling_residual(s.h0) > _LOCAL_TOL:
+    h0, view = s.qubits
+    if h0 is None:
         return None
-    joint = [ch for ch in s.channels if ch.locality == "joint"]
-    if joint:
-        if len(joint) == 1 and len(s.channels) == 1 and unraveling == "qj":
-            ch = joint[0]
-            if (not ch.rotates and np.max(np.abs(s.h0)) == 0.0
-                    and np.allclose(ch.operator(), COLLECTIVE_DECAY,
-                                    atol=1e-12)):
-                curve = CommonBathCurve.from_state(s.psi0, ch.rate)
-                return common_bath_mean(curve, times)
+    if any(q is None for q in view):
+        ch = s.channels[0]
+        if (len(s.channels) == 1 and unraveling == "qj" and not ch.rotates
+                and not s.h0.any()
+                and np.allclose(ch.operator(), COLLECTIVE_DECAY, atol=1e-12)):
+            curve = CommonBathCurve.from_state(s.psi0, ch.rate)
+            return common_bath_mean(curve, times)
         return None
     fn = _UNRAVELING_RATES.get(unraveling)
     if fn is None:

@@ -9,9 +9,10 @@ own Generator on a trajectory's substream and the signs read from its raw
 words one bit at a time, the one-trajectory loop form of the diffusion split
 step, the ensemble generator with
 each channel's J^dag J written out, the comparison of two scenarios'
-ensemble generators, and the jump engine's click-time search in its gathered
+ensemble generators, the jump engine's click-time search in its gathered
 form, reading S and <K> through the kernel's real-view helpers or through
-complex einsums.
+complex einsums, and a scenario's per-qubit view read from Pauli
+coefficients rather than partial traces.
 """
 
 import numpy as np
@@ -19,7 +20,8 @@ from scipy.linalg import expm
 
 from trajent.entanglement import _check_state
 from trajent.errors import ConvergenceError
-from trajent.linalg import SYSY, dag, det2, trace2
+from trajent.linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY, dag, det2,
+                            trace2)
 from trajent.models import Scenario, lindblad_superoperator, preset_common_bath
 from trajent.quantum_jump import (_MAX_ITERS, _NEWTON_ITERS, _TAU_TOL,
                                   _k_mean, _norm2)
@@ -27,6 +29,7 @@ from trajent.rates import CommonBathCurve, _local_rate_ops
 
 PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
 GEN_TOL = 1e-10  # entrywise ensemble-generator deviation between monitorings
+PAULI = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)  # sigma_0 = 1
 
 
 def normalized(psi: np.ndarray) -> np.ndarray:
@@ -272,3 +275,44 @@ def click_delay_gathered(c: np.ndarray, lam: np.ndarray, w: np.ndarray,
             if not todo.size:
                 return tau
     raise ConvergenceError("click-time search did not converge")
+
+
+def pauli_coefficients(x: np.ndarray) -> np.ndarray:
+    """c_ij = tr(X sigma_i (x) sigma_j) / 4, so that
+    X = sum_ij c_ij sigma_i (x) sigma_j."""
+    return np.array([[np.trace(x @ np.kron(a, b)) / 4.0 for b in PAULI]
+                      for a in PAULI])
+
+
+def qubit_view_by_pauli(s: Scenario, tol: float = 1e-12):
+    """(H0's parts, one entry per channel), the reference for
+    ``Scenario.qubits``, read from Pauli coefficients.
+
+    X is A (x) 1 iff c_ij = 0 for every j != 0, with A = sum_i c_i0 sigma_i,
+    and 1 (x) B iff c_ij = 0 for every i != 0; a channel is given as ("A", A),
+    else ("B", B), else None.  X is the channel's operator lifted with
+    np.kron, its static displacement included and a rotating one left out.
+    H0 is local iff c_ij = 0 whenever i != 0 and j != 0; its parts
+    (H_A, H_B) share c_00 evenly.  Coefficients within ``tol`` count as 0.
+    """
+    def local_op(c):
+        return sum(ci * p for ci, p in zip(c, PAULI))
+
+    c = pauli_coefficients(s.h0)
+    h0 = None
+    if np.max(np.abs(c[1:, 1:])) <= tol:
+        h0 = (local_op([c[0, 0] / 2.0, *c[1:, 0]]),
+              local_op([c[0, 0] / 2.0, *c[0, 1:]]))
+    channels = []
+    for ch in s.channels:
+        j = ch.op if ch.rotates else ch.op + complex(ch.shift or 0.0) \
+            * np.eye(len(ch.op))
+        x = {"A": np.kron(j, ID2), "B": np.kron(ID2, j)}.get(ch.locality, j)
+        c = pauli_coefficients(x)
+        if np.max(np.abs(c[:, 1:])) <= tol:
+            channels.append(("A", local_op(c[:, 0])))
+        elif np.max(np.abs(c[1:, :])) <= tol:
+            channels.append(("B", local_op(c[0, :])))
+        else:
+            channels.append(None)
+    return h0, channels

@@ -176,7 +176,10 @@ def test_optimize_subcommand(tmp_path):
 
 
 def test_custom_thermal_channels_match_the_preset(tmp_path, capsys):
-    # the same channels written out give the preset's rates and optimum
+    # the same channels written out give the preset's rates and optimum, as
+    # 2x2 local matrices or as 4x4 "joint" ones: locality is read from the
+    # operators, so the joint twin also gets the preset's qj run, closed
+    # form (analytic_C) included
     ref = load_scenario("thermal_bell")
 
     def pairs(m):
@@ -188,13 +191,23 @@ def test_custom_thermal_channels_match_the_preset(tmp_path, capsys):
            "initial_state": pairs([ref.initial])[0]}
     twin = tmp_path / "twin.json"
     twin.write_text(json.dumps(cfg))
-    for command in ("rates", "optimize"):
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps(dict(cfg, custom_channels=[
+        {"id": ch.id, "locality": "joint", "matrix": pairs(ch.lifted()),
+         "rate": ch.rate} for ch in ref.channels])))
+    simulate = ["simulate", "--unraveling", "qj", "--tmax", "2.0", "--grid",
+                "0.1", "--traj", "200", "--seed", "5"]
+    for command, configs in ((["rates"], (twin, joint)),
+                             (["optimize"], (twin, joint)),
+                             (simulate, (joint,))):
         docs = []
-        for config in ("thermal_bell", str(twin)):
-            out = tmp_path / f"{command}-{len(docs)}.json"
-            assert main([command, "--config", config, "--out", str(out)]) == 0
+        for config in ("thermal_bell", *map(str, configs)):
+            out = tmp_path / f"{command[0]}-{len(docs)}.out"
+            assert main([*command, "--config", config, "--out",
+                         str(out)]) == 0
             docs.append(out.read_bytes())
-        assert docs[0] == docs[1], command
+        assert all(d == docs[0] for d in docs[1:]), command[0]
+    assert b",," not in docs[0]  # every analytic_C is there
     cfg["custom_channels"] = [{"id": "flip-A", "locality": "A",
                                "matrix": pairs(SIGMA_X), "rate": 1.0}]
     twin.write_text(json.dumps(cfg))

@@ -14,7 +14,7 @@ from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, kron2,
 )
 from trajent.models import (
-    JumpChannel, Scenario, bell_state, kernel_oscillation,
+    COLLECTIVE_DECAY, JumpChannel, Scenario, bell_state, kernel_oscillation,
     lindblad_superoperator, local_hamiltonian,
     preset_common_bath, preset_dephasing, preset_photon_counting,
     preset_rotated_thermal, preset_thermal, scenario_from_channels,
@@ -23,10 +23,10 @@ from trajent.models import (
 )
 from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
-from trajent.rates import rate_report
+from trajent.rates import analytic_mean_concurrence, rate_report
 
-from _oracles import (GEN_TOL, generator_deviation,
-                      lindblad_superoperator_per_channel)
+from _oracles import (GEN_TOL, PAULI, generator_deviation,
+                      lindblad_superoperator_per_channel, qubit_view_by_pauli)
 
 S2 = 1 / np.sqrt(2)
 
@@ -189,8 +189,15 @@ def test_homodyne_shift_complex_and_per_channel():
         with_homodyne_shift(s, [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         with_homodyne_shift(shifted, 0.1)  # already displaced
-    with pytest.raises(ValueError):
-        with_homodyne_shift(preset_common_bath(1.0), 0.1)
+    # a joint channel may be displaced too: the +/- pair's cross terms
+    # cancel for any J, and the rates still refuse the joint halves
+    common = preset_common_bath(1.0)
+    for displaced in (with_homodyne_shift(common, 0.4 + 0.2j),
+                      with_heterodyne(common, 0.6, 2.5)):
+        assert generator_deviation(displaced, common) < GEN_TOL
+        with pytest.raises(ValueError, match="channel 'collective-decay~"
+                           r"(het)?p' acts on both qubits"):
+            rate_report(displaced)
 
 
 def test_heterodyne_rotating_shift():
@@ -553,3 +560,105 @@ def test_thermal_rates_agree_with_the_generator_route():
             assert s.thermal_rates == pytest.approx(rates, abs=1e-14)
         verdicts.append(bath)
     assert 60 <= sum(verdicts) <= 180  # both verdicts are exercised
+
+
+def _view_candidate(rng):
+    """A random scenario for the per-qubit view, with the kinds it holds:
+    the channels' kinds, whether H0 couples, and the displacement."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    h0 = local_hamiltonian(*(m + dag(m) for m in (cplx(2, 2), cplx(2, 2))))
+    kinds = {"coupled H0" if rng.random() < 0.4 else "local H0"}
+    if "coupled H0" in kinds:
+        c = rng.standard_normal((3, 3))
+        h0 = h0 + sum(c[i, k] * kron2(a, b) for i, a in enumerate(PAULI[1:])
+                      for k, b in enumerate(PAULI[1:]))
+    ops = {"A": lambda: ("A", cplx(2, 2)), "B": lambda: ("B", cplx(2, 2)),
+           "joint": lambda: ("joint", cplx(4, 4)),
+           "A (x) 1 as joint": lambda: ("joint", kron2(cplx(2, 2), ID2)),
+           "1 (x) B as joint": lambda: ("joint", kron2(ID2, cplx(2, 2))),
+           "collective": lambda: ("joint", COLLECTIVE_DECAY)}
+    channels = []
+    for m in range(rng.integers(1, 4)):
+        kind = list(ops)[rng.integers(len(ops))]
+        kinds.add(kind)
+        channels.append(JumpChannel(f"c{m}", *ops[kind](),
+                                    rng.uniform(0.1, 2.0)))
+    s = scenario_from_channels(channels, h0=h0)
+    n, shift = len(channels), ("static", "rotating", "none")[rng.integers(3)]
+    kinds.add(shift)
+    if shift == "static":
+        s = with_homodyne_shift(s, cplx(n))
+    elif shift == "rotating":
+        s = with_heterodyne(s, rng.uniform(0.1, 1.0, n),
+                            rng.uniform(0.5, 3.0, n))
+    return s, kinds
+
+
+def test_qubit_view_matches_the_pauli_oracle():
+    # Scenario.qubits splits by partial traces; the oracle reads the Pauli
+    # coefficients.  They agree on every verdict, and on every local part
+    # to 1e-12, over 240 random scenarios of every kind
+    rng = np.random.default_rng(28)
+    seen = set()
+    for _ in range(240):
+        s, kinds = _view_candidate(rng)
+        seen |= kinds
+        h0, channels = qubit_view_by_pauli(s)
+        got_h0, got_channels = s.qubits
+        assert (got_h0 is None) == (h0 is None)
+        if h0 is not None:
+            assert np.max(np.abs(np.subtract(got_h0, h0))) <= 1e-12
+            assert np.max(np.abs(local_hamiltonian(*got_h0) - s.h0)) <= 1e-12
+        assert len(got_channels) == len(channels)
+        for got, want in zip(got_channels, channels):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got[0] == want[0]
+                assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+    assert seen == {"coupled H0", "local H0", "A", "B", "joint",
+                    "A (x) 1 as joint", "1 (x) B as joint", "collective",
+                    "static", "rotating", "none"}
+
+
+def test_channels_written_as_joint_read_as_their_local_twins():
+    # the tag only decides how a matrix is lifted: the same channels written
+    # as 4x4 "joint" matrices get the same rates, thermal rates and curves
+    rng = np.random.default_rng(29)
+    t, reported = np.linspace(0.0, 2.0, 5), 0
+    lift = {"A": lambda j: kron2(j, ID2), "B": lambda j: kron2(ID2, j),
+            "joint": lambda j: j}
+    for _ in range(200):
+        s = _bath_candidate(rng) if rng.random() < 0.5 \
+            else _view_candidate(rng)[0]
+        twin = replace(s, channels=tuple(
+            replace(ch, locality="joint", op=lift[ch.locality](ch.op))
+            for ch in s.channels))
+        assert [q and q[0] for q in twin.qubits[1]] == \
+            [q and q[0] for q in s.qubits[1]]
+        assert (twin.thermal_rates is None) == (s.thermal_rates is None)
+        if s.thermal_rates is not None:
+            assert twin.thermal_rates == pytest.approx(s.thermal_rates,
+                                                       abs=1e-12)
+        for unraveling in ("qj", "qsd-homodyne", "qsd-heterodyne"):
+            want = analytic_mean_concurrence(s, unraveling, t)
+            got = analytic_mean_concurrence(twin, unraveling, t)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-12
+        try:
+            want = rate_report(s)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                rate_report(twin)
+            continue
+        got = rate_report(twin)
+        reported += 1
+        assert [r.channel_id for r in got.per_channel] == \
+            [r.channel_id for r in want.per_channel]
+        assert np.max(np.abs(np.subtract(
+            [[r.qj, r.ho, r.ho_opt, r.het] for r in got.per_channel],
+            [[r.qj, r.ho, r.ho_opt, r.het] for r in want.per_channel]))) \
+            <= 1e-12
+    assert reported >= 80  # most twins get their closed forms

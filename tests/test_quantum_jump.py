@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -262,6 +263,21 @@ def test_mean_tracks_analytic_curve():
     stderr = c.std(axis=0, ddof=1) / np.sqrt(len(recs))
     want = analytic_mean_concurrence(s, "qj", recs[0].times)
     assert np.all(np.abs(mean - want) <= 4 * stderr + 1e-12)
+
+
+def test_single_excitation_vanishes_at_t0_on_every_trajectory():
+    # collective decay from c_ud |ud> + c_du |du>: a click ends in |dd>, and
+    # no click moves c+ / c- as e^{-gamma t}, so every trajectory has C = 0
+    # at t0 = ln|c+ / c-| / gamma = ln 3, the 20th record point.  Unlike the
+    # QSD test, the neighbouring points are not checked for C > 0: rows that
+    # clicked sit at |dd> with C = 0
+    s = load_scenario(bundled_scenario_path("common_bath_single_excitation"))
+    t0 = np.log(3.0)
+    for seed in (3, 4, 5):
+        times, conc, _, _ = quantum_jump.batch_kernel(s, 2 * t0, t0 / 20)(
+            seed, range(512))
+        assert times[20] == pytest.approx(t0, abs=1e-15)
+        assert np.max(conc[:, 20]) <= 1e-12
 
 
 def test_step_control_and_grid_validation():
@@ -552,8 +568,12 @@ def test_exit_only_where_records_read_exact_zero(monkeypatch):
     # non-diagonal H_eff (sigma_x (x) sigma_x, a driven local pair, or H0 = 0
     # with the rank-one channel |u><+| on A) may leave a product state with
     # a rounding residue; but a diagonal H0, even sigma_z (x) sigma_z, keeps
-    # a basis-state qubit in its basis state
+    # a basis-state qubit in its basis state.  Channels written as 4x4
+    # "joint" matrices that factor count as local
     thermal = load_scenario(bundled_scenario_path("thermal_bell"))
+    written_joint = replace(thermal, channels=tuple(
+        replace(ch, locality="joint", op=ch.lifted())
+        for ch in thermal.channels))
     zz, xx, driven = (scenario_from_channels(thermal.channels, h0=h0)
                       for h0 in (0.4 * np.kron(SIGMA_Z, SIGMA_Z),
                                  0.4 * np.kron(SIGMA_X, SIGMA_X),
@@ -566,7 +586,8 @@ def test_exit_only_where_records_read_exact_zero(monkeypatch):
     rows = _search_rows(monkeypatch)
     for s, exits in ((load_scenario(bundled_scenario_path(
             "common_bath_revival")), False), (xx, False), (driven, False),
-            (rank_one, False), (thermal, True), (zz, True)):
+            (rank_one, False), (thermal, True), (zz, True),
+            (written_joint, True)):
         rows.clear()
         a = quantum_jump.batch_kernel(s, 3.0, 0.05)(19, np.arange(300))
         searched = sum(rows)

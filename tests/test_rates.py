@@ -16,7 +16,7 @@ from trajent.models import (
 )
 from trajent.quantum_jump import batch_kernel
 from trajent.rates import (
-    CommonBathCurve, _coupling_residual, analytic_mean_concurrence,
+    CommonBathCurve, analytic_mean_concurrence,
     common_bath_mean, common_bath_residual, common_bath_vanish_time,
     kappa_het, kappa_ho, kappa_ho_opt, kappa_opt_thermal, kappa_qj,
     mean_concurrence_independent, rate_report,
@@ -156,16 +156,16 @@ def test_rates_refuse_joint_channels():
 def test_closed_forms_need_a_local_h0():
     # H0 = 2 sigma_x (x) sigma_x couples the qubits: photon counting keeps a
     # mean concurrence near 0.69 at t = 2, where C0 e^{-t} reads 0.135, so
-    # there is no closed form and the rates refuse it.  A local H0 (residual
-    # 0 after its projection onto A (x) 1 + 1 (x) B) keeps the channels'
+    # there is no closed form and the rates refuse it.  A local H0 (split
+    # into A (x) 1 + 1 (x) B by `Scenario.qubits`) keeps the channels'
     # curve, and the engine follows it within 4 sigma at every point
     pc = preset_photon_counting(1.0, 1.0)
     coupled = scenario_from_channels(pc.channels,
                                      h0=2.0 * kron2(SIGMA_X, SIGMA_X))
     local = scenario_from_channels(
         pc.channels, h0=local_hamiltonian(1.5 * SIGMA_X, 0.7 * SIGMA_X))
-    assert abs(_coupling_residual(coupled.h0) - 2.0) < 1e-12
-    assert _coupling_residual(local.h0) <= 1e-12
+    assert coupled.qubits[0] is None
+    assert local.qubits[0] is not None
     t = np.linspace(0.0, 2.0, 9)
     for unraveling in ("qj", "qsd-homodyne", "qsd-heterodyne"):
         assert analytic_mean_concurrence(coupled, unraveling, t) is None
