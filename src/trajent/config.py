@@ -22,6 +22,9 @@ A scenario file is a JSON object with up to four keys:
 
 Exactly one of ``preset`` or ``custom_channels`` must be present.  Unknown
 keys anywhere are errors — misspelled parameters must not pass silently.
+A channel's locality says how its matrix is read: a 2x2 one on qubit A or B
+is lifted (`models.lift`); a "joint" one is 4x4.  Every channel whose
+locality or shape is wrong is named in one error.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import (
-    Scenario, JumpChannel, preset_common_bath, preset_dephasing,
+    Scenario, JumpChannel, lift, preset_common_bath, preset_dephasing,
     preset_photon_counting, preset_rotated_thermal, preset_thermal,
     scenario_from_channels, with_heterodyne, with_homodyne_shift,
     with_phase_rotation,
@@ -47,6 +50,7 @@ _TOP_KEYS = {"preset", "params", "initial_state", "custom_channels"}
 _CHANNEL_KEYS = {"id", "locality", "matrix", "rate", "shift", "het_freq"}
 _TRANSFORM_KEYS = {"homodyne_shifts", "heterodyne_amplitudes",
                    "heterodyne_frequencies", "phases"}
+_SHAPES = {"A": (2, 2), "B": (2, 2), "joint": (4, 4)}  # matrix per locality
 
 
 def _number(value, where: str) -> float:
@@ -66,7 +70,7 @@ def _complex_matrix(rows, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: expected a nested list of [re, im] pairs")
     try:
         return np.array([[_complex(x, where) for x in row] for row in rows])
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError, or ragged rows
         raise ConfigError(f"{where}: malformed matrix ({exc})") from exc
 
 
@@ -135,7 +139,8 @@ def _apply_transforms(s: Scenario, params: dict) -> Scenario:
     return s
 
 
-def _parse_channel(entry: dict, i: int) -> JumpChannel:
+def _parse_channel(entry: dict, i: int) -> JumpChannel | str:
+    """The channel of one entry, or the fault of its locality or shape."""
     if not isinstance(entry, dict):
         raise ConfigError(f"custom_channels[{i}] must be an object")
     unknown = set(entry) - _CHANNEL_KEYS
@@ -143,8 +148,8 @@ def _parse_channel(entry: dict, i: int) -> JumpChannel:
         raise ConfigError(f"custom_channels[{i}]: unknown key(s) "
                           f"{sorted(unknown)}")
     try:
-        cid = entry["id"]
-        locality = entry["locality"]
+        cid = str(entry["id"])
+        locality = str(entry["locality"])
         matrix = _complex_matrix(entry["matrix"], f"custom_channels[{i}].matrix")
         rate = _number(entry["rate"], f"custom_channels[{i}].rate")
     except KeyError as exc:
@@ -155,8 +160,14 @@ def _parse_channel(entry: dict, i: int) -> JumpChannel:
     het = entry.get("het_freq")
     if het is not None:
         het = _number(het, f"custom_channels[{i}].het_freq")
-    return JumpChannel(id=str(cid), locality=str(locality), op=matrix,
-                       rate=rate, shift=shift, het_freq=het)
+    want = _SHAPES.get(locality)
+    if want is None:
+        return f"channel {cid!r}: locality must be one of {tuple(_SHAPES)}"
+    if matrix.shape != want:
+        return (f"channel {cid!r}: operator shape {matrix.shape} does not "
+                f"match locality {locality!r} (want {want})")
+    op = matrix if locality == "joint" else lift(locality, matrix)
+    return JumpChannel(id=cid, op=op, rate=rate, shift=shift, het_freq=het)
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
@@ -193,8 +204,10 @@ def _from_dict(doc: dict, source: str) -> Scenario:
                               "custom channels")
         if not isinstance(custom, list) or not custom:
             raise ConfigError("custom_channels must be a non-empty list")
-        s = scenario_from_channels(
-            _parse_channel(c, i) for i, c in enumerate(custom))
+        channels = [_parse_channel(c, i) for i, c in enumerate(custom)]
+        if faults := [c for c in channels if isinstance(c, str)]:
+            raise ConfigError("invalid scenario:\n  " + "\n  ".join(faults))
+        s = scenario_from_channels(channels)
     s = _apply_transforms(s, params)
 
     if "initial_state" in doc:

@@ -1,9 +1,12 @@
 """Two-qubit decay scenarios: jump channels, presets, and their one check.
 
 A scenario bundles a (possibly zero) Hamiltonian H0, a list of jump channels
-(J_m, gamma_m) and an initial pure state.  The derived damping kernel is
+(J_m, gamma_m) and an initial pure state.  Every J_m is 4x4, on the pair
+space: the presets and scenario files `lift` single-qubit matrices, and the
+qubits a channel acts on are read back from it (`Scenario.qubits`).  The
+derived damping kernel is
 
-    K = (1/2) sum_m gamma_m J_m^dag J_m          (lifted to the pair space)
+    K = (1/2) sum_m gamma_m J_m^dag J_m
 
 and the effective non-Hermitian generator for no-jump evolution is
 H_eff = H0 - i K.  Channels marked with a coherent ``shift`` alpha stand for
@@ -37,14 +40,12 @@ __all__ = [
     "preset_rotated_thermal", "preset_common_bath",
     "with_homodyne_shift", "with_heterodyne", "with_phase_rotation",
     "scenario_from_channels", "kernel_oscillation", "lindblad_superoperator",
-    "COLLECTIVE_DECAY",
+    "lift", "COLLECTIVE_DECAY",
 ]
 
 KERNEL_DRIFT_TOL = 1e-10  # largest allowed oscillating coefficient of K(t)
 _FACTOR_TOL = 1e-12  # entrywise rest of an operator after its local parts
 COLLECTIVE_DECAY = kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS)
-
-_LOCALITIES = ("A", "B", "joint")
 
 
 def state_from_amplitudes(c_uu: complex, c_ud: complex, c_du: complex,
@@ -59,13 +60,20 @@ def bell_state() -> np.ndarray:
     return state_from_amplitudes(s, 0.0, 0.0, s)
 
 
+def lift(qubit: str, op: np.ndarray) -> np.ndarray:
+    """The 2x2 ``op`` acting on qubit "A" or "B": op (x) 1 or 1 (x) op."""
+    if qubit not in ("A", "B"):
+        raise ValueError(f"qubit must be 'A' or 'B', got {qubit!r}")
+    return kron2(op, ID2) if qubit == "A" else kron2(ID2, op)
+
+
 def local_hamiltonian(h_a: np.ndarray | None, h_b: np.ndarray | None) -> np.ndarray:
     """Lift single-qubit Hamiltonians to H_A (x) 1 + 1 (x) H_B."""
     h = np.zeros((4, 4), dtype=complex)
     if h_a is not None:
-        h += kron2(np.asarray(h_a, dtype=complex), ID2)
+        h += lift("A", h_a)
     if h_b is not None:
-        h += kron2(ID2, np.asarray(h_b, dtype=complex))
+        h += lift("B", h_b)
     return h
 
 
@@ -73,13 +81,12 @@ def local_hamiltonian(h_a: np.ndarray | None, h_b: np.ndarray | None) -> np.ndar
 class JumpChannel:
     """One decay channel: operator, rate, and optional coherent displacement.
 
-    ``op`` is 2x2 for locality "A"/"B" (lifted internally) or 4x4 for "joint".
-    A channel is checked, with the rest of its scenario, when the `Scenario`
-    that holds it is built.
+    ``op`` is the 4x4 operator on the pair space (`lift` makes one from a
+    single-qubit 2x2 matrix).  A channel is checked, with the rest of its
+    scenario, when the `Scenario` that holds it is built.
     """
 
     id: str
-    locality: str
     op: np.ndarray
     rate: float
     shift: complex | None = None
@@ -93,33 +100,18 @@ class JumpChannel:
         """The one rotation rule: a nonzero shift and a nonzero het_freq."""
         return bool(self.shift) and bool(self.het_freq)
 
-    def shift_at(self, t: float) -> complex:
+    def operator(self) -> np.ndarray:
+        """Effective (displaced) operator at t = 0; a rotating displacement
+        alpha e^{i Omega t} enters as alpha (`Scenario.jump_amplitudes`)."""
         a = complex(self.shift or 0.0)
-        return a * np.exp(1j * self.het_freq * t) if self.rotates else a
-
-    def operator(self, t: float = 0.0) -> np.ndarray:
-        """Effective (displaced) operator at time t, before lifting."""
-        a = self.shift_at(t)
-        return self.op if a == 0.0 else self.op + a * np.eye(len(self.op))
-
-    def lifted(self, t: float = 0.0) -> np.ndarray:
-        """Effective operator at time t on the pair space."""
-        return _lift(self.locality, self.operator(t))
-
-
-def _lift(locality: str, op: np.ndarray) -> np.ndarray:
-    if locality == "A":
-        return kron2(op, ID2)
-    if locality == "B":
-        return kron2(ID2, op)
-    return np.asarray(op, dtype=complex)
+        return self.op if a == 0.0 else self.op + a * np.eye(4)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Immutable bundle of Hamiltonian, channels and initial state.
 
-    Derived quantities (K, H_eff, lifted operators, the per-qubit view,
+    Derived quantities (K, H_eff, the t = 0 operators, the per-qubit view,
     thermal bath rates) are cached on first use.  Engines never mutate a
     scenario; transformed copies are produced by the ``with_*`` helpers.
     Building one raises a `ConfigError` listing every `_violations` entry;
@@ -171,8 +163,8 @@ class Scenario:
 
     @cached_property
     def lifted_ops(self) -> np.ndarray:
-        """Stack (M, 4, 4) of lifted effective operators at t = 0."""
-        return np.stack([ch.lifted(0.0) for ch in self.channels]) \
+        """Stack (M, 4, 4) of the effective operators at t = 0."""
+        return np.stack([ch.operator() for ch in self.channels]) \
             if self.channels else np.zeros((0, 4, 4), dtype=complex)
 
     @cached_property
@@ -181,14 +173,13 @@ class Scenario:
 
     @cached_property
     def qubits(self) -> tuple:
-        """(H0's parts, one entry per channel), read from the operators, not
-        the tags: (H_A, H_B) with H0 = H_A (x) 1 + 1 (x) H_B, or None; per
-        channel ("A", J) if its lifted operator X is J (x) 1, J = tr_B X / 2,
+        """(H0's parts, one entry per channel), read from the operators:
+        (H_A, H_B) with H0 = H_A (x) 1 + 1 (x) H_B, or None; per
+        channel ("A", J) if its operator X is J (x) 1, J = tr_B X / 2,
         else ("B", J) if X is 1 (x) J, J = tr_A X / 2, else None; each rest
         within _FACTOR_TOL.  X keeps a static displacement, part of the
         monitoring scheme, and drops a rotating one, which averages out."""
-        ops = [_lift(ch.locality, ch.op if ch.rotates else ch.operator())
-               for ch in self.channels]
+        ops = [ch.op if ch.rotates else ch.operator() for ch in self.channels]
         x = np.reshape([self.h0, *ops], (-1, 2, 2, 2, 2))  # H0 leads
         j_a = np.einsum("mikjk->mij", x) / 2.0
         j_b = np.einsum("mkikj->mij", x) / 2.0
@@ -238,7 +229,7 @@ class Scenario:
         for m, op in enumerate(self.lifted_ops):
             np.matmul(psi, op.T, out=out[:, m])
         if self.time_dependent:
-            alpha = np.array([ch.shift_at(0.0) for ch in self.channels])
+            alpha = np.array([complex(ch.shift or 0.0) for ch in self.channels])
             omega = np.array([ch.het_freq or 0.0 for ch in self.channels])
             drift = alpha * np.expm1(1j * np.multiply.outer(t, omega))
             out += drift[:, :, None] * psi[:, None, :]
@@ -261,8 +252,8 @@ def preset_photon_counting(gamma_a: float, gamma_b: float,
                            initial: np.ndarray | None = None) -> Scenario:
     """Independent zero-temperature decay: sigma_- on each qubit."""
     channels = (
-        JumpChannel("decay-A", "A", SIGMA_MINUS, gamma_a),
-        JumpChannel("decay-B", "B", SIGMA_MINUS, gamma_b),
+        JumpChannel("decay-A", lift("A", SIGMA_MINUS), gamma_a),
+        JumpChannel("decay-B", lift("B", SIGMA_MINUS), gamma_b),
     )
     return scenario_from_channels(channels, initial)
 
@@ -272,10 +263,10 @@ def preset_thermal(gamma_plus_a: float, gamma_minus_a: float,
                    initial: np.ndarray | None = None) -> Scenario:
     """Independent finite-temperature baths: sigma_-+ channels per qubit."""
     channels = (
-        JumpChannel("up-A", "A", SIGMA_PLUS, gamma_plus_a),
-        JumpChannel("down-A", "A", SIGMA_MINUS, gamma_minus_a),
-        JumpChannel("up-B", "B", SIGMA_PLUS, gamma_plus_b),
-        JumpChannel("down-B", "B", SIGMA_MINUS, gamma_minus_b),
+        JumpChannel("up-A", lift("A", SIGMA_PLUS), gamma_plus_a),
+        JumpChannel("down-A", lift("A", SIGMA_MINUS), gamma_minus_a),
+        JumpChannel("up-B", lift("B", SIGMA_PLUS), gamma_plus_b),
+        JumpChannel("down-B", lift("B", SIGMA_MINUS), gamma_minus_b),
     )
     return scenario_from_channels(channels, initial)
 
@@ -292,7 +283,7 @@ def preset_dephasing(v_a, v_b, gamma_a: float, gamma_b: float,
             raise ValueError(f"Bloch vector for {name} must be unit length "
                              f"(|v| = {np.linalg.norm(v):.12f})")
         op = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-        channels.append(JumpChannel(name, name[-1], op, g))
+        channels.append(JumpChannel(name, lift(name[-1], op), g))
     return scenario_from_channels(tuple(channels), initial)
 
 
@@ -332,17 +323,16 @@ def preset_rotated_thermal(u_a, u_b,
         if any(g <= 0 for g in crates):
             raise ValueError("rotated channel rates must be positive")
         for mu, g_mu in enumerate(crates):
-            op = (np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
-                  + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
-            channels.append(JumpChannel(f"mix{mu + 1}-{qubit}", qubit, op, g_mu))
+            op = lift(qubit, np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
+                      + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
+            channels.append(JumpChannel(f"mix{mu + 1}-{qubit}", op, g_mu))
     return scenario_from_channels(tuple(channels), initial)
 
 
 def preset_common_bath(gamma: float,
                        initial: np.ndarray | None = None) -> Scenario:
     """Both qubits coupled to one bath: single joint channel sigma_- + sigma_-."""
-    channels = (JumpChannel("collective-decay", "joint", COLLECTIVE_DECAY,
-                            gamma),)
+    channels = (JumpChannel("collective-decay", COLLECTIVE_DECAY, gamma),)
     return scenario_from_channels(channels, initial)
 
 
@@ -421,9 +411,8 @@ def kernel_oscillation(channels) -> float:
     for ch in channels:
         if not ch.rotates:
             continue
-        j = _lift(ch.locality, ch.op)
         a = complex(ch.shift)
-        term = a * dag(j) if ch.het_freq > 0 else np.conjugate(a) * j
+        term = a * dag(ch.op) if ch.het_freq > 0 else np.conjugate(a) * ch.op
         w = abs(ch.het_freq)
         coeff[w] = coeff.get(w, 0.0) + 0.5 * ch.rate * term
     return max((float(np.max(np.abs(c))) for c in coeff.values()),
@@ -449,8 +438,8 @@ def lindblad_superoperator(s: Scenario) -> np.ndarray:
 def _violations(s: Scenario) -> list[str]:
     """Every structural problem of a scenario, as human-readable entries.
 
-    K(t) is examined only when every channel has a known locality, the
-    right shape and a finite op, rate, shift and het_freq.
+    K(t) is examined only when every channel has a 4x4, finite op and a
+    finite rate, shift and het_freq.
     """
     v: list[str] = []
     if s.h0.shape != (4, 4):
@@ -469,14 +458,9 @@ def _violations(s: Scenario) -> list[str]:
 
     examine_k = True
     for ch in s.channels:
-        if ch.locality not in _LOCALITIES:
-            v.append(f"channel {ch.id!r}: locality must be one of {_LOCALITIES}")
-            examine_k = False
-            continue
-        want = (4, 4) if ch.locality == "joint" else (2, 2)
-        if ch.op.shape != want:
-            v.append(f"channel {ch.id!r}: operator shape {ch.op.shape} does "
-                     f"not match locality {ch.locality!r} (want {want})")
+        if ch.op.shape != (4, 4):
+            v.append(f"channel {ch.id!r}: operator shape {ch.op.shape} is "
+                     "not (4, 4)")
             examine_k = False
         elif not np.isfinite(ch.op).all():
             v.append(f"channel {ch.id!r}: operator has non-finite entries")

@@ -12,13 +12,15 @@ post-click state J_m psi / |J_m psi| starts a new waiting time with a fresh
 threshold.
 
 There is no time step.  `batch_kernel` checks the grid and diagonalizes
-H_eff = W diag(lambda) W^-1, once, before any kernel call.  Each click
-round solves S(tau) = r for every active row over its remaining horizon
-[t_last, t_max] by a safeguarded Newton iteration.  The record points are
-then filled in time order: each row's W^-1 psi is carried to the next point
-by exp(-i lambda g), or replaced by its last post-click state if it clicked
-in between.  C = |prec(psi)| / |psi|^2 is read from the unnormalized
-psi (prec is quadratic); only kept states are normalized.
+H_eff = W diag(lambda) W^-1, once, before any kernel call; it refuses an
+eigenbasis whose propagator W e^{-i lambda t} W^-1 is off from `expm`'s by
+more than _PROPAGATOR_TOL, as near an exceptional point of H_eff.  Each
+click round solves S(tau) = r for every active row over its remaining
+horizon [t_last, t_max] by a safeguarded Newton iteration.  The record
+points are then filled in time order: each row's W^-1 psi is carried to the
+next point by exp(-i lambda g), or replaced by its last post-click state if
+it clicked in between.  C = |prec(psi)| / |psi|^2 is read from the
+unnormalized psi (prec is quadratic); only kept states are normalized.
 
 Product states leave early.  A row with one qubit in a basis state (a zero
 amplitude in each of the pairs uu, dd and ud, du) has a preconcurrence of
@@ -56,6 +58,7 @@ from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
                        run_records)
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
+from .linalg import expm
 from .models import Scenario
 
 __all__ = ["batch_kernel", "run_trajectory", "run_ensemble"]
@@ -63,6 +66,7 @@ __all__ = ["batch_kernel", "run_trajectory", "run_ensemble"]
 _TAU_TOL = 1e-13  # accuracy of a sampled click time, relative to max(1, span)
 _NEWTON_ITERS = 30  # Newton steps before a click-time search only bisects
 _MAX_ITERS = _NEWTON_ITERS + 80  # enough bisections to reach _TAU_TOL
+_PROPAGATOR_TOL = 1e-10  # entrywise error allowed of the eigenbasis propagator
 
 
 def _norm2(psi: np.ndarray) -> np.ndarray:
@@ -161,7 +165,7 @@ def _pinned(psi: np.ndarray) -> np.ndarray:
 
 def _keeps_zeros(s: Scenario, w: np.ndarray, w_inv: np.ndarray) -> bool:
     """Whether every step of the kernel keeps a zero amplitude exactly 0 and
-    a `_pinned` row pinned: W and W^-1 (so H_eff diagonal) and every lifted
+    a `_pinned` row pinned: W and W^-1 (so H_eff diagonal) and every
     channel operator have at most one nonzero per column, and no channel
     acts on both qubits (`Scenario.qubits`; a CNOT would entangle) or
     rotates (only its t = 0 operator is in `lifted_ops`)."""
@@ -272,10 +276,17 @@ def batch_kernel(s: Scenario, t_max: float, record_grid: float | None = None,
     """
     times = record_times(t_max, record_grid)
     lam, w = np.linalg.eig(s.h_eff)
-    if np.linalg.cond(w) > 1e8:
-        raise NumericalError("H_eff is (nearly) defective; its eigenvectors "
-                             "do not give a stable no-click propagator")
-    w_inv = np.linalg.inv(w)
+    try:  # measured at the first record point and at t_max
+        w_inv = np.linalg.inv(w)
+        gap = max(np.max(np.abs((w * np.exp(-1j * lam * t)) @ w_inv
+                                - expm(-1j * t * s.h_eff)))
+                  for t in (times[1], t_max))
+    except np.linalg.LinAlgError:  # W is exactly singular
+        gap = np.inf
+    if not gap <= _PROPAGATOR_TOL:
+        raise NumericalError(f"H_eff is (nearly) defective: its eigenbasis "
+                             f"propagator is off by {gap:.3g} from expm's "
+                             f"(more than {_PROPAGATOR_TOL:g})")
     exits = not (keep_states or keep_clicks) and _keeps_zeros(s, w, w_inv)
     mlam = -1j * lam
     if not mlam.imag.any():  # a real spectrum: real exponentials

@@ -175,8 +175,8 @@ class CommonBathCurve:
         n = np.linalg.norm(psi)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"initial state must be normalized, |psi| = {n}")
-        if not np.isfinite(gamma) or gamma <= 0:
-            raise ValueError("collective decay rate must be positive")
+        if not np.isfinite(gamma) or gamma < 0:
+            raise ValueError("collective decay rate must be finite and >= 0")
         return cls(gamma=float(gamma),
                    c_uu=complex(psi[0]), c_dd=complex(psi[3]),
                    c_plus=complex(psi[1] + psi[2]),
@@ -214,9 +214,10 @@ def common_bath_vanish_time(curve: CommonBathCurve) -> float | None:
 
     t0 holds for every unraveling and on every trajectory: c_uu stays 0, a
     click ends in |dd>, and c_+ / c_- falls as e^{-gamma t} between clicks
-    and at every diffusive step.  Returns None when no such crossing exists.
+    and at every diffusive step.  Returns None when no such crossing exists,
+    as at gamma = 0, where the curve is the constant C(0).
     """
-    if abs(curve.c_uu) > 1e-12:
+    if abs(curve.c_uu) > 1e-12 or curve.gamma == 0.0:
         return None
     a, b = 0.5 * (curve.c_plus + curve.c_minus), 0.5 * (curve.c_plus - curve.c_minus)
     if abs(a) < 1e-12 or abs(b) < 1e-12:

@@ -11,8 +11,9 @@ step, the ensemble generator with
 each channel's J^dag J written out, the comparison of two scenarios'
 ensemble generators, the jump engine's click-time search in its gathered
 form, reading S and <K> through the kernel's real-view helpers or through
-complex einsums, and a scenario's per-qubit view read from Pauli
-coefficients rather than partial traces.
+complex einsums, a scenario's per-qubit view read from Pauli
+coefficients rather than partial traces, and a channel's displacement and
+operator at any time t, which the package only ever needs at t = 0.
 """
 
 import numpy as np
@@ -22,7 +23,8 @@ from trajent.entanglement import _check_state
 from trajent.errors import ConvergenceError
 from trajent.linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY, dag, det2,
                             trace2)
-from trajent.models import Scenario, lindblad_superoperator, preset_common_bath
+from trajent.models import (JumpChannel, Scenario, lindblad_superoperator,
+                            preset_common_bath)
 from trajent.quantum_jump import (_MAX_ITERS, _NEWTON_ITERS, _TAU_TOL,
                                   _k_mean, _norm2)
 from trajent.rates import CommonBathCurve, _local_rate_ops
@@ -153,12 +155,24 @@ def lindblad_superoperator_per_channel(s: Scenario) -> np.ndarray:
     h = s.h0
     gen = -1j * (np.kron(id4, h) - np.kron(h.T, id4))
     for ch in s.channels:
-        j = ch.lifted(0.0)
+        j = ch.operator()
         jj = dag(j) @ j
         gen += ch.rate * (np.kron(np.conjugate(j), j)
                           - 0.5 * np.kron(id4, jj)
                           - 0.5 * np.kron(jj.T, id4))
     return gen
+
+
+def shift_at(ch: JumpChannel, t: float) -> complex:
+    """A channel's displacement at time t: alpha e^{i Omega t} when it
+    rotates, else its static alpha (0 without one)."""
+    a = complex(ch.shift or 0.0)
+    return a * np.exp(1j * ch.het_freq * t) if ch.rotates else a
+
+
+def operator_at(ch: JumpChannel, t: float) -> np.ndarray:
+    """J(t) = J + alpha(t) 1, a channel's effective operator at time t."""
+    return ch.op + shift_at(ch, t) * np.eye(4)
 
 
 def generator_deviation(s: Scenario, reference: Scenario) -> float:
@@ -290,8 +304,8 @@ def qubit_view_by_pauli(s: Scenario, tol: float = 1e-12):
 
     X is A (x) 1 iff c_ij = 0 for every j != 0, with A = sum_i c_i0 sigma_i,
     and 1 (x) B iff c_ij = 0 for every i != 0; a channel is given as ("A", A),
-    else ("B", B), else None.  X is the channel's operator lifted with
-    np.kron, its static displacement included and a rotating one left out.
+    else ("B", B), else None.  X is the channel's operator with its static
+    displacement included and a rotating one left out.
     H0 is local iff c_ij = 0 whenever i != 0 and j != 0; its parts
     (H_A, H_B) share c_00 evenly.  Coefficients within ``tol`` count as 0.
     """
@@ -305,10 +319,7 @@ def qubit_view_by_pauli(s: Scenario, tol: float = 1e-12):
               local_op([c[0, 0] / 2.0, *c[0, 1:]]))
     channels = []
     for ch in s.channels:
-        j = ch.op if ch.rotates else ch.op + complex(ch.shift or 0.0) \
-            * np.eye(len(ch.op))
-        x = {"A": np.kron(j, ID2), "B": np.kron(ID2, j)}.get(ch.locality, j)
-        c = pauli_coefficients(x)
+        c = pauli_coefficients(ch.op if ch.rotates else operator_at(ch, 0.0))
         if np.max(np.abs(c[:, 1:])) <= tol:
             channels.append(("A", local_op(c[:, 0])))
         elif np.max(np.abs(c[1:, :])) <= tol:

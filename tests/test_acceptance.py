@@ -18,7 +18,7 @@ from trajent.diffusion import run_ensemble_qsd
 from trajent.ensemble import average, empirical_density, fit_rate, fit_rate_series
 from trajent.entanglement import concurrence_mixed, concurrence_pure
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
-from trajent.models import (JumpChannel, Scenario, bell_state,
+from trajent.models import (JumpChannel, Scenario, bell_state, lift,
                             preset_dephasing, preset_photon_counting,
                             preset_thermal, state_from_amplitudes,
                             with_phase_rotation)
@@ -191,7 +191,7 @@ def test_monitoring_rate_inequalities_hold():
         for k in range(rng.integers(1, 5)):
             op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             loc = "A" if rng.random() < 0.5 else "B"
-            chans.append(JumpChannel(f"ch{k}", loc, op,
+            chans.append(JumpChannel(f"ch{k}", lift(loc, op),
                                      float(rng.uniform(0.05, 2.0))))
         s = Scenario(h0=np.zeros((4, 4)), channels=tuple(chans),
                      initial=np.array([1, 0, 0, 0], dtype=complex))

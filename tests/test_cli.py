@@ -185,15 +185,16 @@ def test_custom_thermal_channels_match_the_preset(tmp_path, capsys):
     def pairs(m):
         return [[[z.real, z.imag] for z in row] for row in m]
 
-    cfg = {"custom_channels": [{"id": ch.id, "locality": ch.locality,
-                                "matrix": pairs(ch.op), "rate": ch.rate}
-                               for ch in ref.channels],
+    cfg = {"custom_channels": [{"id": ch.id, "locality": qubit,
+                                "matrix": pairs(j), "rate": ch.rate}
+                               for ch, (qubit, j) in zip(ref.channels,
+                                                         ref.qubits[1])],
            "initial_state": pairs([ref.initial])[0]}
     twin = tmp_path / "twin.json"
     twin.write_text(json.dumps(cfg))
     joint = tmp_path / "joint.json"
     joint.write_text(json.dumps(dict(cfg, custom_channels=[
-        {"id": ch.id, "locality": "joint", "matrix": pairs(ch.lifted()),
+        {"id": ch.id, "locality": "joint", "matrix": pairs(ch.op),
          "rate": ch.rate} for ch in ref.channels])))
     simulate = ["simulate", "--unraveling", "qj", "--tmax", "2.0", "--grid",
                 "0.1", "--traj", "200", "--seed", "5"]
@@ -214,6 +215,21 @@ def test_custom_thermal_channels_match_the_preset(tmp_path, capsys):
     capsys.readouterr()
     assert main(["optimize", "--config", str(twin)]) == 2
     assert "thermal-type scenario" in capsys.readouterr().err
+
+
+def test_zero_rate_common_bath_simulates(tmp_path):
+    # a zero collective rate is a valid scenario, so simulate runs it (three
+    # batches) and exits 0: nothing clicks, and the mean, the closed form and
+    # C_rho all stay at the Bell state's C(0) = 1
+    cfg = _write_config(tmp_path, "common_bath", params={"gamma": 0.0})
+    out = tmp_path / "still.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--tmax",
+                 "1.0", "--grid", "0.25", "--traj", "1100"]) == 0
+    header, rows = _read_csv(out)
+    cols = [header.index(c) for c in ("mean_C", "analytic_C", "C_rho")]
+    values = np.array([[float(r[i]) for i in cols] for r in rows])
+    assert values.shape == (5, 3)
+    assert np.max(np.abs(values - 1.0)) < 1e-15
 
 
 def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):

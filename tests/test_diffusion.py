@@ -18,7 +18,7 @@ from trajent.diffusion import (_BLOCK, _bytes, _tables, batch_kernel_qsd,
 from trajent.ensemble import Substreams, average, run_average
 from trajent.errors import StepSizeError
 from trajent.linalg import ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
-from trajent.models import (JumpChannel, preset_dephasing,
+from trajent.models import (JumpChannel, lift, preset_dephasing,
                             preset_photon_counting, scenario_from_channels,
                             state_from_amplitudes, with_heterodyne,
                             with_phase_rotation)
@@ -108,11 +108,11 @@ def _five_channels():
     """Five static channels, one joint: heterodyne reads two bytes a step."""
     joint = np.kron(SIGMA_MINUS, ID2) + 0.5 * np.kron(ID2, SIGMA_MINUS)
     return scenario_from_channels(
-        [JumpChannel("minus-A", "A", SIGMA_MINUS, 1.0),
-         JumpChannel("plus-A", "A", SIGMA_PLUS, 0.4),
-         JumpChannel("minus-B", "B", SIGMA_MINUS, 0.8),
-         JumpChannel("z-B", "B", SIGMA_Z, 0.3),
-         JumpChannel("joint", "joint", joint, 0.5)],
+        [JumpChannel("minus-A", lift("A", SIGMA_MINUS), 1.0),
+         JumpChannel("plus-A", lift("A", SIGMA_PLUS), 0.4),
+         JumpChannel("minus-B", lift("B", SIGMA_MINUS), 0.8),
+         JumpChannel("z-B", lift("B", SIGMA_Z), 0.3),
+         JumpChannel("joint", joint, 0.5)],
         h0=0.7 * np.kron(SIGMA_X, SIGMA_X),
         initial=state_from_amplitudes(0.6, 0.2j, -0.3, 0.7))
 

@@ -19,8 +19,9 @@ from trajent.ensemble import (Substreams, TrajectoryRecord, average,
                               run_average, run_batches, run_records)
 from trajent.errors import ConfigError, FitWindowError, NumericalError
 from trajent.linalg import SIGMA_MINUS
-from trajent.models import (JumpChannel, bell_state, preset_photon_counting,
-                            scenario_from_channels, with_homodyne_shift)
+from trajent.models import (JumpChannel, bell_state, lift,
+                            preset_photon_counting, scenario_from_channels,
+                            with_homodyne_shift)
 from trajent.quantum_jump import batch_kernel, run_ensemble
 
 from _oracles import trajectory_rng
@@ -116,8 +117,8 @@ def _engines(keep_states=False):
     thermal = load_scenario("thermal_bell")
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     rank_one = scenario_from_channels(
-        (JumpChannel("u+", "A", np.outer([1.0, 0.0], plus), 1.0),
-         JumpChannel("d", "B", SIGMA_MINUS, 0.7)), bell_state())
+        (JumpChannel("u+", lift("A", np.outer([1.0, 0.0], plus)), 1.0),
+         JumpChannel("d", lift("B", SIGMA_MINUS), 0.7)), bell_state())
     return {
         "qj": (batch_kernel(s, 1.0, 0.05, keep_states),
                lambda n: run_ensemble(s, 1.0, n, seed=17, record_grid=0.05)),

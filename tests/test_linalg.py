@@ -12,7 +12,7 @@ from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
     dag, det2, expm, kron2, require_finite, trace2,
 )
-from trajent.models import (JumpChannel, lindblad_superoperator,
+from trajent.models import (JumpChannel, lift, lindblad_superoperator,
                             preset_photon_counting, scenario_from_channels)
 from trajent.quantum_jump import run_ensemble
 
@@ -165,9 +165,9 @@ def test_strided_complex_views_equal_their_copies():
     assert np.array_equal(s.with_initial(a[:, 1]).psi0,
                           s.with_initial(a[:, 1].copy()).psi0)
     # a channel whose op is a transposed view builds and runs as its copy
-    j = np.array([[0.0, 0.0], [1.0, 0.5j]])
+    j = lift("B", [[0.0, 0.0], [1.0, 0.5j]])
     runs = [run_ensemble(scenario_from_channels(
-        [JumpChannel("y", "B", op, 1.0)]), 1.0, 20, seed=4)
+        [JumpChannel("y", op, 1.0)]), 1.0, 20, seed=4)
         for op in (j.T, j.T.copy())]
     for ra, rb in zip(*runs):
         assert np.array_equal(ra.concurrences, rb.concurrences)

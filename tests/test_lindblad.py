@@ -9,7 +9,7 @@ from trajent.entanglement import concurrence_mixed, concurrence_pure
 from trajent.errors import ConfigError, PositivityError
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
 from trajent.linalg import SIGMA_MINUS, SIGMA_PLUS
-from trajent.models import (JumpChannel, Scenario, bell_state,
+from trajent.models import (JumpChannel, Scenario, bell_state, lift,
                             lindblad_superoperator, preset_common_bath, preset_dephasing,
                             preset_photon_counting, preset_thermal,
                             scenario_from_channels, state_from_amplitudes)
@@ -132,19 +132,20 @@ def test_trace_and_positivity_reported():
 def test_negative_rate_breaks_positivity(monkeypatch):
     # a negative rate, however slight, is named when the scenario is built,
     # so the master equation (or any engine) never runs it
-    down = JumpChannel("m", "A", SIGMA_MINUS, 1.0)
+    down = JumpChannel("m", lift("A", SIGMA_MINUS), 1.0)
     with pytest.raises(ConfigError, match="'bad': rate -1.0 is negative"):
         Scenario(h0=np.zeros((4, 4)),
-                 channels=(JumpChannel("bad", "A", SIGMA_MINUS, -1.0),),
+                 channels=(JumpChannel("bad", lift("A", SIGMA_MINUS),
+                                       -1.0),),
                  initial=bell_state())
     with pytest.raises(ConfigError, match="'p': rate -1e-07 is negative"):
-        scenario_from_channels([down, JumpChannel("p", "A", SIGMA_PLUS,
+        scenario_from_channels([down, JumpChannel("p", lift("A", SIGMA_PLUS),
                                                   -1e-7)])
     # the integrator's floor, the one concurrence_mixed enforces, still
     # catches such a generator: L is linear in the rates, so 2 L(m) - L(m, p)
     # with p = sigma_+ at +1e-7 is the generator with p at -1e-7 (to 6e-17)
     s = scenario_from_channels([down])
-    up = scenario_from_channels([down, JumpChannel("p", "A", SIGMA_PLUS,
+    up = scenario_from_channels([down, JumpChannel("p", lift("A", SIGMA_PLUS),
                                                    1e-7)])
     gen = 2 * lindblad_superoperator(s) - lindblad_superoperator(up)
     monkeypatch.setattr("trajent.lindblad.lindblad_superoperator",

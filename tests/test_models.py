@@ -15,7 +15,7 @@ from trajent.linalg import (
 )
 from trajent.models import (
     COLLECTIVE_DECAY, JumpChannel, Scenario, bell_state, kernel_oscillation,
-    lindblad_superoperator, local_hamiltonian,
+    lift, lindblad_superoperator, local_hamiltonian,
     preset_common_bath, preset_dephasing, preset_photon_counting,
     preset_rotated_thermal, preset_thermal, scenario_from_channels,
     state_from_amplitudes, with_heterodyne, with_homodyne_shift,
@@ -23,10 +23,11 @@ from trajent.models import (
 )
 from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
-from trajent.rates import analytic_mean_concurrence, rate_report
+from trajent.rates import rate_report
 
 from _oracles import (GEN_TOL, PAULI, generator_deviation,
-                      lindblad_superoperator_per_channel, qubit_view_by_pauli)
+                      lindblad_superoperator_per_channel, operator_at,
+                      qubit_view_by_pauli, shift_at)
 
 S2 = 1 / np.sqrt(2)
 
@@ -76,10 +77,11 @@ def test_dephasing_operator_forms():
     # phase-split form e^{-i pi/4} sigma_+ + e^{i pi/4} sigma_-
     s = preset_dephasing([S2, S2, 0.0], [S2, S2, 0.0], 1.0, 1.0)
     op = s.channels[0].op
-    assert np.max(np.abs(op - (SIGMA_X + SIGMA_Y) / np.sqrt(2))) < 1e-14
+    assert np.max(np.abs(op - lift("A", SIGMA_X + SIGMA_Y) / np.sqrt(2))) \
+        < 1e-14
     split = (np.exp(-1j * np.pi / 4) * SIGMA_PLUS
              + np.exp(1j * np.pi / 4) * SIGMA_MINUS)
-    assert np.max(np.abs(op - split)) < 1e-14
+    assert np.max(np.abs(op - lift("A", split))) < 1e-14
     # unital: v.sigma squares to the identity, so K is proportional to 1
     assert np.max(np.abs(s.k_op - np.eye(4))) < 1e-13
 
@@ -94,8 +96,8 @@ def test_dephasing_rejects_non_unit_vector():
 def test_common_bath_channel():
     s = preset_common_bath(0.7)
     (ch,) = s.channels
-    assert ch.locality == "joint"
-    j = ch.lifted(0.0)
+    assert s.qubits[1] == (None,)  # it acts on both qubits
+    j = ch.operator()
     assert np.allclose(j, kron2(SIGMA_MINUS, ID2) + kron2(ID2, SIGMA_MINUS))
     jj = dag(j) @ j
     want = np.array([
@@ -112,7 +114,7 @@ def _lindblad_rhs(rho, s):
     h = s.h0
     out = -1j * (h @ rho - rho @ h)
     for ch in s.channels:
-        j = ch.lifted(0.0)
+        j = ch.operator()
         jj = dag(j) @ j
         out += ch.rate * (j @ rho @ dag(j) - 0.5 * (jj @ rho + rho @ jj))
     return out
@@ -142,7 +144,7 @@ def _random_channel_set(rng):
         for m in range(rng.integers(1, 4)):
             op = (rng.standard_normal((2, 2))
                   + 1j * rng.standard_normal((2, 2))) / 2
-            channels.append(JumpChannel(f"c{m}-{qubit}", qubit, op,
+            channels.append(JumpChannel(f"c{m}-{qubit}", lift(qubit, op),
                                         rng.uniform(0.1, 1.5)))
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -170,7 +172,7 @@ def test_homodyne_shift_structure_and_invariance():
     shifted = with_homodyne_shift(s, 0.8)
     assert len(shifted.channels) == 4
     assert all(ch.rate in (0.5, 0.2) for ch in shifted.channels)
-    a = [ch.shift_at(0.0) for ch in shifted.channels]
+    a = [ch.shift for ch in shifted.channels]
     assert a == [0.8, -0.8, 0.8, -0.8]
     # displacement pairs leave the ensemble generator untouched
     assert generator_deviation(shifted, s) < GEN_TOL
@@ -182,8 +184,8 @@ def test_homodyne_shift_structure_and_invariance():
 def test_homodyne_shift_complex_and_per_channel():
     s = preset_photon_counting(1.0, 1.0)
     shifted = with_homodyne_shift(s, [0.3 + 0.1j, 0.5])
-    assert shifted.channels[0].shift_at(0.0) == 0.3 + 0.1j
-    assert shifted.channels[2].shift_at(0.0) == 0.5
+    assert shifted.channels[0].shift == 0.3 + 0.1j
+    assert shifted.channels[2].shift == 0.5
     assert generator_deviation(shifted, s) < GEN_TOL
     with pytest.raises(ValueError):
         with_homodyne_shift(s, [0.1, 0.2, 0.3])
@@ -205,9 +207,10 @@ def test_heterodyne_rotating_shift():
     het = with_heterodyne(s, 0.6, 2.5)
     assert het.time_dependent
     ch = het.channels[0]
-    assert abs(ch.shift_at(0.0) - 0.6) < 1e-15
-    t = 0.83
-    assert abs(ch.shift_at(t) - 0.6 * np.exp(1j * 2.5 * t)) < 1e-15
+    assert (ch.shift, ch.het_freq, ch.rotates) == (0.6, 2.5, True)
+    # at t = 0 the displacement enters as alpha; its rotation is read by
+    # Scenario.jump_amplitudes (test_jump_amplitudes_match_lifted_operators)
+    assert np.array_equal(ch.operator(), ch.op + 0.6 * np.eye(4))
     # the +/- pair keeps K static: identity offset (sum gamma alpha^2)/2
     extra = 0.5 * (1.0 + 1.0) * 0.6 ** 2
     assert np.max(np.abs(het.k_op - s.k_op - extra * np.eye(4))) < 1e-12
@@ -223,9 +226,9 @@ def test_het_freq_zero_is_a_static_shift():
     # het_freq 0 is the static shift of het_freq None in every reader
     def scenario(het_freq):
         return scenario_from_channels((
-            JumpChannel("z-A", "A", SIGMA_Z, 1.0, shift=0.5,
+            JumpChannel("z-A", lift("A", SIGMA_Z), 1.0, shift=0.5,
                         het_freq=het_freq),
-            JumpChannel("z-B", "B", SIGMA_Z, 1.0)))
+            JumpChannel("z-B", lift("B", SIGMA_Z), 1.0)))
 
     zero, static = scenario(0.0), scenario(None)
     assert not zero.time_dependent
@@ -242,7 +245,7 @@ def test_het_freq_zero_is_a_static_shift():
 
 
 def _kernel_at(channels, t):
-    return sum(0.5 * ch.rate * dag(ch.lifted(t)) @ ch.lifted(t)
+    return sum(0.5 * ch.rate * dag(operator_at(ch, t)) @ operator_at(ch, t)
                for ch in channels)
 
 
@@ -257,7 +260,7 @@ def test_kernel_oscillation_detects_unpaired_rotation():
         scenario_from_channels(lone)
     # a partner rotating the other way cancels through its conjugate term
     ch = lone[0]
-    mirror = JumpChannel("mirror", "A", dag(ch.op), ch.rate, shift=-0.5,
+    mirror = JumpChannel("mirror", dag(ch.op), ch.rate, shift=-0.5,
                          het_freq=-3.0)
     both = scenario_from_channels((ch, mirror))
     assert kernel_oscillation(both.channels) == 0.0
@@ -272,7 +275,7 @@ def test_jump_amplitudes_match_lifted_operators():
     amp = het.jump_amplitudes(psi, t)
     for b in range(3):
         for m, ch in enumerate(het.channels):
-            assert np.allclose(amp[b, m], ch.lifted(t[b]) @ psi[b],
+            assert np.allclose(amp[b, m], operator_at(ch, t[b]) @ psi[b],
                                atol=1e-14)
 
 
@@ -288,7 +291,7 @@ def test_jump_amplitudes_match_einsum_form():
               with_heterodyne(thermal, 0.4, 2.0)):
         want = np.einsum("mij,bj->bmi", s.lifted_ops, psi)
         for m, ch in enumerate(s.channels):
-            drift = np.array([ch.shift_at(tb) for tb in t]) - ch.shift_at(0)
+            drift = np.array([shift_at(ch, tb) for tb in t]) - shift_at(ch, 0)
             want[:, m] += drift[:, None] * psi
         assert np.max(np.abs(s.jump_amplitudes(psi, t) - want)) < 1e-14
 
@@ -298,10 +301,10 @@ def test_heterodyne_small_frequency_limit():
     s = preset_photon_counting(1.0, 1.0)
     het = with_heterodyne(s, 0.4, 1e-9)
     static = with_homodyne_shift(s, 0.4)
-    for t in (0.0, 0.5, 1.0):
-        got = np.array([ch.shift_at(t) for ch in het.channels])
-        want = np.array([ch.shift_at(t) for ch in static.channels])
-        assert np.max(np.abs(got - want)) < 1e-8
+    psi = np.tile(bell_state(), (3, 1))
+    t = np.array([0.0, 0.5, 1.0])
+    assert np.max(np.abs(het.jump_amplitudes(psi, t)
+                         - static.jump_amplitudes(psi, t))) < 1e-8
 
 
 def test_phase_rotation_invariance():
@@ -340,27 +343,28 @@ def test_rotated_thermal_rejects_bad_mixing():
 
 
 def test_validate_collects_violations():
-    # building a scenario runs every check and raises once, naming them all
+    # building a scenario runs every check and raises once, naming them all;
+    # a channel's op is on the pair space, so a 2x2 one is refused (a file's
+    # locality and shape are checked when it is read: test_config)
     with pytest.raises(ConfigError) as exc:
         scenario_from_channels(
-            (JumpChannel("neg", "A", SIGMA_MINUS, -1.0),
-             JumpChannel("odd", "B", np.eye(4), 1.0),
-             JumpChannel("where", "C", SIGMA_MINUS, 1.0),
-             JumpChannel("hetless", "A", SIGMA_MINUS, 1.0, het_freq=2.0)),
+            (JumpChannel("neg", lift("A", SIGMA_MINUS), -1.0),
+             JumpChannel("odd", SIGMA_MINUS, 1.0),
+             JumpChannel("hetless", lift("A", SIGMA_MINUS), 1.0,
+                         het_freq=2.0)),
             initial=np.zeros(4),
             h0=np.array([[0, 1j], [1j, 0]]))
     text = str(exc.value)
     assert text.startswith("invalid scenario:")
     assert "neg" in text and "rate" in text
-    assert "odd" in text and "shape" in text
-    assert "where" in text and "locality" in text
+    assert "'odd': operator shape (2, 2) is not (4, 4)" in text
     assert "hetless" in text and "het_freq" in text
     assert "initial state is the zero vector" in text
     assert "h0 must be 4x4" in text
     # an infinite rate (json.loads accepts Infinity) is named, and K, which
     # it would poison, is not examined, although the channel rotates unpaired
     with pytest.raises(ConfigError) as exc:
-        scenario_from_channels((JumpChannel("inf", "A", SIGMA_MINUS,
+        scenario_from_channels((JumpChannel("inf", lift("A", SIGMA_MINUS),
                                             float("inf"), shift=0.5,
                                             het_freq=3.0),))
     assert "'inf': rate inf is negative or non-finite" in str(exc.value)
@@ -369,10 +373,11 @@ def test_validate_collects_violations():
     nan = float("nan")
     with pytest.raises(ConfigError) as exc:
         scenario_from_channels(
-            (JumpChannel("nan-shift", "A", SIGMA_MINUS, 1.0, shift=complex(nan)),
-             JumpChannel("inf-het", "A", SIGMA_MINUS, 1.0, shift=0.5,
+            (JumpChannel("nan-shift", lift("A", SIGMA_MINUS), 1.0,
+                         shift=complex(nan)),
+             JumpChannel("inf-het", lift("A", SIGMA_MINUS), 1.0, shift=0.5,
                          het_freq=float("inf")),
-             JumpChannel("nan-het", "B", SIGMA_MINUS, 1.0, shift=0.5,
+             JumpChannel("nan-het", lift("B", SIGMA_MINUS), 1.0, shift=0.5,
                          het_freq=nan)))
     text = str(exc.value)
     assert "'nan-shift': shift (nan+0j) is non-finite" in text
@@ -384,8 +389,8 @@ def test_validate_collects_violations():
 def test_every_route_to_a_scenario_checks_it():
     # the constructor, scenario_from_channels, dataclasses.replace, the
     # transforms and with_initial all build a Scenario, so all of them check
-    slight = (JumpChannel("m", "A", SIGMA_MINUS, 1.0),
-              JumpChannel("p", "A", SIGMA_PLUS, -1e-7))
+    slight = (JumpChannel("m", lift("A", SIGMA_MINUS), 1.0),
+              JumpChannel("p", lift("A", SIGMA_PLUS), -1e-7))
     valid = scenario_from_channels(slight[:1])
     for build, named in (
             (lambda: Scenario(np.zeros((4, 4)), slight, bell_state()),
@@ -408,7 +413,7 @@ def test_rank_one_joint_channels_build_at_any_rate():
     for _ in range(300):
         u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         op = np.outer(u, np.conjugate(v))
-        s = scenario_from_channels((JumpChannel("r1", "joint", op, 1e8),))
+        s = scenario_from_channels((JumpChannel("r1", op, 1e8),))
         assert s.k_op.shape == (4, 4)
         scenario_from_dict({"custom_channels": [{
             "id": "r1", "locality": "joint", "rate": 1e8,
@@ -493,14 +498,15 @@ def test_displaced_sigma_pair_is_a_thermal_bath():
     # sigma_+ + alpha and sigma_- + alpha* carry identity parts, but their
     # displacement terms cancel in the generator
     a = 0.3 + 0.4j
-    up = JumpChannel("up", "A", SIGMA_PLUS, 1.0, shift=a)
+    up = JumpChannel("up", lift("A", SIGMA_PLUS), 1.0, shift=a)
     s = scenario_from_channels(
-        [up, JumpChannel("down", "A", SIGMA_MINUS, 1.0, shift=np.conj(a))])
+        [up, JumpChannel("down", lift("A", SIGMA_MINUS), 1.0,
+                         shift=np.conj(a))])
     assert s.thermal_rates == (1.0, 1.0, 0.0, 0.0)
     assert generator_deviation(s, preset_thermal(1.0, 1.0, 0.0, 0.0)) < GEN_TOL
     # with alpha on both they leave a Hamiltonian term behind
     s = scenario_from_channels(
-        [up, JumpChannel("down", "A", SIGMA_MINUS, 1.0, shift=a)])
+        [up, JumpChannel("down", lift("A", SIGMA_MINUS), 1.0, shift=a)])
     assert s.thermal_rates is None
 
 
@@ -524,13 +530,14 @@ def _bath_candidate(rng):
         a = complex(*rng.standard_normal(2))
         b = np.conj(a) if rng.random() < 0.5 else a
         s = scenario_from_channels(
-            [JumpChannel("up-A", "A", SIGMA_PLUS, g[0], shift=a),
-             JumpChannel("down-A", "A", SIGMA_MINUS, g[0], shift=b),
-             JumpChannel("down-B", "B", SIGMA_MINUS, g[3])])
+            [JumpChannel("up-A", lift("A", SIGMA_PLUS), g[0], shift=a),
+             JumpChannel("down-A", lift("A", SIGMA_MINUS), g[0], shift=b),
+             JumpChannel("down-B", lift("B", SIGMA_MINUS), g[3])])
     else:
         # a bath plus a dephasing or a joint channel
-        extra = (JumpChannel("z-A", "A", SIGMA_Z, g[1]) if rng.random() < 0.5
-                 else JumpChannel("j", "joint", rng.standard_normal((4, 4))
+        extra = (JumpChannel("z-A", lift("A", SIGMA_Z), g[1])
+                 if rng.random() < 0.5
+                 else JumpChannel("j", rng.standard_normal((4, 4))
                                   + 1j * rng.standard_normal((4, 4)), g[2]))
         s = preset_thermal(*g)
         s = replace(s, channels=s.channels + (extra,))
@@ -543,14 +550,16 @@ def _bath_candidate(rng):
 def test_thermal_rates_agree_with_the_generator_route():
     # the 16x16 route: s is a bath exactly when its generator is that of
     # sigma_+/sigma_- channels at the rates read from its local operators
+    # (the Pauli oracle's per-qubit view)
     rng = np.random.default_rng(252)
     verdicts = []
     for _ in range(240):
         s = _bath_candidate(rng)
+        _, view = qubit_view_by_pauli(s)
         rates = []
         for qubit in "AB":
-            chans = [(ch.rate, ch.operator(0.0)) for ch in s.channels
-                     if ch.locality == qubit]
+            chans = [(ch.rate, q[1]) for ch, q in zip(s.channels, view)
+                     if q is not None and q[0] == qubit]
             rates += [sum(g * abs(j[0, 1]) ** 2 for g, j in chans),
                       sum(g * abs(j[1, 0]) ** 2 for g, j in chans)]
         ref = replace(preset_thermal(*rates), h0=s.h0)
@@ -574,16 +583,17 @@ def _view_candidate(rng):
         c = rng.standard_normal((3, 3))
         h0 = h0 + sum(c[i, k] * kron2(a, b) for i, a in enumerate(PAULI[1:])
                       for k, b in enumerate(PAULI[1:]))
-    ops = {"A": lambda: ("A", cplx(2, 2)), "B": lambda: ("B", cplx(2, 2)),
-           "joint": lambda: ("joint", cplx(4, 4)),
-           "A (x) 1 as joint": lambda: ("joint", kron2(cplx(2, 2), ID2)),
-           "1 (x) B as joint": lambda: ("joint", kron2(ID2, cplx(2, 2))),
-           "collective": lambda: ("joint", COLLECTIVE_DECAY)}
+    ops = {"A": lambda: lift("A", cplx(2, 2)),
+           "B": lambda: lift("B", cplx(2, 2)),
+           "joint": lambda: cplx(4, 4),
+           "A (x) 1 by np.kron": lambda: np.kron(cplx(2, 2), ID2),
+           "1 (x) B by np.kron": lambda: np.kron(ID2, cplx(2, 2)),
+           "collective": lambda: COLLECTIVE_DECAY}
     channels = []
     for m in range(rng.integers(1, 4)):
         kind = list(ops)[rng.integers(len(ops))]
         kinds.add(kind)
-        channels.append(JumpChannel(f"c{m}", *ops[kind](),
+        channels.append(JumpChannel(f"c{m}", ops[kind](),
                                     rng.uniform(0.1, 2.0)))
     s = scenario_from_channels(channels, h0=h0)
     n, shift = len(channels), ("static", "rotating", "none")[rng.integers(3)]
@@ -618,47 +628,5 @@ def test_qubit_view_matches_the_pauli_oracle():
                 assert got[0] == want[0]
                 assert np.max(np.abs(got[1] - want[1])) <= 1e-12
     assert seen == {"coupled H0", "local H0", "A", "B", "joint",
-                    "A (x) 1 as joint", "1 (x) B as joint", "collective",
+                    "A (x) 1 by np.kron", "1 (x) B by np.kron", "collective",
                     "static", "rotating", "none"}
-
-
-def test_channels_written_as_joint_read_as_their_local_twins():
-    # the tag only decides how a matrix is lifted: the same channels written
-    # as 4x4 "joint" matrices get the same rates, thermal rates and curves
-    rng = np.random.default_rng(29)
-    t, reported = np.linspace(0.0, 2.0, 5), 0
-    lift = {"A": lambda j: kron2(j, ID2), "B": lambda j: kron2(ID2, j),
-            "joint": lambda j: j}
-    for _ in range(200):
-        s = _bath_candidate(rng) if rng.random() < 0.5 \
-            else _view_candidate(rng)[0]
-        twin = replace(s, channels=tuple(
-            replace(ch, locality="joint", op=lift[ch.locality](ch.op))
-            for ch in s.channels))
-        assert [q and q[0] for q in twin.qubits[1]] == \
-            [q and q[0] for q in s.qubits[1]]
-        assert (twin.thermal_rates is None) == (s.thermal_rates is None)
-        if s.thermal_rates is not None:
-            assert twin.thermal_rates == pytest.approx(s.thermal_rates,
-                                                       abs=1e-12)
-        for unraveling in ("qj", "qsd-homodyne", "qsd-heterodyne"):
-            want = analytic_mean_concurrence(s, unraveling, t)
-            got = analytic_mean_concurrence(twin, unraveling, t)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert np.max(np.abs(got - want)) <= 1e-12
-        try:
-            want = rate_report(s)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                rate_report(twin)
-            continue
-        got = rate_report(twin)
-        reported += 1
-        assert [r.channel_id for r in got.per_channel] == \
-            [r.channel_id for r in want.per_channel]
-        assert np.max(np.abs(np.subtract(
-            [[r.qj, r.ho, r.ho_opt, r.het] for r in got.per_channel],
-            [[r.qj, r.ho, r.ho_opt, r.het] for r in want.per_channel]))) \
-            <= 1e-12
-    assert reported >= 80  # most twins get their closed forms

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,9 +11,9 @@ from scipy.linalg import expm
 from trajent import ensemble, quantum_jump
 from trajent.config import bundled_scenario_path, load_scenario
 from trajent.entanglement import concurrence_pure
-from trajent.errors import ConfigError
+from trajent.errors import ConfigError, NumericalError
 from trajent.lindblad import evolve_rho
-from trajent.models import (JumpChannel, bell_state, local_hamiltonian,
+from trajent.models import (JumpChannel, bell_state, lift, local_hamiltonian,
                             preset_common_bath, preset_dephasing,
                             preset_photon_counting, scenario_from_channels,
                             state_from_amplitudes, with_heterodyne,
@@ -24,7 +23,7 @@ from trajent.quantum_jump import run_ensemble, run_trajectory
 from trajent.rates import analytic_mean_concurrence
 
 from _oracles import (click_delay_gathered, k_mean_complex, norm2_complex,
-                      survival_probability, trajectory_rng)
+                      operator_at, survival_probability, trajectory_rng)
 
 UU = state_from_amplitudes(1, 0, 0, 0)
 DD = state_from_amplitudes(0, 0, 0, 1)
@@ -299,8 +298,8 @@ def test_step_control_and_grid_validation():
     # an unpaired rotating displacement makes K time dependent: such a
     # scenario cannot be built, so no kernel ever sees it
     with pytest.raises(ConfigError, match="static"):
-        scenario_from_channels((JumpChannel("lone", "A", SIGMA_MINUS, 1.0,
-                                            shift=0.5, het_freq=3.0),))
+        scenario_from_channels((JumpChannel("lone", lift("A", SIGMA_MINUS),
+                                            1.0, shift=0.5, het_freq=3.0),))
     # the grid is checked when the kernel is built, before any call
     with pytest.raises(ValueError, match="record_grid"):
         quantum_jump.batch_kernel(s, 1.0, record_grid=0.3)
@@ -333,6 +332,33 @@ def test_driven_pair_matches_master_equation():
                       <= 5.0 * sigma)
 
 
+def test_eigenbasis_propagator_is_measured(monkeypatch):
+    # photon counting (gamma = 1 per qubit) driven by Omega (sigma_x (x) 1 +
+    # 1 (x) sigma_x) has a defective H_eff at Omega = 1/4.  W e^{-i lam t}
+    # W^-1 is off from expm(-i H_eff t) by 0.8 at Omega - 1/4 = d = 0 and by
+    # 1.7e-9 at d = 1e-8 (refused; cond(W) is 5.8e7, under the 1e8 bound
+    # that was checked before), by 1.4e-11 and 1.1e-13 at d = 1e-6 and 1e-4
+    # (run), and by at most 2.4e-16 on the bundled scenarios
+    pc = preset_photon_counting(1.0, 1.0)
+    for d, refused in ((0.0, True), (1e-8, True), (1e-6, False),
+                       (1e-4, False)):
+        s = scenario_from_channels(pc.channels, h0=local_hamiltonian(
+            (0.25 + d) * SIGMA_X, (0.25 + d) * SIGMA_X))
+        if refused:
+            with pytest.raises(NumericalError, match=r"off by \S+ from expm"):
+                quantum_jump.batch_kernel(s, 2.0, 0.1)
+        else:
+            rec = run_trajectory(s, 2.0, seed=3, record_grid=0.1)
+            assert np.isfinite(rec.concurrences).all()
+    # an exactly singular eigenbasis is refused the same way
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(NumericalError, match="off by inf"):
+        quantum_jump.batch_kernel(pc, 1.0)
+
+
 def _replay(s, rec):
     """The state at every record point, rebuilt from the events alone."""
     channel = {ch.id: ch for ch in s.channels}
@@ -342,7 +368,7 @@ def _replay(s, rec):
     for t in rec.times:
         while events and events[0].time <= t:
             ev = events.pop(0)
-            psi = channel[ev.channel_id].lifted(ev.time) \
+            psi = operator_at(channel[ev.channel_id], ev.time) \
                 @ expm(-1j * s.h_eff * (ev.time - t_last)) @ psi
             psi, t_last = psi / np.linalg.norm(psi), ev.time
         phi = expm(-1j * s.h_eff * (t - t_last)) @ psi
@@ -568,12 +594,8 @@ def test_exit_only_where_records_read_exact_zero(monkeypatch):
     # non-diagonal H_eff (sigma_x (x) sigma_x, a driven local pair, or H0 = 0
     # with the rank-one channel |u><+| on A) may leave a product state with
     # a rounding residue; but a diagonal H0, even sigma_z (x) sigma_z, keeps
-    # a basis-state qubit in its basis state.  Channels written as 4x4
-    # "joint" matrices that factor count as local
+    # a basis-state qubit in its basis state
     thermal = load_scenario(bundled_scenario_path("thermal_bell"))
-    written_joint = replace(thermal, channels=tuple(
-        replace(ch, locality="joint", op=ch.lifted())
-        for ch in thermal.channels))
     zz, xx, driven = (scenario_from_channels(thermal.channels, h0=h0)
                       for h0 in (0.4 * np.kron(SIGMA_Z, SIGMA_Z),
                                  0.4 * np.kron(SIGMA_X, SIGMA_X),
@@ -581,13 +603,12 @@ def test_exit_only_where_records_read_exact_zero(monkeypatch):
                                                    0.7 * SIGMA_X)))
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     rank_one = scenario_from_channels(
-        (JumpChannel("u+", "A", np.outer([1.0, 0.0], plus), 1.0),
-         JumpChannel("d", "B", SIGMA_MINUS, 0.7)), bell_state())
+        (JumpChannel("u+", lift("A", np.outer([1.0, 0.0], plus)), 1.0),
+         JumpChannel("d", lift("B", SIGMA_MINUS), 0.7)), bell_state())
     rows = _search_rows(monkeypatch)
     for s, exits in ((load_scenario(bundled_scenario_path(
             "common_bath_revival")), False), (xx, False), (driven, False),
-            (rank_one, False), (thermal, True), (zz, True),
-            (written_joint, True)):
+            (rank_one, False), (thermal, True), (zz, True)):
         rows.clear()
         a = quantum_jump.batch_kernel(s, 3.0, 0.05)(19, np.arange(300))
         searched = sum(rows)

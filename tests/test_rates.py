@@ -9,7 +9,7 @@ from trajent.ensemble import run_average
 from trajent.entanglement import concurrence_pure
 from trajent.linalg import SIGMA_X, kron2
 from trajent.models import (
-    JumpChannel, bell_state, local_hamiltonian, preset_common_bath,
+    JumpChannel, bell_state, lift, local_hamiltonian, preset_common_bath,
     preset_dephasing, preset_photon_counting, preset_rotated_thermal,
     preset_thermal, scenario_from_channels, with_heterodyne,
     with_homodyne_shift, with_phase_rotation,
@@ -34,7 +34,7 @@ def random_local_scenario(rng, n_channels=4):
     for i in range(n_channels):
         op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         loc = "A" if rng.random() < 0.5 else "B"
-        channels.append(JumpChannel(f"ch{i}", loc, op,
+        channels.append(JumpChannel(f"ch{i}", lift(loc, op),
                                     float(rng.uniform(0.05, 2.0))))
     return scenario_from_channels(tuple(channels))
 
@@ -110,7 +110,7 @@ def test_decomposition_equality_and_orderings():
 
 def test_decomposition_zero_determinant_convention():
     s = scenario_from_channels(
-        (JumpChannel("pp", "A", np.array([[0, 1], [0, 0]]), 1.3),))
+        (JumpChannel("pp", lift("A", [[0, 1], [0, 0]]), 1.3),))
     assert abs(kappa_qj_decomposed(s) - kappa_qj(s)) < 1e-14
 
 
@@ -215,8 +215,22 @@ def test_common_bath_curve_construction():
     assert abs(c.c_minus - 1 / np.sqrt(5)) < 1e-15
     with pytest.raises(ValueError):
         CommonBathCurve.from_state(np.array([1.0, 0, 0, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        CommonBathCurve.from_state(SINGLE_EXC_STATE, 0.0)
+    for gamma in (-0.5, np.nan, np.inf):  # gamma = 0 is a rate
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            CommonBathCurve.from_state(SINGLE_EXC_STATE, gamma)
+
+
+def test_common_bath_at_zero_rate_is_constant():
+    # gamma = 0 is a valid scenario: nothing clicks, so the curve is C(0) and
+    # it never vanishes; the closed form is the scenario's qj curve
+    t = np.linspace(0.0, 5.0, 11)
+    for psi in (bell_state(), SINGLE_EXC_STATE, REVIVAL_STATE):
+        c = CommonBathCurve.from_state(psi, 0.0)
+        c0 = concurrence_pure(psi)
+        assert np.max(np.abs(common_bath_mean(c, t) - c0)) < 1e-15
+        assert common_bath_vanish_time(c) is None
+        curve = analytic_mean_concurrence(preset_common_bath(0.0, psi), "qj", t)
+        assert np.max(np.abs(curve - c0)) < 1e-15
 
 
 def test_common_bath_curve_reference_values():
@@ -281,7 +295,7 @@ def test_one_jump_quadrature_oracle():
     # the jump time (the probability factors telescope away)
     gamma, t = 1.0, 0.8
     s = preset_common_bath(gamma)
-    j = s.channels[0].lifted(0.0)
+    j = s.channels[0].operator()
     k = s.k_op
     psi0 = bell_state()
 
