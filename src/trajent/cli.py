@@ -9,8 +9,9 @@ rates      closed-form decay rates of a scenario, as JSON
 fit        exponential rate fit of a previously written CSV
 optimize   best channel mixing when the channels are thermal baths, as JSON
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
-environment variable TRAJENT_LOG selects the log level (DEBUG, INFO, ...).
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 configuration error, 3 numerical failure.  The environment variable
+TRAJENT_LOG selects the log level (DEBUG, INFO, ...).
 
 CSV output carries columns t, mean_C, stderr_C, analytic_C, C_rho with '.'
 as decimal separator and 17 significant digits; identical configuration and
@@ -39,9 +40,9 @@ from .diffusion import batch_kernel_qsd
 from .ensemble import fit_rate_series, run_average
 from .errors import ConfigError, NumericalError
 from .lindblad import concurrence_series, evolve_rho
-from .optimize import optimize_unraveling
 from .quantum_jump import batch_kernel
-from .rates import analytic_mean_concurrence, rate_report
+from .rates import (analytic_mean_concurrence, optimize_unraveling,
+                    rate_report)
 
 log = logging.getLogger("trajent")
 
@@ -80,6 +81,7 @@ def _output(path: str | None):
     """The ``--out`` stream: stdout for None or '-', else the named file."""
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe fails here, inside `main`
         return
     try:
         stream = open(path, "w", newline="")
@@ -309,6 +311,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull, as the signal
+        # module's documentation advises, so the final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

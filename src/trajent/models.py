@@ -18,7 +18,7 @@ ensemble generator (`_generator`, which also reads thermal baths off the
 channels: `Scenario.thermal_rates`) unchanged.  Every engine starts from
 `Scenario.psi0`.  A `Scenario` is checked once, when it is built by any
 route (``dataclasses.replace`` and the ``with_*`` transforms included), so
-the engines, `rates` and `optimize` trust every scenario they are given.
+the engines and `rates` trust every scenario they are given.
 """
 
 from __future__ import annotations
@@ -303,6 +303,8 @@ def preset_rotated_thermal(u_a, u_b,
     which keeps the channel operators near unit scale.  Any other positive
     g_mu would be a pure reparametrization: the ensemble generator, the click
     statistics and the post-click states depend only on g_mu J_mu^dag J_mu.
+    A qubit whose two rates are both 0 is unmonitored: it mixes into zero
+    operators at rate 0, as `preset_thermal` keeps its zero-rate channels.
     """
     rates = (gamma_plus_a, gamma_minus_a, gamma_plus_b, gamma_minus_b)
     if not all(np.isfinite(g) and g >= 0 for g in rates):
@@ -320,12 +322,14 @@ def preset_rotated_thermal(u_a, u_b,
                              "orthonormal columns (u^dag u = 1 within 1e-10)")
         crates = [float(gp * abs(u[mu, 0]) ** 2 + gm * abs(u[mu, 1]) ** 2)
                   for mu in range(u.shape[0])]
-        if any(g <= 0 for g in crates):
+        if (gp or gm) and any(g <= 0 for g in crates):
             raise ValueError("rotated channel rates must be positive")
         for mu, g_mu in enumerate(crates):
-            op = lift(qubit, np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
-                      + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
-            channels.append(JumpChannel(f"mix{mu + 1}-{qubit}", op, g_mu))
+            op = np.zeros((2, 2)) if g_mu == 0 else (
+                np.sqrt(gp / g_mu) * u[mu, 0] * SIGMA_PLUS
+                + np.sqrt(gm / g_mu) * u[mu, 1] * SIGMA_MINUS)
+            channels.append(JumpChannel(f"mix{mu + 1}-{qubit}",
+                                        lift(qubit, op), g_mu))
     return scenario_from_channels(tuple(channels), initial)
 
 

@@ -22,6 +22,9 @@ also a sum of two explicit non-negative squares per channel, which proves
 kappa >= 0; the homodyne rate depends on the monitoring phase theta through
 J -> e^{-i theta} J while the jump-counting rate does not.
 
+For independent thermal baths the jump-counting rate is also minimized over
+the monitoring scheme, by the balanced channel mixing (`optimize_unraveling`).
+
 The common bath (one collective channel sigma_-^A + sigma_-^B) does not decay
 exponentially; its exact mean-concurrence curve, vanishing time, and residual
 entanglement are provided separately.
@@ -29,18 +32,20 @@ entanglement are provided separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .entanglement import concurrence_pure
+from .errors import ConfigError
 from .linalg import dag, det2, require_finite, trace2
-from .models import COLLECTIVE_DECAY, Scenario
+from .models import COLLECTIVE_DECAY, Scenario, preset_rotated_thermal
 
 __all__ = [
     "ChannelRateTerms", "RateReport", "CommonBathCurve",
     "kappa_qj", "kappa_opt_thermal", "kappa_ho", "kappa_ho_opt", "kappa_het",
     "rate_report", "mean_concurrence_independent",
+    "UnravelingOptimum", "optimize_unraveling",
     "common_bath_mean", "common_bath_vanish_time", "analytic_mean_concurrence",
 ]
 
@@ -143,6 +148,67 @@ def rate_report(s: Scenario) -> RateReport:
         kappa_het=float(sum(t.het for t in terms)),
         kappa_qj_opt_thermal=opt,
         per_channel=tuple(terms))
+
+
+# The balanced mixing (phi = pi/4); rows are the detectors mu, columns (+, -).
+_BALANCED = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class UnravelingOptimum:
+    """Best mixing per qubit, with the closed-form reference value."""
+    u_a: np.ndarray
+    u_b: np.ndarray
+    phases_a: np.ndarray
+    phases_b: np.ndarray
+    achieved: float
+    reference: float
+
+
+def optimize_unraveling(s: Scenario) -> UnravelingOptimum:
+    """The jump-counting decay rate minimized over per-qubit channel mixings;
+    channels that are not thermal baths are a `ConfigError`.
+
+    Independent thermal baths leave freedom in *how* the two emission and
+    absorption channels of each qubit are monitored: any unitary re-mixing
+
+        L_mu = sum_m u_{mu m} sqrt(gamma_m) sigma_m        (columns orthonormal)
+
+    gives the same ensemble dynamics but a different jump-counting rate, the
+    bracket of the module docstring summed over the detectors mu,
+
+        kappa(u) = sum_mu [ tr(L_mu^dag L_mu) / 2 - |det L_mu| ]
+                 = (1/2)(gamma_+ + gamma_-) - sqrt(gamma_+ gamma_-) sum_mu
+                                                  |u_{mu +} u_{mu -}| .
+
+    The two qubits decouple.  For u in U(2) the moduli are fixed by one
+    angle, |u_{0 +}| = |u_{1 -}| = cos(phi) and |u_{0 -}| = |u_{1 +}| =
+    sin(phi), so kappa(phi) = (1/2)(gamma_+ + gamma_-) - sqrt(gamma_+ gamma_-)
+    sin(2 phi) per qubit, for every pair of rates smallest at the balanced
+    mixing phi = pi/4, |u_{mu m}| = 1/sqrt(2): kappa = (1/2)(sqrt(gamma_-) -
+    sqrt(gamma_+))^2 (`kappa_opt_thermal`), at the rates
+    `Scenario.thermal_rates` reads from the channels.  The achieved rate is
+    the bracket on the channels of the mixed scenario that
+    `preset_rotated_thermal` builds, independent of that closed form, and
+    each detector's homodyne phase is half the argument of det J_mu (0 where
+    it vanishes).
+    """
+    if (g := s.thermal_rates) is None:
+        raise ConfigError(
+            "the mixing optimizer needs a thermal-type scenario: local "
+            "channels only, whose generator on each qubit is that of "
+            "sigma_+ and sigma_- at some rates")
+    best = replace(preset_rotated_thermal(_BALANCED, _BALANCED, *g,
+                                          initial=s.initial), h0=s.h0)
+    ops = _local_rate_ops(best)  # mix1-A, mix2-A, mix1-B, mix2-B
+    det = np.array([det2(j) for _, j, _ in ops])
+    phases = np.mod(np.where(np.abs(det) > 1e-14, 0.5 * np.angle(det), 0.0),
+                    np.pi)
+    return UnravelingOptimum(
+        u_a=_BALANCED.copy(), u_b=_BALANCED.copy(),
+        phases_a=phases[:2], phases_b=phases[2:],
+        achieved=float(sum(r * _channel_terms(j)[0] for r, j, _ in ops)),
+        reference=kappa_opt_thermal(*g))
 
 
 def mean_concurrence_independent(c0: float, kappa: float, t) -> np.ndarray:

@@ -22,10 +22,10 @@ from trajent.models import (JumpChannel, Scenario, bell_state, lift,
                             preset_dephasing, preset_photon_counting,
                             preset_thermal, state_from_amplitudes,
                             with_phase_rotation)
-from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
 from trajent.rates import (analytic_mean_concurrence, kappa_het,
-                           kappa_ho_opt, kappa_opt_thermal, kappa_qj)
+                           kappa_ho_opt, kappa_opt_thermal, kappa_qj,
+                           optimize_unraveling)
 
 from _oracles import kappa_ho_phase_scan, kappa_qj_decomposed
 

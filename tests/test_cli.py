@@ -17,7 +17,9 @@ from trajent.config import bundled_scenario_path, load_scenario
 from trajent.linalg import SIGMA_X, kron2
 from trajent.lindblad import evolve_rho
 from trajent.models import (lindblad_superoperator, preset_photon_counting,
-                            scenario_from_channels)
+                            preset_thermal, scenario_from_channels)
+
+from _oracles import GEN_TOL, generator_deviation
 
 
 def _write_config(tmp_path, name="photon_counting", params=None, initial=None):
@@ -230,6 +232,38 @@ def test_zero_rate_common_bath_simulates(tmp_path):
     values = np.array([[float(r[i]) for i in cols] for r in rows])
     assert values.shape == (5, 3)
     assert np.max(np.abs(values - 1.0)) < 1e-15
+
+
+def test_rotated_thermal_with_an_unmonitored_qubit(tmp_path):
+    # a qubit whose two rates are 0 has zero channels at rate 0, as in the
+    # thermal preset, so every command that reads the channels runs
+    u = [[[0.6, 0.0], [0.8, 0.0]], [[-0.8, 0.0], [0.6, 0.0]]]
+    cfg = _write_config(tmp_path, "rotated_thermal", params={
+        "u_a": u, "u_b": u, "gamma_plus_a": 0.0, "gamma_minus_a": 0.0,
+        "gamma_plus_b": 0.5, "gamma_minus_b": 1.5})
+    for argv in (["rates"], ["optimize"],
+                 ["simulate", "--unraveling", "qj", "--tmax", "1.0",
+                  "--traj", "50"]):
+        assert main([*argv, "--config", cfg, "--out", os.devnull]) == 0, argv
+    assert generator_deviation(load_scenario(cfg),
+                               preset_thermal(0.0, 0.0, 0.5, 1.5)) < GEN_TOL
+
+
+def test_closed_stdout_is_exit_1_without_traceback(tmp_path):
+    # 40,001 CSV lines, far more than a pipe buffer holds, so writes fail
+    # once the reader has closed its end
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    err = tmp_path / "stderr"
+    with open(err, "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trajent.cli", "master", "--config",
+             "thermal_bell", "--tmax", "20", "--grid", "0.0005"],
+            stdout=subprocess.PIPE, stderr=stderr, env=env, text=True)
+        assert proc.stdout.readline() == "t,C_rho\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err.read_text()
 
 
 def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):

@@ -21,9 +21,8 @@ from trajent.models import (
     state_from_amplitudes, with_heterodyne, with_homodyne_shift,
     with_phase_rotation,
 )
-from trajent.optimize import optimize_unraveling
 from trajent.quantum_jump import run_ensemble
-from trajent.rates import rate_report
+from trajent.rates import kappa_opt_thermal, optimize_unraveling, rate_report
 
 from _oracles import (GEN_TOL, PAULI, generator_deviation,
                       lindblad_superoperator_per_channel, operator_at,
@@ -526,13 +525,14 @@ def _bath_candidate(rng):
     elif kind == 3:
         s = _random_channel_set(rng)
     elif kind == 4:
-        # sigma_+ + alpha with sigma_- + alpha* (a bath) or + alpha (none)
+        # sigma_+ + alpha with sigma_- + alpha* (a bath) or + alpha (none),
+        # and sigma_- on B written as a 4x4 matrix
         a = complex(*rng.standard_normal(2))
         b = np.conj(a) if rng.random() < 0.5 else a
         s = scenario_from_channels(
             [JumpChannel("up-A", lift("A", SIGMA_PLUS), g[0], shift=a),
              JumpChannel("down-A", lift("A", SIGMA_MINUS), g[0], shift=b),
-             JumpChannel("down-B", lift("B", SIGMA_MINUS), g[3])])
+             JumpChannel("down-B", np.kron(ID2, SIGMA_MINUS), g[3])])
     else:
         # a bath plus a dephasing or a joint channel
         extra = (JumpChannel("z-A", lift("A", SIGMA_Z), g[1])
@@ -567,6 +567,9 @@ def test_thermal_rates_agree_with_the_generator_route():
         assert (s.thermal_rates is not None) == bath
         if bath:
             assert s.thermal_rates == pytest.approx(rates, abs=1e-14)
+            # however the bath is written, the balanced mixing reaches it
+            assert optimize_unraveling(s).achieved == pytest.approx(
+                kappa_opt_thermal(*s.thermal_rates), abs=1e-12)
         verdicts.append(bath)
     assert 60 <= sum(verdicts) <= 180  # both verdicts are exercised
 

@@ -1,11 +1,13 @@
 """Best channel mixing: the balanced mixing reaches the closed-form optimum."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from trajent.linalg import SIGMA_Z, kron2
 from trajent.models import preset_rotated_thermal, preset_thermal
-from trajent.optimize import optimize_unraveling
-from trajent.rates import kappa_opt_thermal, kappa_qj
+from trajent.rates import kappa_opt_thermal, kappa_qj, optimize_unraveling
 
 
 def _random_u2(rng):
@@ -59,6 +61,16 @@ def test_unmonitored_qubit():
     want = kappa_opt_thermal(0.0, 0.0, 0.5, 1.5)
     assert opt.achieved == pytest.approx(want, abs=1e-15)
     assert np.array_equal(opt.phases_a, np.zeros(2))
+
+
+def test_coupling_h0_is_refused():
+    # thermal_rates does not read H0, but the mixed scenario goes through the
+    # same refusals as rate_report, which has no closed form for it
+    s = replace(preset_thermal(1.0, 2.0, 1.0, 2.0),
+                h0=kron2(SIGMA_Z, SIGMA_Z))
+    assert s.thermal_rates == (1.0, 2.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="couples the qubits"):
+        optimize_unraveling(s)
 
 
 def test_equal_temperature_protection():

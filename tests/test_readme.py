@@ -35,3 +35,13 @@ def test_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_library_layout_names_every_module():
+    # the table's rows are exactly the package's modules, no more, no fewer
+    table = README.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `trajent\.(\w+)` \|", table, re.M)
+    src = Path(__file__).resolve().parents[1] / "src" / "trajent"
+    modules = {p.stem for p in src.glob("*.py")} - {"__init__"}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == modules
