@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from trajent.config import bundled_scenario_names, load_scenario
 from trajent.ensemble import run_average
 from trajent.entanglement import concurrence_pure
 from trajent.linalg import SIGMA_X, kron2
@@ -310,6 +311,34 @@ def test_one_jump_quadrature_oracle():
     _, oj = common_bath_one_jump_pieces(psi0, gamma, t)
     assert abs(val - oj) < 1e-8
     assert abs(oj - 2.0 * 0.5 * gamma * t * np.exp(-2 * gamma * t)) < 1e-14
+
+
+UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne", "master")
+# which unravelings of each bundled scenario have a closed-form curve
+CURVE_TABLE = {
+    "common_bath_revival": (True, False, False, False),
+    "common_bath_single_excitation": (True, False, False, False),
+    "dephasing_phi0": (True, True, True, False),
+    "dephasing_phi_half_pi": (True, True, True, False),
+    "photon_counting": (True, True, True, False),
+    "photon_counting_shifted": (True, True, True, False),
+    "thermal_bell": (True, True, True, False),
+    "thermal_optimal": (True, True, True, False),
+}
+
+
+def test_bundled_scenarios_curve_table():
+    # every curve starts at the start state's concurrence, within 1e-15
+    assert sorted(CURVE_TABLE) == bundled_scenario_names()
+    t = np.linspace(0.0, 2.0, 5)
+    for name, row in CURVE_TABLE.items():
+        s = load_scenario(name)
+        for unraveling, has_curve in zip(UNRAVELINGS, row):
+            curve = analytic_mean_concurrence(s, unraveling, t)
+            assert (curve is not None) == has_curve, (name, unraveling)
+            if has_curve:
+                assert abs(curve[0] - concurrence_pure(s.psi0)) <= 1e-15, \
+                    (name, unraveling)
 
 
 def test_analytic_mean_concurrence_dispatcher():
