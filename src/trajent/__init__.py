@@ -24,10 +24,8 @@ from .models import (JumpChannel, Scenario, bell_state,
                      scenario_from_channels, state_from_amplitudes,
                      with_heterodyne, with_homodyne_shift, with_phase_rotation)
 from .quantum_jump import run_ensemble, run_trajectory
-from .rates import (CommonBathCurve, RateReport, UnravelingOptimum,
-                    analytic_mean_concurrence, common_bath_mean,
-                    common_bath_vanish_time, kappa_het, kappa_ho, kappa_ho_opt,
-                    kappa_opt_thermal, kappa_qj, mean_concurrence_independent,
+from .rates import (RateReport, UnravelingOptimum, analytic_mean_concurrence,
+                    common_bath_vanish_time, kappa_opt_thermal,
                     optimize_unraveling, rate_report)
 
 __version__ = "0.1.0"

@@ -25,9 +25,11 @@ J -> e^{-i theta} J while the jump-counting rate does not.
 For independent thermal baths the jump-counting rate is also minimized over
 the monitoring scheme, by the balanced channel mixing (`optimize_unraveling`).
 
-The common bath (one collective channel sigma_-^A + sigma_-^B) does not decay
-exponentially; its exact mean-concurrence curve, vanishing time, and residual
-entanglement are provided separately.
+A common bath (H0 = 0, every channel a multiple of sigma_-^A + sigma_-^B)
+does not decay exponentially; it has an exact jump-counting curve and a
+vanishing time.  Each closed form has one public route, which takes a
+`Scenario`: `rate_report`, `analytic_mean_concurrence` and
+`common_bath_vanish_time`.
 """
 
 from __future__ import annotations
@@ -38,15 +40,13 @@ import numpy as np
 
 from .entanglement import concurrence_pure
 from .errors import ConfigError
-from .linalg import dag, det2, require_finite, trace2
+from .linalg import dag, det2, trace2
 from .models import COLLECTIVE_DECAY, Scenario, preset_rotated_thermal
 
 __all__ = [
-    "ChannelRateTerms", "RateReport", "CommonBathCurve",
-    "kappa_qj", "kappa_opt_thermal", "kappa_ho", "kappa_ho_opt", "kappa_het",
-    "rate_report", "mean_concurrence_independent",
+    "ChannelRateTerms", "RateReport", "kappa_opt_thermal", "rate_report",
     "UnravelingOptimum", "optimize_unraveling",
-    "common_bath_mean", "common_bath_vanish_time", "analytic_mean_concurrence",
+    "common_bath_vanish_time", "analytic_mean_concurrence",
 ]
 
 
@@ -75,11 +75,6 @@ def _channel_terms(j: np.ndarray) -> tuple[float, float, float, float]:
             half - 0.25 * abs(tr) ** 2)
 
 
-def kappa_qj(s: Scenario) -> float:
-    """Mean-concurrence decay rate under jump counting."""
-    return rate_report(s).kappa_qj
-
-
 def kappa_opt_thermal(gamma_plus_a: float, gamma_minus_a: float,
                       gamma_plus_b: float, gamma_minus_b: float) -> float:
     """Best achievable jump-counting rate for independent thermal baths.
@@ -91,21 +86,6 @@ def kappa_opt_thermal(gamma_plus_a: float, gamma_minus_a: float,
     """
     return float(0.5 * ((np.sqrt(gamma_minus_a) - np.sqrt(gamma_plus_a)) ** 2
                         + (np.sqrt(gamma_minus_b) - np.sqrt(gamma_plus_b)) ** 2))
-
-
-def kappa_ho(s: Scenario) -> float:
-    """Mean-concurrence decay rate under homodyne-type diffusion."""
-    return rate_report(s).kappa_ho
-
-
-def kappa_ho_opt(s: Scenario) -> float:
-    """Homodyne rate minimized over the monitoring phase of each channel."""
-    return rate_report(s).kappa_ho_opt
-
-
-def kappa_het(s: Scenario) -> float:
-    """Mean-concurrence decay rate under heterodyne-type diffusion."""
-    return rate_report(s).kappa_het
 
 
 @dataclass(frozen=True)
@@ -211,66 +191,51 @@ def optimize_unraveling(s: Scenario) -> UnravelingOptimum:
         reference=kappa_opt_thermal(*g))
 
 
-def mean_concurrence_independent(c0: float, kappa: float, t) -> np.ndarray:
-    """Exponential mean-concurrence curve C(t) = C0 e^{-kappa t}."""
-    return c0 * np.exp(-kappa * np.asarray(t, dtype=float))
-
-
-# --------------------------------------------------------------------------
 # Common bath: exact mean concurrence under jump counting.
-# --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommonBathCurve:
-    """Initial-state data entering the collective-decay concurrence curve.
+def _common_bath_rate(s: Scenario) -> float | None:
+    """gamma of a common bath, read from the operators; else None.
 
-    c_plus/c_minus are the symmetric/antisymmetric single-excitation
-    amplitudes c_ud +/- c_du; the antisymmetric component is dark (the
-    collective jump operator annihilates it), which is why c_minus survives
-    at long times.
+    A common bath has H0 = 0 and static channels that are each a multiple
+    z_m L of L = sigma_-^A + sigma_-^B (entrywise within 1e-12), with
+    z_m = <L, J_m> / <L, L> and <L, L> = 4; it decays as one channel L at
+    gamma = sum_m gamma_m |z_m|^2, whatever the detector phases or splits.
     """
-    gamma: float
-    c_uu: complex
-    c_dd: complex
-    c_plus: complex
-    c_minus: complex
-
-    @classmethod
-    def from_state(cls, psi: np.ndarray, gamma: float) -> "CommonBathCurve":
-        psi = require_finite(psi, "initial state").reshape(4)
-        n = np.linalg.norm(psi)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"initial state must be normalized, |psi| = {n}")
-        if not np.isfinite(gamma) or gamma < 0:
-            raise ValueError("collective decay rate must be finite and >= 0")
-        return cls(gamma=float(gamma),
-                   c_uu=complex(psi[0]), c_dd=complex(psi[3]),
-                   c_plus=complex(psi[1] + psi[2]),
-                   c_minus=complex(psi[1] - psi[2]))
+    if s.h0.any() or s.time_dependent:
+        return None
+    z = np.einsum("ij,mij->m", COLLECTIVE_DECAY.conj(), s.lifted_ops) / 4.0
+    if np.max(np.abs(s.lifted_ops - z[:, None, None] * COLLECTIVE_DECAY),
+              initial=0.0) > 1e-12:
+        return None
+    return float(s.rates @ np.abs(z) ** 2)
 
 
-def common_bath_mean(curve: CommonBathCurve, t) -> np.ndarray:
+def _common_bath_mean(s: Scenario, gamma: float, t: np.ndarray) -> np.ndarray:
     """Exact ensemble-mean concurrence under collective jump counting.
 
-    The no-jump and one-jump histories contribute
+    With c_+/- = c_ud +/- c_du the symmetric/antisymmetric single-excitation
+    amplitudes of the start state, the no-jump and one-jump histories
+    contribute
 
         C(t) = |c_-^2 - c_+^2 e^{-2 g t} + 4 c_uu c_dd e^{-g t}| / 2
                + 2 |c_uu|^2 g t e^{-2 g t},
 
     and histories with two jumps end in |dd> with no concurrence (the
-    collective operator is nilpotent of order 3).
+    collective operator is nilpotent of order 3).  The antisymmetric
+    component is dark (L annihilates it), so at long times the curve tends
+    to |c_-|^2 / 2.
     """
-    t = np.asarray(t, dtype=float)
-    g = curve.gamma
-    e = np.exp(-g * t)
-    nj = 0.5 * np.abs(curve.c_minus ** 2 - curve.c_plus ** 2 * e ** 2
-                      + 4.0 * curve.c_uu * curve.c_dd * e)
-    oj = 2.0 * abs(curve.c_uu) ** 2 * g * t * e ** 2
+    c_uu, c_ud, c_du, c_dd = s.psi0
+    c_plus, c_minus = c_ud + c_du, c_ud - c_du
+    e = np.exp(-gamma * t)
+    nj = 0.5 * np.abs(c_minus ** 2 - c_plus ** 2 * e ** 2
+                      + 4.0 * c_uu * c_dd * e)
+    oj = 2.0 * abs(c_uu) ** 2 * gamma * t * e ** 2
     return nj + oj
 
 
-def common_bath_vanish_time(curve: CommonBathCurve) -> float | None:
-    """Finite time at which the collective-decay mean concurrence vanishes.
+def common_bath_vanish_time(s: Scenario) -> float | None:
+    """Finite time at which a common bath's mean concurrence vanishes.
 
     Only states with no doubly-excited amplitude and aligned single-excitation
     phases (c_ud, c_du both nonzero with equal argument) reach zero at a
@@ -281,61 +246,48 @@ def common_bath_vanish_time(curve: CommonBathCurve) -> float | None:
     t0 holds for every unraveling and on every trajectory: c_uu stays 0, a
     click ends in |dd>, and c_+ / c_- falls as e^{-gamma t} between clicks
     and at every diffusive step.  Returns None when no such crossing exists,
-    as at gamma = 0, where the curve is the constant C(0).
+    as at gamma = 0, where the curve is the constant C(0); a scenario that
+    is not a common bath is a ValueError.
     """
-    if abs(curve.c_uu) > 1e-12 or curve.gamma == 0.0:
+    if (gamma := _common_bath_rate(s)) is None:
+        raise ValueError("not a common bath: the vanishing time needs H0 = 0 "
+                         "and static multiples of sigma_-^A + sigma_-^B")
+    c_uu, c_ud, c_du, _ = s.psi0
+    if (abs(c_uu) > 1e-12 or gamma == 0.0
+            or abs(c_ud) < 1e-12 or abs(c_du) < 1e-12):
         return None
-    a, b = 0.5 * (curve.c_plus + curve.c_minus), 0.5 * (curve.c_plus - curve.c_minus)
-    if abs(a) < 1e-12 or abs(b) < 1e-12:
-        return None
-    phase_gap = np.angle(a) - np.angle(b)
+    phase_gap = np.angle(c_ud) - np.angle(c_du)
     phase_gap = (phase_gap + np.pi) % (2.0 * np.pi) - np.pi
     if abs(phase_gap) > 1e-10:
         return None
-    ratio = abs(curve.c_plus) / abs(curve.c_minus) if abs(curve.c_minus) > 0 else np.inf
+    c_minus = abs(c_ud - c_du)
+    ratio = abs(c_ud + c_du) / c_minus if c_minus > 0 else np.inf
     if not np.isfinite(ratio) or ratio <= 1.0:
         return None
-    return float(np.log(ratio) / curve.gamma)
+    return float(np.log(ratio) / gamma)
 
 
-def common_bath_residual(curve: CommonBathCurve) -> float:
-    """Long-time limit |c_-|^2 / 2 protected by the dark antisymmetric state."""
-    return 0.5 * abs(curve.c_minus) ** 2
-
-
-# --------------------------------------------------------------------------
-# Dispatcher used by the command-line tool.
-# --------------------------------------------------------------------------
-
-_UNRAVELING_RATES = {
-    "qj": kappa_qj,
-    "qsd-homodyne": kappa_ho,
-    "qsd-heterodyne": kappa_het,
-}
+# the RateReport field of each unraveling's rate
+_RATE_FIELDS = {"qj": "kappa_qj", "qsd-homodyne": "kappa_ho",
+                "qsd-heterodyne": "kappa_het"}
 
 
 def analytic_mean_concurrence(s: Scenario, unraveling: str, times
                               ) -> np.ndarray | None:
     """Closed-form mean-concurrence curve for a scenario, if one is known.
 
-    Independent local channels give C0 e^{-kappa t} with the rate matching
-    the requested unraveling; the collective-decay scenario has its exact
+    Independent local channels give C0 e^{-kappa t} with the `rate_report`
+    rate matching the requested unraveling; a common bath has its exact
     jump-counting curve.  Returns None when no closed form applies, as for
     an H0 that couples the qubits.
     """
     times = np.asarray(times, dtype=float)
     h0, view = s.qubits
-    if h0 is None:
+    if h0 is None or unraveling not in _RATE_FIELDS:
         return None
-    if any(q is None for q in view):
-        ch = s.channels[0]
-        if (len(s.channels) == 1 and unraveling == "qj" and not ch.rotates
-                and not s.h0.any()
-                and np.allclose(ch.operator(), COLLECTIVE_DECAY, atol=1e-12)):
-            curve = CommonBathCurve.from_state(s.psi0, ch.rate)
-            return common_bath_mean(curve, times)
-        return None
-    fn = _UNRAVELING_RATES.get(unraveling)
-    if fn is None:
-        return None
-    return mean_concurrence_independent(concurrence_pure(s.psi0), fn(s), times)
+    if all(q is not None for q in view):
+        kappa = getattr(rate_report(s), _RATE_FIELDS[unraveling])
+        return concurrence_pure(s.psi0) * np.exp(-kappa * times)
+    if unraveling == "qj" and (gamma := _common_bath_rate(s)) is not None:
+        return _common_bath_mean(s, gamma, times)
+    return None

@@ -27,7 +27,7 @@ from trajent.models import (JumpChannel, Scenario, lindblad_superoperator,
                             preset_common_bath)
 from trajent.quantum_jump import (_MAX_ITERS, _NEWTON_ITERS, _TAU_TOL,
                                   _k_mean, _norm2)
-from trajent.rates import CommonBathCurve, _local_rate_ops
+from trajent.rates import _local_rate_ops
 
 PHASE_SCAN_POINTS = 10_000  # grid over [0, pi) of kappa_ho_phase_scan
 GEN_TOL = 1e-10  # entrywise ensemble-generator deviation between monitorings
@@ -93,8 +93,8 @@ def kappa_qj_decomposed(s: Scenario) -> float:
         kappa_m = (gamma_m / 2) ( |<u|J~|u> - <d|J~^dag|d>|^2
                                   + |<u|(J~ + J~^dag)|d>|^2 )
 
-    Numerically identical to ``rates.kappa_qj``; it makes non-negativity
-    manifest.
+    Numerically identical to ``rate_report(s).kappa_qj``; it makes
+    non-negativity manifest.
     """
     total = 0.0
     for g, j, _ in _local_rate_ops(s):
@@ -113,7 +113,7 @@ def kappa_ho_phase_scan(s: Scenario) -> float:
 
     The phase enters each channel independently, so the joint minimum is the
     sum of per-channel minima over theta in [0, pi) (the rate has period pi).
-    Brute-force counterpart of ``rates.kappa_ho_opt``.
+    Brute-force counterpart of ``rate_report(s).kappa_ho_opt``.
     """
     phase = np.exp(-1j * np.linspace(0.0, np.pi, PHASE_SCAN_POINTS,
                                      endpoint=False))
@@ -135,15 +135,13 @@ def common_bath_one_jump_pieces(psi: np.ndarray, gamma: float, t: float
     The no-jump piece is evaluated from the damped propagator applied to the
     initial state (probability times conditional concurrence telescopes into
     the unnormalized preconcurrence); the one-jump piece is the closed form
-    2 |c_uu|^2 gamma t e^{-2 gamma t}.  Together they reproduce
-    ``rates.common_bath_mean``.
+    2 |c_uu|^2 gamma t e^{-2 gamma t}.  Together they reproduce the common
+    bath's jump-counting curve of ``rates.analytic_mean_concurrence``.
     """
-    curve = CommonBathCurve.from_state(psi, gamma)
-    s = preset_common_bath(gamma)
-    prop = expm(-curve.gamma * t * (s.k_op / curve.gamma)) if t > 0 else np.eye(4)
-    phi = prop @ np.asarray(psi, dtype=complex)
+    s = preset_common_bath(gamma, psi)
+    phi = expm(-s.k_op * t) @ s.psi0
     nj = abs(2.0 * (phi[1] * phi[2] - phi[0] * phi[3]))
-    oj = 2.0 * abs(curve.c_uu) ** 2 * gamma * t * np.exp(-2.0 * gamma * t)
+    oj = 2.0 * abs(s.psi0[0]) ** 2 * gamma * t * np.exp(-2.0 * gamma * t)
     return float(nj), float(oj)
 
 

@@ -23,9 +23,8 @@ from trajent.models import (JumpChannel, Scenario, bell_state, lift,
                             preset_thermal, state_from_amplitudes,
                             with_phase_rotation)
 from trajent.quantum_jump import run_ensemble
-from trajent.rates import (analytic_mean_concurrence, kappa_het,
-                           kappa_ho_opt, kappa_opt_thermal, kappa_qj,
-                           optimize_unraveling)
+from trajent.rates import (analytic_mean_concurrence, kappa_opt_thermal,
+                           optimize_unraveling, rate_report)
 
 from _oracles import kappa_ho_phase_scan, kappa_qj_decomposed
 
@@ -195,12 +194,13 @@ def test_monitoring_rate_inequalities_hold():
                                      float(rng.uniform(0.05, 2.0))))
         s = Scenario(h0=np.zeros((4, 4)), channels=tuple(chans),
                      initial=np.array([1, 0, 0, 0], dtype=complex))
-        kqj = kappa_qj(s)
+        rep = rate_report(s)
+        kqj = rep.kappa_qj
         assert kqj >= 0.0
         assert abs(kappa_qj_decomposed(s) - kqj) <= 1e-12
-        opt = kappa_ho_opt(s)
+        opt = rep.kappa_ho_opt
         assert opt <= kqj + 1e-12
-        assert kappa_het(s) >= opt - 1e-12
+        assert rep.kappa_het >= opt - 1e-12
         assert abs(kappa_ho_phase_scan(s) - opt) <= 1e-6
 
 

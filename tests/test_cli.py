@@ -234,6 +234,27 @@ def test_zero_rate_common_bath_simulates(tmp_path):
     assert np.max(np.abs(values - 1.0)) < 1e-15
 
 
+def test_phase_rotated_common_bath_gets_its_curve(tmp_path):
+    # a detector phase on the collective channel, e^{-0.7i}(sigma_-^A +
+    # sigma_-^B), monitors the same ensemble, so analytic_C is the bundled
+    # revival run's, within the rounding of |e^{-0.7i}|^2
+    revival = bundled_scenario_path("common_bath_revival")
+    cfg = _write_config(tmp_path, "common_bath",
+                        params={"gamma": 1.0, "phases": [0.7]},
+                        initial=json.loads(revival.read_text())["initial_state"])
+    columns = []
+    for config in (cfg, str(revival)):
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", config, "--out", str(out),
+                     "--unraveling", "qj", "--tmax", "1", "--grid",
+                     "0.25"]) == 0
+        header, rows = _read_csv(out)
+        columns.append([r[header.index("analytic_C")] for r in rows])
+    assert len(columns[0]) == 5 and all(columns[0])
+    rotated, bundled = (np.array(c, dtype=float) for c in columns)
+    assert np.max(np.abs(rotated - bundled)) <= 1e-15
+
+
 def test_rotated_thermal_with_an_unmonitored_qubit(tmp_path):
     # a qubit whose two rates are 0 has zero channels at rate 0, as in the
     # thermal preset, so every command that reads the channels runs

@@ -1,10 +1,14 @@
-"""Two lint rules for the package, checked with ``ast`` (no linter needed).
+"""Three lint rules for the package, checked with ``ast`` (no linter needed).
 
 In every module of ``src/trajent`` but ``__init__.py``:
 - every imported name is used in the module, or listed in its ``__all__``;
 - every module-level private name (one leading underscore) is referenced
-  somewhere in the package: read as a name or an attribute, or imported.
-A deletion that leaves an import or a private helper behind fails here.
+  somewhere in the package: read as a name or an attribute, or imported;
+- where the module has an ``__all__``, it is the public surface: it lists
+  every public module-level function and class, and each name it lists is
+  defined in the module.
+A deletion that leaves an import, a private helper or a stale export behind
+fails here, and so does a public helper left out of ``__all__``.
 """
 
 import ast
@@ -62,9 +66,9 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level names with one leading underscore that the module
-    defines: functions, classes and assigned names."""
+def _definitions(tree: ast.Module) -> set[str]:
+    """Module-level names the module defines: functions, classes and
+    assigned names."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -74,7 +78,23 @@ def _private_definitions(tree: ast.Module) -> set[str]:
                 else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Defined module-level names with one leading underscore."""
+    return {n for n in _definitions(tree)
+            if n.startswith("_") and not n.startswith("__")}
+
+
+def _public_functions_and_classes(tree: ast.Module) -> set[str]:
+    """Module-level functions and classes without a leading underscore."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+EXPORTING = [p for p in MODULES if _exported(TREES[p])]
 
 
 def test_modules_are_found():
@@ -97,6 +117,18 @@ def test_every_private_name_is_referenced(path):
                         "nothing in the package reads")
 
 
+@pytest.mark.parametrize("path", EXPORTING, ids=[p.name for p in EXPORTING])
+def test_all_is_the_public_surface(path):
+    tree = TREES[path]
+    listed = _exported(tree)
+    unlisted = _public_functions_and_classes(tree) - listed
+    assert not unlisted, (f"{path.name} defines {sorted(unlisted)} but its "
+                          "__all__ leaves them out")
+    undefined = listed - _definitions(tree)
+    assert not undefined, (f"{path.name} lists {sorted(undefined)} in "
+                           "__all__ but never defines them")
+
+
 def test_the_rules_flag_what_they_should():
     tree = ast.parse("import os\nfrom json import dumps as d, loads\n"
                      "_X = 1\ndef _f(a: 'Path') -> None:\n    loads(a)\n")
@@ -104,3 +136,7 @@ def test_the_rules_flag_what_they_should():
     assert _private_definitions(tree) == {"_X", "_f"}
     assert "Path" in _read(tree)
     assert {"dumps", "loads"} <= _referenced(tree)
+    tree = ast.parse("__all__ = ['f', 'g']\nY = 1\ndef f():\n    pass\n"
+                     "class C:\n    def m(self):\n        pass\n")
+    assert _public_functions_and_classes(tree) - _exported(tree) == {"C"}
+    assert _exported(tree) - _definitions(tree) == {"g"}

@@ -1,5 +1,7 @@
 """Closed-form decay rates and the collective-decay concurrence curve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -8,22 +10,20 @@ from scipy.linalg import expm
 from trajent.config import bundled_scenario_names, load_scenario
 from trajent.ensemble import run_average
 from trajent.entanglement import concurrence_pure
-from trajent.linalg import SIGMA_X, kron2
+from trajent.errors import ConfigError
+from trajent.linalg import SIGMA_X, SIGMA_Z, kron2
 from trajent.models import (
-    JumpChannel, bell_state, lift, local_hamiltonian, preset_common_bath,
-    preset_dephasing, preset_photon_counting, preset_rotated_thermal,
-    preset_thermal, scenario_from_channels, with_heterodyne,
-    with_homodyne_shift, with_phase_rotation,
+    COLLECTIVE_DECAY, JumpChannel, bell_state, lift, local_hamiltonian,
+    preset_common_bath, preset_dephasing, preset_photon_counting,
+    preset_rotated_thermal, preset_thermal, scenario_from_channels,
+    with_heterodyne, with_homodyne_shift, with_phase_rotation,
 )
 from trajent.quantum_jump import batch_kernel
-from trajent.rates import (
-    CommonBathCurve, analytic_mean_concurrence,
-    common_bath_mean, common_bath_residual, common_bath_vanish_time,
-    kappa_het, kappa_ho, kappa_ho_opt, kappa_opt_thermal, kappa_qj,
-    mean_concurrence_independent, rate_report,
-)
+from trajent.rates import (analytic_mean_concurrence, common_bath_vanish_time,
+                           kappa_opt_thermal, rate_report)
 
-from _oracles import (common_bath_one_jump_pieces, kappa_ho_phase_scan,
+from _oracles import (GEN_TOL, common_bath_one_jump_pieces,
+                      generator_deviation, kappa_ho_phase_scan,
                       kappa_qj_decomposed, normalized)
 
 S2 = 1 / np.sqrt(2)
@@ -41,20 +41,20 @@ def random_local_scenario(rng, n_channels=4):
 
 
 def test_photon_counting_rates():
-    s = preset_photon_counting(1.0, 1.0)
-    assert abs(kappa_qj(s) - 1.0) < 1e-14
-    assert abs(kappa_ho(s) - 1.0) < 1e-14
-    assert abs(kappa_ho_opt(s) - 1.0) < 1e-14
-    assert abs(kappa_het(s) - 1.0) < 1e-14
-    s = preset_photon_counting(0.8, 0.3)
-    assert abs(kappa_qj(s) - 0.55) < 1e-14
-    assert abs(kappa_het(s) - 0.55) < 1e-14
+    rep = rate_report(preset_photon_counting(1.0, 1.0))
+    assert abs(rep.kappa_qj - 1.0) < 1e-14
+    assert abs(rep.kappa_ho - 1.0) < 1e-14
+    assert abs(rep.kappa_ho_opt - 1.0) < 1e-14
+    assert abs(rep.kappa_het - 1.0) < 1e-14
+    rep = rate_report(preset_photon_counting(0.8, 0.3))
+    assert abs(rep.kappa_qj - 0.55) < 1e-14
+    assert abs(rep.kappa_het - 0.55) < 1e-14
 
 
 def test_thermal_rates():
     # gamma_+ = gamma, gamma_- = 2 gamma on both qubits
     s = preset_thermal(1.0, 2.0, 1.0, 2.0)
-    assert abs(kappa_qj(s) - 3.0) < 1e-13
+    assert abs(rate_report(s).kappa_qj - 3.0) < 1e-13
     assert abs(kappa_opt_thermal(1.0, 2.0, 1.0, 2.0) - OPT_UNIT) < 1e-13
     # zero temperature: optimum equals the plain photon-counting rate
     assert abs(kappa_opt_thermal(0.0, 0.8, 0.0, 0.3) - 0.55) < 1e-14
@@ -65,22 +65,23 @@ def test_thermal_rates():
 def test_rotated_balanced_mixing_reaches_optimum():
     u = np.array([[S2, S2], [S2, -S2]])
     s = preset_rotated_thermal(u, u, 1.0, 2.0, 1.0, 2.0)
-    assert abs(kappa_qj(s) - OPT_UNIT) < 1e-12
+    assert abs(rate_report(s).kappa_qj - OPT_UNIT) < 1e-12
     # identity mixing reproduces the unmixed thermal rate
     s_id = preset_rotated_thermal(np.eye(2), np.eye(2), 1.0, 2.0, 1.0, 2.0)
-    assert abs(kappa_qj(s_id) - 3.0) < 1e-12
+    assert abs(rate_report(s_id).kappa_qj - 3.0) < 1e-12
 
 
 def test_dephasing_rates():
     s = preset_dephasing([1.0, 0, 0], [0, 1.0, 0], 1.0, 1.0)
-    assert abs(kappa_qj(s)) < 1e-14
-    assert abs(kappa_ho_opt(s)) < 1e-14
-    assert abs(kappa_ho(s) - 4.0) < 1e-14      # theta = 0: gamma(1+cos0) each
-    assert abs(kappa_het(s) - 2.0) < 1e-14     # sum of channel rates
+    rep = rate_report(s)
+    assert abs(rep.kappa_qj) < 1e-14
+    assert abs(rep.kappa_ho_opt) < 1e-14
+    assert abs(rep.kappa_ho - 4.0) < 1e-14      # theta = 0: gamma(1+cos0) each
+    assert abs(rep.kappa_het - 2.0) < 1e-14     # sum of channel rates
     # pre-rotating by pi/2 recovers perfect protection in the homodyne rate
-    rot = with_phase_rotation(s, np.pi / 2)
-    assert abs(kappa_ho(rot)) < 1e-13
-    assert abs(kappa_qj(rot)) < 1e-13          # qj untouched by phase
+    rot = rate_report(with_phase_rotation(s, np.pi / 2))
+    assert abs(rot.kappa_ho) < 1e-13
+    assert abs(rot.kappa_qj) < 1e-13            # qj untouched by phase
 
 
 def test_phase_invariance_of_jump_rate():
@@ -89,43 +90,46 @@ def test_phase_invariance_of_jump_rate():
         s = random_local_scenario(rng)
         thetas = rng.uniform(0, 2 * np.pi, len(s.channels))
         rot = with_phase_rotation(s, thetas)
-        assert abs(kappa_qj(rot) - kappa_qj(s)) < 1e-12
+        assert abs(rate_report(rot).kappa_qj
+                   - rate_report(s).kappa_qj) < 1e-12
         # homodyne rate does depend on the phase in general
     s = preset_dephasing([1.0, 0, 0], [1.0, 0, 0], 1.0, 1.0)
-    assert abs(kappa_ho(with_phase_rotation(s, 0.7))
-               - kappa_ho(s)) > 0.1
+    assert abs(rate_report(with_phase_rotation(s, 0.7)).kappa_ho
+               - rate_report(s).kappa_ho) > 0.1
 
 
 def test_decomposition_equality_and_orderings():
     rng = np.random.default_rng(42)
     for _ in range(300):
         s = random_local_scenario(rng, n_channels=int(rng.integers(1, 5)))
-        qj = kappa_qj(s)
+        rep = rate_report(s)
+        qj = rep.kappa_qj
         assert abs(kappa_qj_decomposed(s) - qj) < 1e-12
         assert qj >= -1e-12
-        opt = kappa_ho_opt(s)
+        opt = rep.kappa_ho_opt
         assert opt <= qj + 1e-12
-        assert kappa_het(s) >= opt - 1e-12
-        assert kappa_ho(s) >= opt - 1e-12
+        assert rep.kappa_het >= opt - 1e-12
+        assert rep.kappa_ho >= opt - 1e-12
 
 
 def test_decomposition_zero_determinant_convention():
     s = scenario_from_channels(
         (JumpChannel("pp", lift("A", [[0, 1], [0, 0]]), 1.3),))
-    assert abs(kappa_qj_decomposed(s) - kappa_qj(s)) < 1e-14
+    assert abs(kappa_qj_decomposed(s) - rate_report(s).kappa_qj) < 1e-14
 
 
 def test_phase_scan_matches_closed_form_optimum():
     rng = np.random.default_rng(43)
     for _ in range(30):
         s = random_local_scenario(rng, n_channels=1)
-        assert abs(kappa_ho_phase_scan(s) - kappa_ho_opt(s)) < 1e-6
+        assert abs(kappa_ho_phase_scan(s)
+                   - rate_report(s).kappa_ho_opt) < 1e-6
 
 
 def test_shifted_photon_counting_rate_unchanged():
     for alpha in (0.3, 0.8, 2.0):
         s = with_homodyne_shift(preset_photon_counting(1.0, 0.4), alpha)
-        assert abs(kappa_qj(s) - 0.7) < 1e-13
+        assert abs(rate_report(s).kappa_qj - 0.7) < 1e-13
 
 
 def test_shifted_dephasing_rate():
@@ -134,24 +138,21 @@ def test_shifted_dephasing_rate():
     for alpha in (0.5, 1.0, 2.0):
         s = with_homodyne_shift(base, alpha)
         want = 2.0 * (1.0 + 0.5) * min(alpha ** 2, 1.0)
-        assert abs(kappa_qj(s) - want) < 1e-12
+        assert abs(rate_report(s).kappa_qj - want) < 1e-12
 
 
 def test_heterodyne_shift_dropped_from_rates():
     base = preset_dephasing([1.0, 0, 0], [0, 0, 1.0], 1.0, 0.5)
-    het = with_heterodyne(base, 0.7, 3.0)
-    assert abs(kappa_qj(het)) < 1e-13  # rotating displacement averages out
-    assert abs(kappa_het(het) - kappa_het(base)) < 1e-13
+    het = rate_report(with_heterodyne(base, 0.7, 3.0))
+    assert abs(het.kappa_qj) < 1e-13  # rotating displacement averages out
+    assert abs(het.kappa_het - rate_report(base).kappa_het) < 1e-13
 
 
 def test_rates_refuse_joint_channels():
     s = preset_common_bath(1.0)
-    for fn in (kappa_qj, kappa_ho, kappa_ho_opt, kappa_het,
-               kappa_qj_decomposed):
+    for fn in (rate_report, kappa_qj_decomposed):
         with pytest.raises(ValueError, match="local"):
             fn(s)
-    with pytest.raises(ValueError, match="local"):
-        rate_report(s)
 
 
 def test_closed_forms_need_a_local_h0():
@@ -172,9 +173,8 @@ def test_closed_forms_need_a_local_h0():
         assert analytic_mean_concurrence(coupled, unraveling, t) is None
         assert np.array_equal(analytic_mean_concurrence(local, unraveling, t),
                               analytic_mean_concurrence(pc, unraveling, t))
-    for fn in (kappa_qj, kappa_ho, kappa_ho_opt, kappa_het, rate_report):
-        with pytest.raises(ValueError, match="local"):
-            fn(coupled)
+    with pytest.raises(ValueError, match="local"):
+        rate_report(coupled)
     for s in (coupled, local):
         got = run_average(batch_kernel(s, 2.0, 0.25), 61, 2000, 1)
         off = np.abs(got.mean_c - np.exp(-t))
@@ -195,13 +195,6 @@ def test_rate_report():
     assert rep2.kappa_qj_opt_thermal is None
 
 
-def test_mean_concurrence_independent():
-    t = np.linspace(0, 2, 9)
-    assert np.allclose(mean_concurrence_independent(0.7, 0.0, t), 0.7)
-    assert abs(mean_concurrence_independent(1.0, 1.0, 1.0)
-               - np.exp(-1.0)) < 1e-15
-
-
 # ---------------------------------------------------------------------------
 # Collective decay (common bath)
 # ---------------------------------------------------------------------------
@@ -210,85 +203,122 @@ SINGLE_EXC_STATE = np.array([0, 2, 1, 0], dtype=complex) / np.sqrt(5)
 REVIVAL_STATE = np.array([7j, 0, 0, 2j], dtype=complex) / np.sqrt(53)
 
 
+def cb_curve(psi, gamma, t):
+    """The common bath's jump-counting curve, through its public route."""
+    return analytic_mean_concurrence(preset_common_bath(gamma, psi), "qj", t)
+
+
 def test_common_bath_curve_construction():
-    c = CommonBathCurve.from_state(SINGLE_EXC_STATE, 1.0)
-    assert abs(c.c_plus - 3 / np.sqrt(5)) < 1e-15
-    assert abs(c.c_minus - 1 / np.sqrt(5)) < 1e-15
-    with pytest.raises(ValueError):
-        CommonBathCurve.from_state(np.array([1.0, 0, 0, 1.0]), 1.0)
+    # the curve reads its rate and start state from the scenario, whose own
+    # checks refuse a bad rate; an unnormalized start state is normalized
     for gamma in (-0.5, np.nan, np.inf):  # gamma = 0 is a rate
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            CommonBathCurve.from_state(SINGLE_EXC_STATE, gamma)
+        with pytest.raises(ConfigError, match="negative or non-finite"):
+            preset_common_bath(gamma, SINGLE_EXC_STATE)
+    t = np.linspace(0.0, 3.0, 7)
+    assert np.max(np.abs(cb_curve(3.0 * SINGLE_EXC_STATE, 1.0, t)
+                         - cb_curve(SINGLE_EXC_STATE, 1.0, t))) < 1e-15
 
 
 def test_common_bath_at_zero_rate_is_constant():
     # gamma = 0 is a valid scenario: nothing clicks, so the curve is C(0) and
-    # it never vanishes; the closed form is the scenario's qj curve
+    # it never vanishes
     t = np.linspace(0.0, 5.0, 11)
     for psi in (bell_state(), SINGLE_EXC_STATE, REVIVAL_STATE):
-        c = CommonBathCurve.from_state(psi, 0.0)
         c0 = concurrence_pure(psi)
-        assert np.max(np.abs(common_bath_mean(c, t) - c0)) < 1e-15
-        assert common_bath_vanish_time(c) is None
-        curve = analytic_mean_concurrence(preset_common_bath(0.0, psi), "qj", t)
-        assert np.max(np.abs(curve - c0)) < 1e-15
+        assert np.max(np.abs(cb_curve(psi, 0.0, t) - c0)) < 1e-15
+        assert common_bath_vanish_time(preset_common_bath(0.0, psi)) is None
 
 
 def test_common_bath_curve_reference_values():
-    c = CommonBathCurve.from_state(SINGLE_EXC_STATE, 1.0)
-    assert abs(common_bath_mean(c, 0.0) - 0.8) < 1e-14
-    t0 = common_bath_vanish_time(c)
+    t0 = common_bath_vanish_time(preset_common_bath(1.0, SINGLE_EXC_STATE))
     assert abs(t0 - np.log(3.0)) < 1e-14
-    assert abs(common_bath_mean(c, t0)) < 1e-14
-    assert abs(common_bath_residual(c) - 0.1) < 1e-15
-    assert abs(common_bath_mean(c, 50.0) - 0.1) < 1e-12
+    c = cb_curve(SINGLE_EXC_STATE, 1.0, [0.0, t0, 50.0])
+    assert abs(c[0] - 0.8) < 1e-14
+    assert abs(c[1]) < 1e-14
+    assert abs(c[2] - 0.1) < 1e-12  # the dark-state limit |c_-|^2 / 2
     # rate scaling: doubling gamma halves the vanishing time
-    c2 = CommonBathCurve.from_state(SINGLE_EXC_STATE, 2.0)
-    assert abs(common_bath_vanish_time(c2) - np.log(3.0) / 2.0) < 1e-14
+    t0 = common_bath_vanish_time(preset_common_bath(2.0, SINGLE_EXC_STATE))
+    assert abs(t0 - np.log(3.0) / 2.0) < 1e-14
 
 
 def test_common_bath_vanish_time_none_cases():
-    # doubly-excited amplitude present
-    assert common_bath_vanish_time(
-        CommonBathCurve.from_state(bell_state(), 1.0)) is None
-    # singlet-like: c_+ = 0
     singlet = np.array([0, S2, -S2, 0], dtype=complex)
-    assert common_bath_vanish_time(
-        CommonBathCurve.from_state(singlet, 1.0)) is None
-    # anti-aligned single-excitation phases
     anti = np.array([0, 2, -1, 0], dtype=complex) / np.sqrt(5)
-    assert common_bath_vanish_time(
-        CommonBathCurve.from_state(anti, 1.0)) is None
-    # one amplitude missing (ratio exactly 1)
     one = np.array([0, 1, 0, 0], dtype=complex)
+    # doubly-excited amplitude present; singlet-like, c_+ = 0; anti-aligned
+    # single-excitation phases; one amplitude missing (ratio exactly 1)
+    for psi in (bell_state(), singlet, anti, one):
+        assert common_bath_vanish_time(preset_common_bath(1.0, psi)) is None
+
+
+def test_common_bath_is_read_from_the_operators():
+    # a detector phase, a rescaling or a split of L = sigma_-^A + sigma_-^B
+    # is the same ensemble (the generator oracle), so the curve and the
+    # vanishing time hold: (2L, g/8) is L at g/2, and (2L, g/8) with
+    # (2iL, g/8) is L at g; a phase moves gamma by the rounding of |z|^2
+    big = COLLECTIVE_DECAY * 2.0
+    t = np.linspace(0.0, 3.0, 13)
+    for psi in (SINGLE_EXC_STATE, REVIVAL_STATE, bell_state()):
+        base = preset_common_bath(1.0, psi)
+        rescaled = scenario_from_channels((JumpChannel("2L", big, 0.125),),
+                                          psi)
+        split = scenario_from_channels((JumpChannel("2L", big, 0.125),
+                                        JumpChannel("2iL", 1j * big, 0.125)),
+                                       psi)
+        for s, ref in ((with_phase_rotation(base, 0.7), base),
+                       (rescaled, preset_common_bath(0.5, psi)),
+                       (split, base)):
+            assert generator_deviation(s, ref) < GEN_TOL
+            got = analytic_mean_concurrence(s, "qj", t)
+            want = analytic_mean_concurrence(ref, "qj", t)
+            assert np.max(np.abs(got - want)) < 1e-15
+            t0, want = common_bath_vanish_time(s), common_bath_vanish_time(ref)
+            assert (t0 is None) == (want is None)
+            assert t0 is None or abs(t0 - want) < 1e-15
     assert common_bath_vanish_time(
-        CommonBathCurve.from_state(one, 1.0)) is None
+        with_phase_rotation(preset_common_bath(1.0, SINGLE_EXC_STATE), 0.7)
+    ) is not None
+
+
+def test_common_bath_refuses_other_scenarios():
+    # a displaced, rotating, detuned or locally extended collective channel
+    # is no common bath: no qj curve, and no vanishing time
+    cb = preset_common_bath(1.0, SINGLE_EXC_STATE)
+    t = np.linspace(0.0, 1.0, 5)
+    local = JumpChannel("decay-A", lift("A", [[0, 0], [1, 0]]), 0.3)
+    for s in (with_homodyne_shift(cb, 0.5), with_heterodyne(cb, 0.5, 2.0),
+              replace(cb, h0=local_hamiltonian(0.5 * SIGMA_Z, -0.5 * SIGMA_Z)),
+              replace(cb, channels=(*cb.channels, local))):
+        assert analytic_mean_concurrence(s, "qj", t) is None
+        with pytest.raises(ValueError, match="not a common bath"):
+            common_bath_vanish_time(s)
+    with pytest.raises(ValueError, match="not a common bath"):
+        common_bath_vanish_time(preset_photon_counting(1.0, 1.0))
 
 
 def test_common_bath_mean_at_zero_matches_pure_concurrence():
     rng = np.random.default_rng(44)
     for _ in range(1000):
         psi = normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        c = CommonBathCurve.from_state(psi, 1.0)
-        assert abs(common_bath_mean(c, 0.0) - concurrence_pure(psi)) < 1e-12
+        assert abs(cb_curve(psi, 1.0, 0.0) - concurrence_pure(psi)) < 1e-12
 
 
 def test_common_bath_inset_initial_rise():
     # (7i|uu> + 2i|dd>)/sqrt(53): mean concurrence rises at rate 70/53
     # although every jump history individually loses entanglement
-    c = CommonBathCurve.from_state(REVIVAL_STATE, 1.0)
-    assert abs(common_bath_mean(c, 0.0) - 28.0 / 53.0) < 1e-14
     h = 1e-6
-    slope = (common_bath_mean(c, h) - common_bath_mean(c, 0.0)) / h
-    assert abs(slope - 70.0 / 53.0) < 1e-4
+    c = cb_curve(REVIVAL_STATE, 1.0, [0.0, h])
+    assert abs(c[0] - 28.0 / 53.0) < 1e-14
+    assert abs((c[1] - c[0]) / h - 70.0 / 53.0) < 1e-4
 
 
 def test_one_jump_pieces_sum_to_mean():
+    t = np.array([0.0, 0.2, 0.9, 2.5])
     for psi in (bell_state(), SINGLE_EXC_STATE, REVIVAL_STATE):
-        c = CommonBathCurve.from_state(psi, 1.3)
-        for t in (0.0, 0.2, 0.9, 2.5):
-            nj, oj = common_bath_one_jump_pieces(psi, 1.3, t)
-            assert abs(nj + oj - common_bath_mean(c, t)) < 1e-12
+        curve = cb_curve(psi, 1.3, t)
+        for i, ti in enumerate(t):
+            nj, oj = common_bath_one_jump_pieces(psi, 1.3, ti)
+            assert abs(nj + oj - curve[i]) < 1e-12
 
 
 def test_one_jump_quadrature_oracle():
@@ -350,8 +380,10 @@ def test_analytic_mean_concurrence_dispatcher():
     assert np.max(np.abs(got - np.exp(-t))) < 1e-12
     assert analytic_mean_concurrence(s, "master", t) is None
 
+    # c_+ = 3/sqrt5, c_- = 1/sqrt5 and c_uu = c_dd = 0:
+    # C(t) = |1/5 - (9/5) e^{-2t}| / 2
     cb = preset_common_bath(1.0).with_initial(SINGLE_EXC_STATE)
     got = analytic_mean_concurrence(cb, "qj", t)
-    curve = CommonBathCurve.from_state(SINGLE_EXC_STATE, 1.0)
-    assert np.max(np.abs(got - common_bath_mean(curve, t))) < 1e-14
+    assert np.max(np.abs(got - 0.5 * np.abs(0.2 - 1.8 * np.exp(-2 * t)))) \
+        < 1e-14
     assert analytic_mean_concurrence(cb, "qsd-homodyne", t) is None

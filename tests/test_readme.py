@@ -18,7 +18,7 @@ def test_library_example_gives_its_documented_rate():
     ns = {"print": lambda *args: None}
     exec(code, ns)
     fit = ns["fit_rate"](ns["summary"])
-    kappa = ns["kappa_qj"](ns["s"])
+    kappa = ns["rate_report"](ns["s"]).kappa_qj
     assert kappa == 1.0  # "exactly 1.0"
     # "~1.0" at 3 sigma, with sigma = 0.0085 the spread of the fitted rate
     # over seeds 0-19 at these settings; the fit's own rate_stderr (0.0018)
