@@ -46,7 +46,7 @@ from .rates import (analytic_mean_concurrence, optimize_unraveling,
 
 log = logging.getLogger("trajent")
 
-UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne", "master")
+UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne")
 
 
 def _setup_logging() -> None:
@@ -104,10 +104,9 @@ def _log_health(command: str, evo) -> None:
 
 def cmd_simulate(args) -> int:
     unraveling = args.unraveling
-    if unraveling in ("qj", "master") and args.dt is not None:
+    if unraveling == "qj" and args.dt is not None:
         raise ConfigError("--dt applies to the qsd unravelings only; the "
-                          f"{unraveling} engine is exact and takes no time "
-                          "step")
+                          "qj engine is exact and takes no time step")
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
     if args.seed < 0:
@@ -120,7 +119,7 @@ def cmd_simulate(args) -> int:
     # the kernel checks its engine's preconditions before anything runs
     if unraveling == "qj":
         kernel = batch_kernel(s, t_max, grid)
-    elif unraveling != "master":
+    else:
         kernel = batch_kernel_qsd(unraveling.split("-", 1)[1], s, t_max,
                                   args.dt, grid)
     evo = evolve_rho(s, t_max, record_grid=grid)
@@ -128,13 +127,8 @@ def cmd_simulate(args) -> int:
              args.config, unraveling, args.traj, t_max, evo.times[1],
              args.seed)
     _log_health("simulate", evo)
-    if unraveling == "master":
-        mean = stderr = None
-        times = evo.times
-    else:
-        summary = run_average(kernel, args.seed, args.traj, args.threads)
-        times, mean, stderr = summary.times, summary.mean_c, summary.stderr
-
+    summary = run_average(kernel, args.seed, args.traj, args.threads)
+    times, mean, stderr = summary.times, summary.mean_c, summary.stderr
     c_rho = concurrence_series(evo)
     analytic = analytic_mean_concurrence(s, unraveling, times)
     log.info("simulate: done in %.2f s", time.perf_counter() - t0)
@@ -145,8 +139,8 @@ def cmd_simulate(args) -> int:
         for i, t in enumerate(times):
             w.writerow([
                 _fmt(t),
-                _fmt(mean[i]) if mean is not None else "",
-                _fmt(stderr[i]) if stderr is not None else "",
+                _fmt(mean[i]),
+                _fmt(stderr[i]),
                 _fmt(analytic[i]) if analytic is not None else "",
                 _fmt(c_rho[i]),
             ])

@@ -23,14 +23,14 @@ two steps:
   sum_k |psi_k><psi_k|.  It merges them in batch order by the Chan-Golub-
   LeVeque update into the `EnsembleSummary`, with no records (the CLI path;
   memory is one kernel call, O(3584 G), per process).
-`average` and `empirical_density` stack records 512 at a time, as the batches
-are, and reduce and merge them the same way, so `average(run_records(...))`
-is `run_average(...)` bit for bit (the jump engine's records keep clicks and
+`average` stacks records 512 at a time, as the batches are, and reduces and
+merges them the same way, so `average(run_records(...))` is
+`run_average(...)` bit for bit (the jump engine's records keep clicks and
 its streamed kernel does not; their concurrences agree bit for bit too), and
-their memory does not grow with N beyond the records.  Trajectory k of a run with master seed s draws only from
-its own substream, and batches are merged in a fixed order, so records and
-summaries are identical for any worker count and bit-stable for a given
-(seed, n_traj).
+its memory does not grow with N beyond the records.  Trajectory k of a run
+with master seed s draws only from its own substream, and batches are merged
+in a fixed order, so records and summaries are identical for any worker
+count and bit-stable for a given (seed, n_traj).
 
 A substream is PCG64 seeded by SeedSequence(s, spawn_key=(k,)), and it has
 one reader, `Substreams(s, indices)`, which reads a whole batch's substreams
@@ -57,9 +57,9 @@ import numpy as np
 from .errors import ConfigError, FitWindowError
 
 __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
-           "TrajectoryRecord", "average", "empirical_density", "fit_rate",
-           "fit_rate_series", "record_times", "run_average", "run_batches",
-           "run_one", "run_records"]
+           "TrajectoryRecord", "average", "fit_rate", "fit_rate_series",
+           "record_times", "run_average", "run_batches", "run_one",
+           "run_records"]
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
@@ -485,7 +485,8 @@ def _common_grid(records: list[TrajectoryRecord]) -> np.ndarray:
 
 
 def average(records: list[TrajectoryRecord]) -> EnsembleSummary:
-    """Mean and standard error of the concurrence; empirical density if kept.
+    """Mean and standard error of the concurrence, and the empirical density
+    (1/N) sum_k |psi_k(t)><psi_k(t)|, (G, 4, 4), if every record kept states.
 
     The records are stacked and reduced _BATCH at a time, as the kernel
     batches are, and merged in order, so for records from `run_records` this
@@ -497,13 +498,6 @@ def average(records: list[TrajectoryRecord]) -> EnsembleSummary:
         _moments(np.stack([r.concurrences for r in block]),
                  np.stack([r.states for r in block]) if states else None)
         for block in blocks)))
-
-
-def empirical_density(records: list[TrajectoryRecord]) -> np.ndarray:
-    """Mean projector (1/N) sum_k |psi_k(t)><psi_k(t)| on the grid, (G,4,4)."""
-    if any(r.states is None for r in records):
-        raise ValueError("records were produced without keep_states")
-    return average(records).empirical_rho
 
 
 @dataclass(frozen=True)

@@ -279,11 +279,15 @@ def analytic_mean_concurrence(s: Scenario, unraveling: str, times
     Independent local channels give C0 e^{-kappa t} with the `rate_report`
     rate matching the requested unraveling; a common bath has its exact
     jump-counting curve.  Returns None when no closed form applies, as for
-    an H0 that couples the qubits.
+    an H0 that couples the qubits.  An unraveling other than qj,
+    qsd-homodyne and qsd-heterodyne is a ValueError.
     """
+    if unraveling not in _RATE_FIELDS:
+        raise ValueError(f"unknown unraveling {unraveling!r}; expected one "
+                         f"of {tuple(_RATE_FIELDS)}")
     times = np.asarray(times, dtype=float)
     h0, view = s.qubits
-    if h0 is None or unraveling not in _RATE_FIELDS:
+    if h0 is None:
         return None
     if all(q is not None for q in view):
         kappa = getattr(rate_report(s), _RATE_FIELDS[unraveling])

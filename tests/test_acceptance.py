@@ -15,7 +15,7 @@ import numpy as np
 
 from trajent.config import bundled_scenario_path, load_scenario
 from trajent.diffusion import run_ensemble_qsd
-from trajent.ensemble import average, empirical_density, fit_rate, fit_rate_series
+from trajent.ensemble import average, fit_rate, fit_rate_series
 from trajent.entanglement import concurrence_mixed, concurrence_pure
 from trajent.lindblad import concurrence_series, density_from_state, evolve_rho
 from trajent.models import (JumpChannel, Scenario, bell_state, lift,
@@ -126,8 +126,8 @@ def test_trajectory_average_reproduces_master_equation():
                             keep_states=True)
         states = np.stack([r.states for r in recs])
         outer = np.einsum("ngi,ngj->ngij", states, np.conjugate(states))
-        gap = empirical_density(recs) - evolve_rho(s, 1.0,
-                                                   record_grid=0.05).rhos
+        gap = average(recs).empirical_rho - evolve_rho(
+            s, 1.0, record_grid=0.05).rhos
         for part in (np.real, np.imag):
             sigma = part(outer).std(axis=0, ddof=1) / np.sqrt(len(recs))
             bound = GAP_SIGMAS * np.maximum(sigma, SIGMA_FLOOR)

@@ -88,12 +88,17 @@ def test_simulate_unraveling_and_master_modes(tmp_path):
     assert rc == 0
     header, rows = _read_csv(out)
     assert all(r[1] != "" for r in rows)
-    rc = main(["simulate", "--config", cfg, "--out", str(out), "--tmax", "0.5",
-               "--unraveling", "master"])
-    assert rc == 0
-    header, rows = _read_csv(out)
-    assert all(r[1] == "" and r[2] == "" for r in rows)   # no ensemble columns
-    assert all(r[4] != "" for r in rows)
+    # the master equation has one route, `trajent master`, and simulate's
+    # C_rho column is the same curve, string for string
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--tmax", "0.5",
+              "--unraveling", "master"])
+    assert exc.value.code == 2
+    rho = tmp_path / "rho.csv"
+    assert main(["master", "--config", cfg, "--out", str(rho),
+                 "--tmax", "0.5"]) == 0
+    assert header[4] == "C_rho" and _read_csv(rho)[0] == ["t", "C_rho"]
+    assert [r[4] for r in rows] == [r[1] for r in _read_csv(rho)[1]]
 
 
 def test_master_subcommand(tmp_path):
@@ -378,6 +383,30 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# what an import of each module must leave unloaded
+UNLOADED = {
+    "trajent": (),
+    "trajent.lindblad": ("cli", "config", "diffusion", "quantum_jump",
+                         "rates"),
+    "trajent.quantum_jump": ("cli", "config", "diffusion", "lindblad",
+                             "rates"),
+}
+
+
+@pytest.mark.parametrize("module, unloaded", UNLOADED.items(),
+                         ids=list(UNLOADED))
+def test_an_import_loads_only_its_closure(module, unloaded):
+    # the package re-exports nothing, so a module loads the modules it
+    # imports and no others; `import trajent` alone loads no submodule
+    out = _run_python(f"import json, sys, {module}; print(json.dumps(["
+                      "m for m in sys.modules if m.startswith('trajent.')]))")
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    if module == "trajent":
+        assert loaded == []
+    assert not {f"trajent.{m}" for m in unloaded} & set(loaded), loaded
+
+
 def test_no_subcommand_loads_numpy_random():
     # numpy 2 imports numpy.random on first use, which costs milliseconds per
     # command; both engines read their substreams through Substreams
@@ -469,21 +498,20 @@ def test_config_and_argument_errors(tmp_path, capsys):
                      "5", "--threads", threads]) == 2
     assert "--threads" in capsys.readouterr().err
     # fewer than one trajectory is named, whatever the unraveling
-    for traj, unraveling in (("0", "qj"), ("-3", "master")):
+    for traj, unraveling in (("0", "qj"), ("-3", "qsd-homodyne")):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
                      traj, "--unraveling", unraveling]) == 2
         assert "--traj must be at least 1" in capsys.readouterr().err
-    # a negative seed is named, for the trajectory engines and the master one
-    for unraveling in ("qj", "master"):
+    # a negative seed is named, whatever the unraveling
+    for unraveling in ("qj", "qsd-homodyne"):
         assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
                      "5", "--seed", "-1", "--unraveling", unraveling]) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
-    # neither the jump engine nor the master equation has a time step to bound
-    for unraveling in ("qj", "master"):
-        assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj",
-                     "5", "--dt", "0.01", "--unraveling", unraveling]) == 2
-        assert "--dt applies to the qsd unravelings only" in \
-            capsys.readouterr().err
+    # the jump engine has no time step to bound
+    assert main(["simulate", "--config", cfg, "--tmax", "1.0", "--traj", "5",
+                 "--dt", "0.01", "--unraveling", "qj"]) == 2
+    assert "--dt applies to the qsd unravelings only" in \
+        capsys.readouterr().err
     # and `trajent master` has no --dt flag at all
     with pytest.raises(SystemExit) as exc:
         main(["master", "--config", cfg, "--tmax", "1.0", "--dt", "0.01"])

@@ -15,8 +15,8 @@ from trajent import ensemble
 from trajent.config import load_scenario
 from trajent.diffusion import batch_kernel_qsd, run_ensemble_qsd
 from trajent.ensemble import (Substreams, TrajectoryRecord, average,
-                              empirical_density, fit_rate, fit_rate_series,
-                              run_average, run_batches, run_records)
+                              fit_rate, fit_rate_series, run_average,
+                              run_batches, run_records)
 from trajent.errors import ConfigError, FitWindowError, NumericalError
 from trajent.linalg import SIGMA_MINUS
 from trajent.models import (JumpChannel, bell_state, lift,
@@ -384,9 +384,8 @@ def test_empirical_density_equals_one_matmul():
     recs = _random_records(1100, 7, 9)
     states = np.stack([r.states for r in recs], axis=1)         # (G, N, 4)
     want = states.transpose(0, 2, 1) @ np.conjugate(states) / len(recs)
-    rho = empirical_density(recs)
+    rho = average(recs).empirical_rho
     assert np.max(np.abs(rho - want)) < 1e-15
-    assert np.array_equal(average(recs).empirical_rho, rho)
 
 
 def test_empirical_density_by_hand():
@@ -397,13 +396,13 @@ def test_empirical_density_by_hand():
     dd[:, 3] = 1.0
     recs = [_record(t, [0.0, 0.0], states=uu),
             _record(t, [0.0, 0.0], states=dd, index=1)]
-    rho = empirical_density(recs)
+    rho = average(recs).empirical_rho
     assert rho.shape == (2, 4, 4)
     want = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     assert np.max(np.abs(rho - want[None])) < 1e-15
-    assert np.max(np.abs(average(recs).empirical_rho - rho)) == 0.0
-    with pytest.raises(ValueError, match="keep_states"):
-        empirical_density([recs[0], _record(t, [0.0, 0.0], index=2)])
+    # a record without states leaves the ensemble without a density
+    assert average([recs[0], _record(t, [0.0, 0.0], index=2)]
+                   ).empirical_rho is None
 
 
 def test_fit_exact_exponential():

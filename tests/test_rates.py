@@ -1,5 +1,6 @@
 """Closed-form decay rates and the collective-decay concurrence curve."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -343,17 +344,17 @@ def test_one_jump_quadrature_oracle():
     assert abs(oj - 2.0 * 0.5 * gamma * t * np.exp(-2 * gamma * t)) < 1e-14
 
 
-UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne", "master")
+UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne")
 # which unravelings of each bundled scenario have a closed-form curve
 CURVE_TABLE = {
-    "common_bath_revival": (True, False, False, False),
-    "common_bath_single_excitation": (True, False, False, False),
-    "dephasing_phi0": (True, True, True, False),
-    "dephasing_phi_half_pi": (True, True, True, False),
-    "photon_counting": (True, True, True, False),
-    "photon_counting_shifted": (True, True, True, False),
-    "thermal_bell": (True, True, True, False),
-    "thermal_optimal": (True, True, True, False),
+    "common_bath_revival": (True, False, False),
+    "common_bath_single_excitation": (True, False, False),
+    "dephasing_phi0": (True, True, True),
+    "dephasing_phi_half_pi": (True, True, True),
+    "photon_counting": (True, True, True),
+    "photon_counting_shifted": (True, True, True),
+    "thermal_bell": (True, True, True),
+    "thermal_optimal": (True, True, True),
 }
 
 
@@ -378,7 +379,15 @@ def test_analytic_mean_concurrence_dispatcher():
     assert np.max(np.abs(got - np.exp(-t))) < 1e-12
     got = analytic_mean_concurrence(s, "qsd-heterodyne", t)
     assert np.max(np.abs(got - np.exp(-t))) < 1e-12
-    assert analytic_mean_concurrence(s, "master", t) is None
+    # a name that is no unraveling is refused, not read as "no closed form",
+    # and before the scenario is looked at: an H0 that couples the qubits
+    # (no closed form) is refused the same way
+    coupled = scenario_from_channels(s.channels,
+                                     h0=2.0 * kron2(SIGMA_X, SIGMA_X))
+    for name in ("master", "qsd-homodine"):
+        for scenario in (s, coupled):
+            with pytest.raises(ValueError, match=re.escape(str(UNRAVELINGS))):
+                analytic_mean_concurrence(scenario, name, t)
 
     # c_+ = 3/sqrt5, c_- = 1/sqrt5 and c_uu = c_dd = 0:
     # C(t) = |1/5 - (9/5) e^{-2t}| / 2
