@@ -41,12 +41,10 @@ from .ensemble import fit_rate_series, run_average
 from .errors import ConfigError, NumericalError
 from .lindblad import concurrence_series, evolve_rho
 from .quantum_jump import batch_kernel
-from .rates import (analytic_mean_concurrence, optimize_unraveling,
-                    rate_report)
+from .rates import (UNRAVELINGS, analytic_mean_concurrence,
+                    optimize_unraveling, rate_report)
 
 log = logging.getLogger("trajent")
-
-UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne")
 
 
 def _setup_logging() -> None:

@@ -47,10 +47,14 @@ E d xi = 0, E |d xi|^2 = h and E d xi^2 = 0.
 channels are static, once, before any kernel call.  The batch kernel is then
 a pure array function: it returns the batch's record points, concurrences
 and optional states, which `ensemble` turns into records or reduces to
-moments.  It steps its rows _ROWS at a time as one (4 + 4M, B) block
-[psi; J_0 psi; ...; J_{M-1} psi]: a step is one (4 + 4M, 4) @ (4, B) matmul
-against [1; J_0; ...] E, which also gives every <J_m> of the next step, and
-one (4, 4) matmul for each channel after the first.
+moments.  It steps its rows B = `_rows(M)` at a time as one (4 + 4M, B)
+block [psi; J_0 psi; ...; J_{M-1} psi]: a step is one (4 + 4M, 4) @ (4, 2B)
+real matmul by [1; J_0; ...] E on the block's float view, which also gives
+every <J_m> of the next step, and one (4, 4) @ (4, 2B) real matmul for each
+channel after the first.  The float view of C-contiguous complex rows holds
+Re and Im interleaved by column, so one real matmul by Re op acts on both;
+an operator with an imaginary part takes a second real matmul by Im op.
+No complex matmul is left in a step.
 
 Trajectory k of a run with master seed s reads only its own substream
 (`ensemble.Substreams`), so ensembles are bit-stable for a given
@@ -84,7 +88,19 @@ __all__ = ["MAX_DIFFUSION_STEP", "batch_kernel_qsd", "run_trajectory_qsd",
            "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
-_ROWS = 512  # rows stepped together; wider blocks are slower (GEMM threading)
+# Multiply-adds per real matmul at most; it sizes the row blocks (`_rows`).
+# OpenBLAS hands a GEMM to its thread pool above 65,536 x 4 = 262,144
+# multiply-adds, a complex one from 65,536, and a threaded product stalls
+# for milliseconds while another process holds the other CPU.  With two
+# workers, 4,096 heterodyne rows of thermal_bell at detector phase 0.3
+# (complex J, M = 4) to T = 3 took 3.3-3.7 s in 1,024-row blocks of complex
+# matmuls, against 1.0-1.5 s in 512-row blocks and in 1,024-row blocks of
+# real ones.  numpy's OpenBLAS 0.3.31 keeps a real (20, 4) @ (4, n) or
+# (36, 4) @ (4, n) product on one CPU (process CPU time / wall time 1.00)
+# up to 1,000,000 multiply-adds, its small-matrix kernel's bound on an
+# AVX-512 Xeon, and threads it from 1,000,080 (1.96); the generic bound
+# kept here holds on a CPU without that kernel too.
+_GEMM_MADDS = 262_144
 _BLOCK = 512  # steps whose words a row block reads at once; a multiple of 8
 
 KINDS = ("homodyne", "heterodyne")
@@ -120,12 +136,40 @@ def _grid(s: Scenario, t_max: float, dt: float | None,
 
 
 class _Step(NamedTuple):
-    """One split step's operators, built once with the kernel."""
+    """One split step's operators, built once with the kernel; each is
+    held as `_split` parts."""
     het: bool
-    ops: np.ndarray  # (4 + 4M, 4): 1; J_0; ...; J_{M-1} stacked
-    prop_ops: np.ndarray  # ops @ E, E = exp(h A0)
+    rows: int  # rows stepped together, `_rows(M)`
+    ops: tuple  # (4 + 4M, 4): 1; J_0; ...; J_{M-1} stacked
+    prop_ops: tuple  # ops @ E, E = exp(h A0)
+    jumps: tuple  # J_1, ..., J_{M-1}
     half_drift: np.ndarray  # (M, 1): h gamma_m / 2 (homodyne), h gamma_m / 4
     tables: tuple  # per byte of a step: (first channel, (c, 256) increments)
+
+
+def _rows(m_ch: int) -> int:
+    """Rows stepped together: the largest power of two B for which the
+    widest product, (4 + 4M, 4) @ (4, 2B), is within _GEMM_MADDS."""
+    return 1 << (max(_GEMM_MADDS // (32 * (1 + m_ch)), 1).bit_length() - 1)
+
+
+def _split(op: np.ndarray) -> tuple:
+    """(Re op, Im op), float64 and C-contiguous, with None for an Im op
+    that is zero."""
+    im = np.ascontiguousarray(op.imag, dtype=float) if np.any(op.imag) \
+        else None
+    return np.ascontiguousarray(op.real, dtype=float), im
+
+
+def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
+    """op @ x for C-contiguous complex rows x, as real matmuls on x's float
+    view, in which Re x and Im x alternate by column."""
+    re, im = op
+    xf = x.view(float)
+    out = (re @ xf).view(complex)
+    if im is not None:
+        out += 1j * (im @ xf).view(complex)
+    return out
 
 
 def _tables(het: bool, scale: np.ndarray) -> tuple:
@@ -158,13 +202,13 @@ def _bytes(words: np.ndarray, n_steps: int, per_step: int) -> np.ndarray:
 def _run_batch_qsd(step: _Step, psi0: np.ndarray, times: np.ndarray,
                    n_sub: int, keep_states: bool, seed: int,
                    indices) -> tuple:
-    """The split-step kernel, _ROWS rows at a time; no clicks."""
+    """The split-step kernel, step.rows rows at a time; no clicks."""
     b = len(indices)
     conc = np.empty((b, len(times)))
     states = (np.empty((b, len(times), 4), dtype=complex) if keep_states
               else None)
-    for i in range(0, b, _ROWS):
-        j = min(i + _ROWS, b)
+    for i in range(0, b, step.rows):
+        j = min(i + step.rows, b)
         _step_rows(step, psi0, n_sub, seed, indices[i:j], conc[i:j],
                    None if states is None else states[i:j])
     return times, conc, states, None
@@ -186,7 +230,7 @@ def _step_rows(step: _Step, psi0: np.ndarray, n_sub: int, seed: int,
     per_step = len(step.tables)  # bytes of signs a step reads
     draws = Substreams(seed, indices)
     dn = np.empty((m_ch, b), dtype=step.half_drift.dtype)
-    z = step.ops @ np.broadcast_to(psi0[:, None], (4, b))
+    z = _apply(step.ops, np.repeat(psi0[:, None], b, 1))
     for k in range(n_steps + 1):
         psi = z[:4]
         q = (psi.conj() * z.reshape(m_ch + 1, 4, b)).sum(axis=1)
@@ -220,12 +264,11 @@ def _step_rows(step: _Step, psi0: np.ndarray, n_sub: int, seed: int,
         keep = keep.astype(complex)
         phi = psi  # z is read; its rows are overwritten in place
         for m in range(m_ch):
-            jphi = (z[4:8] if m == 0
-                    else step.ops[4 * m + 4:4 * m + 8] @ phi)
+            jphi = z[4:8] if m == 0 else _apply(step.jumps[m - 1], phi)
             jphi *= coef[m]
             phi *= keep[m]
             phi += jphi
-        z = step.prop_ops @ phi
+        z = _apply(step.prop_ops, phi)
 
 
 def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
@@ -239,7 +282,9 @@ def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
     times, n_sub, h = _grid(s, t_max, dt, record_grid)
     per = 2 if het else 1
     ops = np.concatenate([np.eye(4), *s.lifted_ops])
-    step = _Step(het=het, ops=ops, prop_ops=ops @ expm(-1j * h * s.h_eff),
+    step = _Step(het=het, rows=_rows(len(s.channels)), ops=_split(ops),
+                 prop_ops=_split(ops @ expm(-1j * h * s.h_eff)),
+                 jumps=tuple(map(_split, s.lifted_ops[1:])),
                  half_drift=((0.5 * h / per) * s.rates[:, None]).astype(
                      complex if het else float),
                  tables=_tables(het, np.sqrt(h / per * s.rates)))

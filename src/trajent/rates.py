@@ -44,10 +44,13 @@ from .linalg import dag, det2, trace2
 from .models import COLLECTIVE_DECAY, Scenario, preset_rotated_thermal
 
 __all__ = [
-    "ChannelRateTerms", "RateReport", "kappa_opt_thermal", "rate_report",
-    "UnravelingOptimum", "optimize_unraveling",
+    "UNRAVELINGS", "ChannelRateTerms", "RateReport", "kappa_opt_thermal",
+    "rate_report", "UnravelingOptimum", "optimize_unraveling",
     "common_bath_vanish_time", "analytic_mean_concurrence",
 ]
+
+# the unravelings with a rate, and the `simulate --unraveling` choices
+UNRAVELINGS = ("qj", "qsd-homodyne", "qsd-heterodyne")
 
 
 def _local_rate_ops(s: Scenario) -> list[tuple[float, np.ndarray, str]]:
@@ -268,8 +271,7 @@ def common_bath_vanish_time(s: Scenario) -> float | None:
 
 
 # the RateReport field of each unraveling's rate
-_RATE_FIELDS = {"qj": "kappa_qj", "qsd-homodyne": "kappa_ho",
-                "qsd-heterodyne": "kappa_het"}
+_RATE_FIELDS = dict(zip(UNRAVELINGS, ("kappa_qj", "kappa_ho", "kappa_het")))
 
 
 def analytic_mean_concurrence(s: Scenario, unraveling: str, times
@@ -284,7 +286,7 @@ def analytic_mean_concurrence(s: Scenario, unraveling: str, times
     """
     if unraveling not in _RATE_FIELDS:
         raise ValueError(f"unknown unraveling {unraveling!r}; expected one "
-                         f"of {tuple(_RATE_FIELDS)}")
+                         f"of {UNRAVELINGS}")
     times = np.asarray(times, dtype=float)
     h0, view = s.qubits
     if h0 is None:

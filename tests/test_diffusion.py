@@ -119,11 +119,22 @@ def _five_channels():
 
 def test_reference_stepper_matches_batch():
     # the loop-form split step with E from scipy's expm, reading the signs
-    # from numpy's own words, against the batch kernel's states
-    for s in (preset_photon_counting(1.0, 0.6), _five_channels()):
+    # from numpy's own words, against the batch kernel's states; a detector
+    # phase gives complex J and a local H0 a complex E, which the kernel
+    # applies as a second real matmul by the imaginary part
+    pc = preset_photon_counting(1.0, 0.6)
+    rotated = with_phase_rotation(pc, 0.3)
+    driven = scenario_from_channels(pc.channels,
+                                    h0=0.7 * np.kron(SIGMA_Z, ID2))
+    for s in (pc, _five_channels(), rotated, driven):
         m_ch = len(s.channels)
         for kind, stepper, per in (("homodyne", step_homodyne, 1),
                                    ("heterodyne", step_heterodyne, 2)):
+            # every array the step multiplies by is real: no complex GEMM
+            step = batch_kernel_qsd(kind, s, 0.5, 0.005).args[0]
+            assert all(a.dtype == np.float64
+                       for op in (step.ops, step.prop_ops, *step.jumps)
+                       for a in op if a is not None)
             rec = run_trajectory_qsd(kind, s, 0.5, dt=0.005, seed=71,
                                      index=2, record_grid=0.05,
                                      keep_states=True)
@@ -136,6 +147,11 @@ def test_reference_stepper_matches_batch():
             for k in range(11):
                 assert np.allclose(states[10 * k], rec.states[k],
                                    atol=1e-12), (kind, m_ch, k)
+    # the imaginary parts are there, so the second matmuls ran
+    step = batch_kernel_qsd("homodyne", rotated, 0.5, 0.005).args[0]
+    assert step.ops[1] is not None and step.jumps[0][1] is not None
+    step = batch_kernel_qsd("homodyne", driven, 0.5, 0.005).args[0]
+    assert step.ops[1] is None and step.prop_ops[1] is not None
 
 
 def test_homodyne_decay_rate():
@@ -255,9 +271,26 @@ def test_streamed_noise_is_independent_of_block_boundaries():
                                  - one.concurrences)) < 1e-10
 
 
-def test_kernel_steps_rows_in_blocks_of_512(monkeypatch):
-    # a call of 1100 rows is stepped 512, 512 and 76 rows at a time, so it
-    # equals three calls of those sizes bit for bit
+def test_block_rule_stays_within_the_threading_bound():
+    # B is the largest power of two whose widest real product,
+    # (4 + 4M, 4) @ (4, 2B), is at most 262,144 multiply-adds
+    assert [diffusion._rows(m) for m in (1, 4, 8, 16)] == [4096, 1024, 512,
+                                                           256]
+    for m_ch in range(1, 17):
+        b = diffusion._rows(m_ch)
+        assert b & (b - 1) == 0
+        assert (4 + 4 * m_ch) * 4 * 2 * b <= 262_144 < \
+            (4 + 4 * m_ch) * 4 * 2 * (2 * b)
+
+
+@pytest.mark.parametrize("name", ["photon_counting", "thermal_bell"])
+def test_kernel_steps_rows_in_blocks_by_the_rule(monkeypatch, name):
+    # M = 2 and M = 4 give blocks of 2048 and 1024 rows: a call of two
+    # blocks and 76 rows is stepped in those three parts, so it equals
+    # three calls of those sizes bit for bit
+    s = load_scenario(bundled_scenario_path(name))
+    rows = diffusion._rows(len(s.channels))
+    assert rows == {2: 2048, 4: 1024}[len(s.channels)]
     blocks = []
 
     def step_rows(*args):
@@ -266,13 +299,13 @@ def test_kernel_steps_rows_in_blocks_of_512(monkeypatch):
 
     step = diffusion._step_rows
     monkeypatch.setattr(diffusion, "_step_rows", step_rows)
-    kernel = batch_kernel_qsd("heterodyne", preset_photon_counting(1.0, 0.6),
-                              0.2, dt=0.005, record_grid=0.05,
-                              keep_states=True)
-    times, conc, states, clicks = kernel(23, range(1100))
-    assert blocks == [512, 512, 76]
+    kernel = batch_kernel_qsd("heterodyne", s, 0.2, dt=0.005,
+                              record_grid=0.05, keep_states=True)
+    n = 2 * rows + 76
+    times, conc, states, clicks = kernel(23, range(n))
+    assert blocks == [rows, rows, 76]
     parts = [kernel(23, range(i, j))
-             for i, j in ((0, 512), (512, 1024), (1024, 1100))]
+             for i, j in ((0, rows), (rows, 2 * rows), (2 * rows, n))]
     assert clicks is None
     assert np.array_equal(times, parts[0][0])
     assert np.array_equal(conc, np.concatenate([p[1] for p in parts]))

@@ -8,6 +8,8 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from trajent import rates
+from trajent.cli import main
 from trajent.config import bundled_scenario_names, load_scenario
 from trajent.ensemble import run_average
 from trajent.entanglement import concurrence_pure
@@ -356,6 +358,15 @@ CURVE_TABLE = {
     "thermal_bell": (True, True, True),
     "thermal_optimal": (True, True, True),
 }
+
+
+def test_unravelings_are_one_list(capsys):
+    # the spec above is the library's list, and `simulate --unraveling`
+    # offers exactly its names, in its order
+    assert rates.UNRAVELINGS == UNRAVELINGS
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "{" + ",".join(UNRAVELINGS) + "}" in capsys.readouterr().out
 
 
 def test_bundled_scenarios_curve_table():
