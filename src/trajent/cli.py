@@ -28,6 +28,7 @@ import errno
 import json
 import logging
 import os
+import select
 import sys
 import time
 from pathlib import Path
@@ -46,6 +47,11 @@ from .rates import (UNRAVELINGS, analytic_mean_concurrence,
 
 log = logging.getLogger("trajent")
 
+# A pipe takes a write of at most PIPE_BUF bytes whole or fails it; a longer
+# one that a closing reader cuts short loses its tail without an error where
+# stdout writes through to the pipe (PYTHONUNBUFFERED)
+_PIPE_BUF = getattr(select, "PIPE_BUF", 512)
+
 
 def _setup_logging() -> None:
     level = os.environ.get("TRAJENT_LOG", "WARNING").upper()
@@ -53,8 +59,19 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+def _write_csv(out_path: str | None, header: list[str],
+               columns: list[np.ndarray | None]) -> None:
+    """One CSV row per record point: each column's ``.16e`` value, or an
+    empty field for a None column, in writes of at most `_PIPE_BUF` bytes
+    (a ``.16e`` field has at most 24 characters)."""
+    line = ",".join("" if c is None else "{:.16e}" for c in columns) + "\n"
+    values = [c.tolist() for c in columns if c is not None]
+    rows = _PIPE_BUF // (25 * len(columns))
+    with _output(out_path) as stream:
+        stream.write(",".join(header) + "\n")
+        for k in range(0, len(values[0]), rows):
+            stream.write("".join(map(line.format,
+                                     *(v[k:k + rows] for v in values))))
 
 
 def _check_out(path: str | None) -> None:
@@ -131,17 +148,8 @@ def cmd_simulate(args) -> int:
     analytic = analytic_mean_concurrence(s, unraveling, times)
     log.info("simulate: done in %.2f s", time.perf_counter() - t0)
 
-    with _output(args.out) as stream:
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(["t", "mean_C", "stderr_C", "analytic_C", "C_rho"])
-        for i, t in enumerate(times):
-            w.writerow([
-                _fmt(t),
-                _fmt(mean[i]),
-                _fmt(stderr[i]),
-                _fmt(analytic[i]) if analytic is not None else "",
-                _fmt(c_rho[i]),
-            ])
+    _write_csv(args.out, ["t", "mean_C", "stderr_C", "analytic_C", "C_rho"],
+               [times, mean, stderr, analytic, c_rho])
     return 0
 
 
@@ -149,12 +157,8 @@ def cmd_master(args) -> int:
     s = load_scenario(args.config)
     evo = evolve_rho(s, args.tmax, record_grid=args.grid)
     _log_health("master", evo)
-    c_rho = concurrence_series(evo)
-    with _output(args.out) as stream:
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(["t", "C_rho"])
-        for t, c in zip(evo.times, c_rho):
-            w.writerow([_fmt(t), _fmt(c)])
+    _write_csv(args.out, ["t", "C_rho"],
+               [evo.times, concurrence_series(evo)])
     return 0
 
 

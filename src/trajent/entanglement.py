@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SYSY, require_finite
+from .linalg import require_finite
 
 __all__ = [
     "preconcurrence", "preconcurrence_batch", "concurrence_pure",
@@ -29,6 +29,7 @@ __all__ = [
 _NORM_TOL = 1e-6
 _HERM_TOL = 1e-10  # entrywise |rho - rho^dag| a density matrix may carry
 EIG_FLOOR = -1e-8  # eigenvalues in [EIG_FLOOR, 0) are roundoff, clipped
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _check_state(psi: np.ndarray) -> np.ndarray:
@@ -86,6 +87,15 @@ def eof_from_concurrence(c: float) -> float:
     return float(-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
 
 
+def _flip(v: np.ndarray) -> np.ndarray:
+    """V^dag (sigma_y (x) sigma_y) V* for a stack of 4x4 matrices V in one
+    batched product: sigma_y (x) sigma_y is a signed permutation, so
+    V^dag (sigma_y (x) sigma_y) is V^dag with its columns reversed and
+    multiplied by (-1, 1, 1, -1), bit for bit the product with the matrix."""
+    return ((np.conjugate(v.transpose(0, 2, 1))[:, :, ::-1] * _FLIP_SIGNS)
+            @ np.conjugate(v))
+
+
 def _wootters(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrences and smallest eigenvalues of a finite (G, 4, 4) stack,
     by the eigenbasis form of `concurrence_mixed` from one `eigh`.  A matrix
@@ -99,8 +109,7 @@ def _wootters(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          f"max |rho - rho^dag| = {asym[bad[0]]:.3e}")
     w, v = np.linalg.eigh(0.5 * (stack + rho_dag))
     r = np.sqrt(np.clip(w, 0.0, None))
-    flip = np.conjugate(v.transpose(0, 2, 1)) @ SYSY @ np.conjugate(v)
-    lam = np.linalg.svd(r[:, :, None] * flip * r[:, None, :],
+    lam = np.linalg.svd(r[:, :, None] * _flip(v) * r[:, None, :],
                         compute_uv=False)
     return (np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]),
             w[:, 0])

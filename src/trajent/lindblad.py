@@ -9,9 +9,12 @@ The master equation
 is linear with the static 16x16 generator L of
 `models.lindblad_superoperator`, so it is solved exactly: the propagator
 P = expm(L g) over one record interval g is computed once (`linalg.expm`,
-scaling and squaring with a Pade [13/13] step), and
-vec rho_{k+1} = P vec rho_k (column-stacked) on the record points of
-`ensemble.record_times`, the grid of the trajectory engines.  The run
+scaling and squaring with a Pade [13/13] step), and vec rho_k = P^k vec
+rho_0 (column-stacked) on the record points of `ensemble.record_times`, the
+grid of the trajectory engines.  The powers come by repeated squaring:
+P^h carries records [0, h) to [h, 2h) in one product and is squared, up to
+h = 256, after which P^256 carries each block of 256 records to the next,
+so G records take O(log G + G / 256) products.  The run
 starts from |psi0><psi0| with the scenario's `Scenario.psi0`, the start
 state of every engine and closed form.  There is no time step and the
 trace is not renormalized.  Each recorded rho is decomposed once, by the
@@ -39,6 +42,10 @@ from .models import Scenario, lindblad_superoperator
 __all__ = ["DensityEvolution", "density_from_state", "evolve_rho",
            "concurrence_series"]
 
+# most rows per propagation product: 256 x 16 by 16 x 16 is 65,536 complex
+# multiply-adds, the size from which OpenBLAS threads a complex GEMM
+_ROWS = 256
+
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(4)
@@ -61,11 +68,17 @@ def evolve_rho(s: Scenario, t_max: float,
     divide ``t_max``.
     """
     times = record_times(t_max, record_grid)
-    step = expm(lindblad_superoperator(s) * times[1])
+    # a row of vecs is vec rho, so hop = (P^h)^T carries row k to row k + h
+    hop, h = expm(lindblad_superoperator(s) * times[1]).T, 1
     vecs = np.empty((len(times), 16), dtype=complex)
     vecs[0] = density_from_state(s.psi0).reshape(16, order="F")
-    for i in range(1, len(times)):
-        vecs[i] = step @ vecs[i - 1]
+    i = 1
+    while i < len(vecs):
+        n = min(h, len(vecs) - i)
+        vecs[i:i + n] = vecs[i - h:i - h + n] @ hop
+        i += n
+        if h < _ROWS:
+            hop, h = hop @ hop, 2 * h
     rhos = np.ascontiguousarray(vecs.reshape(-1, 4, 4).transpose(0, 2, 1))
 
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)

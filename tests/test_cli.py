@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,13 @@ import pytest
 
 from trajent.cli import main
 from trajent.config import bundled_scenario_path, load_scenario
+from trajent.diffusion import batch_kernel_qsd
+from trajent.ensemble import run_average
 from trajent.linalg import SIGMA_X, kron2
 from trajent.lindblad import evolve_rho
 from trajent.models import (lindblad_superoperator, preset_photon_counting,
                             preset_thermal, scenario_from_channels)
+from trajent.rates import analytic_mean_concurrence
 
 from _oracles import GEN_TOL, generator_deviation
 
@@ -110,6 +115,40 @@ def test_master_subcommand(tmp_path):
     assert header == ["t", "C_rho"]
     assert abs(float(rows[0][1]) - 1.0) < 1e-9
     assert float(rows[-1][1]) == 0.0             # sudden death has happened
+
+
+def _csv_writer_rendering(header, columns):
+    """The bytes csv.writer gives for ``.16e`` fields, a None column empty."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for i in range(len(columns[0])):
+        w.writerow(["" if c is None else f"{c[i]:.16e}" for c in columns])
+    return buf.getvalue().encode()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    # more rows than one write's chunk, and simulate with an empty analytic_C
+    # column (a common bath has no closed form under homodyne detection)
+    s = load_scenario("common_bath_revival")
+    evo = evolve_rho(s, 20.0, record_grid=0.02)
+    rho = tmp_path / "rho.csv"
+    assert main(["master", "--config", "common_bath_revival", "--tmax", "20",
+                 "--grid", "0.02", "--out", str(rho)]) == 0
+    assert rho.read_bytes() == _csv_writer_rendering(
+        ["t", "C_rho"], [evo.times, evo.c_rho])
+
+    evo = evolve_rho(s, 3.0, record_grid=0.01)
+    summary = run_average(batch_kernel_qsd("homodyne", s, 3.0, None, 0.01),
+                          4, 20, 1)
+    assert analytic_mean_concurrence(s, "qsd-homodyne", evo.times) is None
+    run = tmp_path / "run.csv"
+    assert main(["simulate", "--config", "common_bath_revival", "--tmax", "3",
+                 "--grid", "0.01", "--traj", "20", "--seed", "4",
+                 "--unraveling", "qsd-homodyne", "--out", str(run)]) == 0
+    assert run.read_bytes() == _csv_writer_rendering(
+        ["t", "mean_C", "stderr_C", "analytic_C", "C_rho"],
+        [summary.times, summary.mean_c, summary.stderr, None, evo.c_rho])
 
 
 def test_rates_subcommand(tmp_path):
@@ -275,21 +314,50 @@ def test_rotated_thermal_with_an_unmonitored_qubit(tmp_path):
                                preset_thermal(0.0, 0.0, 0.5, 1.5)) < GEN_TOL
 
 
-def test_closed_stdout_is_exit_1_without_traceback(tmp_path):
-    # 40,001 CSV lines, far more than a pipe buffer holds, so writes fail
-    # once the reader has closed its end
+def _exit_on_closed_stdout(unbuffered, tmax, grid, settle):
+    """Exit code and stderr of `trajent master` on thermal_bell when the
+    reader takes the header, waits ``settle`` seconds and closes the pipe."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    err = tmp_path / "stderr"
-    with open(err, "w") as stderr:
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with tempfile.TemporaryFile("w+") as stderr:
         proc = subprocess.Popen(
             [sys.executable, "-m", "trajent.cli", "master", "--config",
-             "thermal_bell", "--tmax", "20", "--grid", "0.0005"],
-            stdout=subprocess.PIPE, stderr=stderr, env=env, text=True)
-        assert proc.stdout.readline() == "t,C_rho\n"
+             "thermal_bell", "--tmax", tmax, "--grid", grid],
+            stdout=subprocess.PIPE, stderr=stderr, env=env, bufsize=0)
+        assert os.read(proc.stdout.fileno(), 8) == b"t,C_rho\n"
+        time.sleep(settle)
         proc.stdout.close()
-        assert proc.wait(timeout=120) == 1
-    assert "Traceback" not in err.read_text()
+        code = proc.wait(timeout=120)
+        stderr.seek(0)
+        return code, stderr.read()
+
+
+UNBUFFERED = pytest.mark.parametrize("unbuffered", ["1", None],
+                                     ids=["unbuffered", "buffered"])
+
+
+@UNBUFFERED
+def test_closed_stdout_is_exit_1_without_traceback(unbuffered):
+    # 40,001 CSV lines, far more than a pipe buffer holds, so writes fail
+    # once the reader has closed its end.  Unbuffered, stdout writes through
+    # to the pipe, where a long write cut short by the close is lost without
+    # an error; the next write must still raise.
+    code, err = _exit_on_closed_stdout(unbuffered, "20", "0.0005", 0.0)
+    assert code == 1 and "Traceback" not in err
+
+
+@UNBUFFERED
+def test_closed_stdout_during_the_last_write_is_exit_1(unbuffered):
+    # 1,501 lines (69 KB) just overfill a 64 KB pipe: after the pause the
+    # writer is blocked on a full pipe, near the end of the table, when the
+    # reader closes.  No later write would report a write cut short there, so
+    # each must be one the pipe takes whole or fails.  A close before the
+    # pipe fills fails the next write, so a slow start cannot fail this test.
+    code, err = _exit_on_closed_stdout(unbuffered, "15", "0.01", 1.0)
+    assert code == 1 and "Traceback" not in err
 
 
 def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trajent.entanglement import (
-    concurrence_batch, concurrence_mixed, concurrence_pure,
+    _flip, concurrence_batch, concurrence_mixed, concurrence_pure,
     eof_from_concurrence, preconcurrence, preconcurrence_batch,
 )
 from trajent.linalg import SYSY, dag, kron2
@@ -165,6 +165,18 @@ def test_spin_flip_involution():
     rho = a @ dag(a)
     rho /= np.trace(rho)
     assert np.max(np.abs(spin_flip(spin_flip(rho)) - rho)) < 1e-13
+
+
+def test_flip_is_the_product_with_sysy_bit_for_bit():
+    # the column reversal with signs equals V^dag SYSY V*, bit for bit, on
+    # seeded random unitaries and on eigh's eigenvector stacks
+    rng = np.random.default_rng(35)
+    z = rng.standard_normal((500, 4, 4)) + 1j * rng.standard_normal((500, 4, 4))
+    unitaries = np.linalg.qr(z)[0]
+    eigvecs = np.linalg.eigh(z @ np.conjugate(z.transpose(0, 2, 1)))[1]
+    for v in (unitaries, eigvecs):
+        want = np.conjugate(v.transpose(0, 2, 1)) @ SYSY @ np.conjugate(v)
+        assert np.array_equal(_flip(v), want)
 
 
 def wootters_eigvals_route(rho):

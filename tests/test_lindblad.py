@@ -57,12 +57,17 @@ def test_thermal_marginals_reach_gibbs_ratio():
     assert np.max(np.abs(ptrace_a(ev.rhos[-1]) - want)) < 1e-6
 
 
-def test_matches_matrix_exponential_on_bundled_scenarios():
+@pytest.mark.parametrize("t_max, grid, n_rec", [
+    (0.5, 0.5, 2), (1.0, 0.5, 3), (5.12, 0.02, 257), (5.14, 0.02, 258),
+    (20.0, 0.02, 1001)], ids=["G2", "G3", "G257", "G258", "G1001"])
+def test_matches_matrix_exponential_on_bundled_scenarios(t_max, grid, n_rec):
     # every record point against expm(L t) vec rho0, computed afresh per
-    # point, from rho0 = |psi0><psi0|, the start state of every engine
+    # point, from rho0 = |psi0><psi0|, the start state of every engine; the
+    # record counts straddle the squaring's doublings and its 256-row blocks
     for name in bundled_scenario_names():
         s = load_scenario(name)
-        ev = evolve_rho(s, 20.0, record_grid=0.02)
+        ev = evolve_rho(s, t_max, record_grid=grid)
+        assert len(ev.times) == n_rec
         assert np.array_equal(ev.rhos[0], density_from_state(s.psi0)), name
         gen = lindblad_superoperator(s)
         vec0 = density_from_state(s.psi0).reshape(16, order="F")
