@@ -40,7 +40,7 @@ from .config import bundled_scenario_names, load_scenario
 from .diffusion import batch_kernel_qsd
 from .ensemble import fit_rate_series, run_average
 from .errors import ConfigError, NumericalError
-from .lindblad import concurrence_series, evolve_rho
+from .lindblad import evolve_rho
 from .quantum_jump import batch_kernel
 from .rates import (UNRAVELINGS, analytic_mean_concurrence,
                     optimize_unraveling, rate_report)
@@ -59,19 +59,26 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write(out_path: str | None, text: str) -> None:
+    """Write ASCII ``text`` to ``--out`` in writes of at most `_PIPE_BUF`
+    bytes."""
+    with _output(out_path) as stream:
+        for k in range(0, len(text), _PIPE_BUF):
+            stream.write(text[k:k + _PIPE_BUF])
+
+
 def _write_csv(out_path: str | None, header: list[str],
                columns: list[np.ndarray | None]) -> None:
     """One CSV row per record point: each column's ``.16e`` value, or an
-    empty field for a None column, in writes of at most `_PIPE_BUF` bytes
-    (a ``.16e`` field has at most 24 characters)."""
+    empty field for a None column."""
     line = ",".join("" if c is None else "{:.16e}" for c in columns) + "\n"
     values = [c.tolist() for c in columns if c is not None]
-    rows = _PIPE_BUF // (25 * len(columns))
-    with _output(out_path) as stream:
-        stream.write(",".join(header) + "\n")
-        for k in range(0, len(values[0]), rows):
-            stream.write("".join(map(line.format,
-                                     *(v[k:k + rows] for v in values))))
+    _write(out_path, ",".join(header) + "\n"
+           + "".join(map(line.format, *values)))
+
+
+def _write_json(doc, out_path: str | None) -> None:
+    _write(out_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _check_out(path: str | None) -> None:
@@ -106,12 +113,6 @@ def _output(path: str | None):
         yield stream
 
 
-def _write_json(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    with _output(out_path) as stream:
-        stream.write(text)
-
-
 def _log_health(command: str, evo) -> None:
     log.info("%s: master equation min eigenvalue %.3e, max trace drift "
              "%.3e", command, evo.min_eigenvalue, evo.max_trace_drift)
@@ -144,12 +145,11 @@ def cmd_simulate(args) -> int:
     _log_health("simulate", evo)
     summary = run_average(kernel, args.seed, args.traj, args.threads)
     times, mean, stderr = summary.times, summary.mean_c, summary.stderr
-    c_rho = concurrence_series(evo)
     analytic = analytic_mean_concurrence(s, unraveling, times)
     log.info("simulate: done in %.2f s", time.perf_counter() - t0)
 
     _write_csv(args.out, ["t", "mean_C", "stderr_C", "analytic_C", "C_rho"],
-               [times, mean, stderr, analytic, c_rho])
+               [times, mean, stderr, analytic, evo.c_rho])
     return 0
 
 
@@ -157,8 +157,7 @@ def cmd_master(args) -> int:
     s = load_scenario(args.config)
     evo = evolve_rho(s, args.tmax, record_grid=args.grid)
     _log_health("master", evo)
-    _write_csv(args.out, ["t", "C_rho"],
-               [evo.times, concurrence_series(evo)])
+    _write_csv(args.out, ["t", "C_rho"], [evo.times, evo.c_rho])
     return 0
 
 
@@ -195,15 +194,7 @@ def cmd_fit(args) -> int:
     stderr = column("stderr_C") if col == "mean_C" else None
 
     fit = fit_rate_series(t, y, stderr)
-    doc = {
-        "column": col,
-        "rate": fit.rate,
-        "rate_stderr": fit.rate_stderr,
-        "c0": fit.c0,
-        "window": list(fit.window),
-        "n_points": fit.n_points,
-        "r_squared": fit.r_squared,
-    }
+    doc = {"column": col, **dataclasses.asdict(fit)}
     analytic = column("analytic_C")
     if analytic is not None and col != "analytic_C":
         ref = fit_rate_series(t, analytic)

@@ -47,8 +47,9 @@ E d xi = 0, E |d xi|^2 = h and E d xi^2 = 0.
 channels are static, once, before any kernel call.  The batch kernel is then
 a pure array function: it returns the batch's record points, concurrences
 and optional states, which `ensemble` turns into records or reduces to
-moments.  It steps its rows B = `_rows(M)` at a time as one (4 + 4M, B)
-block [psi; J_0 psi; ...; J_{M-1} psi]: a step is one (4 + 4M, 4) @ (4, 2B)
+moments.  It steps its rows B = `_rows(M)` at a time, the largest power of
+two whose products run on one OpenBLAS thread, as one (4 + 4M, B) block
+[psi; J_0 psi; ...; J_{M-1} psi]: a step is one (4 + 4M, 4) @ (4, 2B)
 real matmul by [1; J_0; ...] E on the block's float view, which also gives
 every <J_m> of the next step, and one (4, 4) @ (4, 2B) real matmul for each
 channel after the first.  The float view of C-contiguous complex rows holds
@@ -77,30 +78,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
-                       run_records)
+from .ensemble import Substreams, TrajectoryRecord, run_one, run_records
 from .entanglement import concurrence_batch
 from .errors import StepSizeError
-from .linalg import expm
+from .linalg import expm, one_thread_rows, record_times
 from .models import Scenario
 
 __all__ = ["MAX_DIFFUSION_STEP", "batch_kernel_qsd", "run_trajectory_qsd",
            "run_ensemble_qsd"]
 
 MAX_DIFFUSION_STEP = 1e-2  # bound on dt * gamma_max
-# Multiply-adds per real matmul at most; it sizes the row blocks (`_rows`).
-# OpenBLAS hands a GEMM to its thread pool above 65,536 x 4 = 262,144
-# multiply-adds, a complex one from 65,536, and a threaded product stalls
-# for milliseconds while another process holds the other CPU.  With two
-# workers, 4,096 heterodyne rows of thermal_bell at detector phase 0.3
-# (complex J, M = 4) to T = 3 took 3.3-3.7 s in 1,024-row blocks of complex
-# matmuls, against 1.0-1.5 s in 512-row blocks and in 1,024-row blocks of
-# real ones.  numpy's OpenBLAS 0.3.31 keeps a real (20, 4) @ (4, n) or
-# (36, 4) @ (4, n) product on one CPU (process CPU time / wall time 1.00)
-# up to 1,000,000 multiply-adds, its small-matrix kernel's bound on an
-# AVX-512 Xeon, and threads it from 1,000,080 (1.96); the generic bound
-# kept here holds on a CPU without that kernel too.
-_GEMM_MADDS = 262_144
 _BLOCK = 512  # steps whose words a row block reads at once; a multiple of 8
 
 KINDS = ("homodyne", "heterodyne")
@@ -109,10 +96,10 @@ KINDS = ("homodyne", "heterodyne")
 def _grid(s: Scenario, t_max: float, dt: float | None,
           record_grid: float | None) -> tuple[np.ndarray, int, float]:
     """(record times, substeps per record, actual step h): h tiles the
-    interval times[1] of the one grid rule, `record_times`.  dt bounds h, is
-    at most that interval (within the substep count's 1e-9), and defaults to
-    half the step bound; h * gamma_max must be within it, and the channels
-    static."""
+    interval times[1] of the one grid rule, `linalg.record_times`.  dt
+    bounds h, is at most that interval (within the substep count's 1e-9),
+    and defaults to half the step bound; h * gamma_max must be within it,
+    and the channels static."""
     if s.time_dependent:
         raise ValueError("diffusive unravelings are defined for static "
                          "channels; remove rotating displacements first")
@@ -149,8 +136,8 @@ class _Step(NamedTuple):
 
 def _rows(m_ch: int) -> int:
     """Rows stepped together: the largest power of two B for which the
-    widest product, (4 + 4M, 4) @ (4, 2B), is within _GEMM_MADDS."""
-    return 1 << (max(_GEMM_MADDS // (32 * (1 + m_ch)), 1).bit_length() - 1)
+    widest product, the real (4 + 4M, 4) @ (4, 2B), runs on one thread."""
+    return 1 << (one_thread_rows(32 * (1 + m_ch), float).bit_length() - 1)
 
 
 def _split(op: np.ndarray) -> tuple:

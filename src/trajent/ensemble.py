@@ -8,10 +8,10 @@ pooled call writes its arrays to a file in the run's temporary directory
 pickle through the result pipe; the calling process reads the file into one
 buffer, unlinks it, and unpickles arrays that are views of that buffer, so
 neither process holds a second copy of them.  A kernel call covers up to
-3584 rows (7 batches; a worker's share if that is less), and its arrays are
-cut into fixed 512-row batches, the unit of steps, merge order and
-progress.  A per-batch step runs where the call is computed.  There are
-two steps:
+3584 rows (7 batches, as many as run on one OpenBLAS thread; a worker's
+share if that is less), and its arrays are cut into fixed 512-row batches,
+the unit of steps, merge order and progress.  A per-batch step runs where
+the call is computed.  There are two steps:
 - keep the arrays: `run_records` builds the `TrajectoryRecord`s from them in
   the calling process (the library path; memory grows with N).  A record's
   concurrences, states and click columns are views of its batch's arrays,
@@ -55,23 +55,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FitWindowError
+from .linalg import one_thread_rows
 
 __all__ = ["EnsembleSummary", "JumpEvent", "RateFit", "Substreams",
            "TrajectoryRecord", "average", "fit_rate", "fit_rate_series",
-           "record_times", "run_average", "run_batches", "run_one",
-           "run_records"]
+           "run_average", "run_batches", "run_one", "run_records"]
 
 WINDOW_SNR = 5.0
 MIN_FIT_POINTS = 10
 _BATCH = 512  # rows per batch: the unit of steps, merges and progress
-# Rows per kernel call at most.  The jump kernel's products are all
-# (<= _CALL_ROWS, 4) @ (4, 4), so each stays under 65,536 multiply-adds, the
-# size from which numpy's OpenBLAS hands a complex GEMM to its thread pool.
-# Two processes on two CPUs each timing one product: 0.09-3.8 ms at 4096
-# rows, 50-100 us at 4095 or 3584; `run_average` of 16,384 thermal_bell
-# rows with keep_clicks and two workers: 0.4-2.0 s at 4096-row calls,
-# 0.22-0.29 s at 3584 (2-CPU Xeon, OpenBLAS 0.3.31).
-_CALL_ROWS = 7 * _BATCH
+# Rows per kernel call at most: whole batches, so many that the jump
+# kernel's (rows, 4) @ (4, 4) complex products run on one thread (3,584).
+_CALL_ROWS = one_thread_rows(16, complex) // _BATCH * _BATCH
 
 log = logging.getLogger("trajent")
 
@@ -232,23 +227,6 @@ class Substreams:
                                      self.inc_lo)
             word[:] = _output(self.hi, self.lo)
         return out
-
-
-def record_times(t_max: float, record_grid: float | None) -> np.ndarray:
-    """Record points 0, g, ..., t_max; g defaults to t_max / 100."""
-    if not 0 < t_max < np.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if record_grid is None:
-        record_grid = t_max / 100.0
-    if not 0 < record_grid <= t_max + 1e-12:
-        raise ValueError("need 0 < record_grid <= t_max")
-    if not np.isfinite(t_max / record_grid):
-        raise ValueError(f"t_max / record_grid = {t_max} / {record_grid} "
-                         "is not finite")
-    n_rec = int(round(t_max / record_grid))
-    if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError("record_grid must divide t_max")
-    return (t_max / n_rec) * np.arange(n_rec + 1)
 
 
 def _records(seed: int, k0: int, times: np.ndarray, conc: np.ndarray,

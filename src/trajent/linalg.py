@@ -5,7 +5,9 @@ basis ordered {uu, ud, du, dd}; qubit A is the left tensor factor.  States are
 flat complex128 arrays, operators are (2,2) or (4,4) arrays.  The routines here
 are deliberately small and allocation-light because the trajectory engines call
 them in tight loops.  `expm` is the package's one matrix exponential, so the
-runtime needs numpy alone.
+runtime needs numpy alone.  The engines share the record grid (`record_times`),
+its propagator powers (`power_rows`) and OpenBLAS's one-thread bound
+(`one_thread_rows`), each stated here once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ __all__ = [
     "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_PLUS", "SIGMA_MINUS",
     "SYSY",
     "kron2", "dag", "det2", "trace2", "expm",
-    "require_finite",
+    "require_finite", "one_thread_rows", "power_rows", "record_times",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -94,3 +96,54 @@ def expm(a: np.ndarray) -> np.ndarray:
         r = r @ r
     return r
 
+
+# OpenBLAS 0.3.31 runs a GEMM of up to 262,144 real or 65,535 complex
+# multiply-adds on one thread and wakes its thread pool for a larger one,
+# which then stalls while another process holds the other CPU.  Per-thread
+# CPU ticks in fresh processes (2-CPU Xeon): complex (256, 16) @ (16, 16)
+# and (4096, 4) @ (4, 4), 65,536 each, ran on two threads, with a row fewer
+# on one.  A real (8, 4) @ (4, 16384), 524,288, ran on one, in AVX-512's
+# small-matrix kernel; the generic real bound kept holds without it too.
+def one_thread_rows(madds_per_row: int, dtype) -> int:
+    """The most rows, at least one, that a product of ``madds_per_row``
+    multiply-adds per row of ``dtype`` can have and stay on one thread."""
+    bound = 65_535 if np.dtype(dtype).kind == "c" else 262_144
+    return max(bound // madds_per_row, 1)
+
+
+# Rows per product of `power_rows` at most (128): the largest power of two
+# h for which a complex (h, 16) @ (16, 16) product runs on one thread.
+_WALK_ROWS = 1 << (one_thread_rows(16 * 16, complex).bit_length() - 1)
+
+
+def power_rows(p: np.ndarray, v0: np.ndarray, n: int) -> np.ndarray:
+    """Rows v0 P^k, k < n, by repeated squaring: P^h carries rows [0, h) to
+    [h, 2h) and is squared, up to h = _WALK_ROWS, then carries each h-row
+    block to the next, so n rows take O(log n + n / _WALK_ROWS) products."""
+    out = np.empty((n, len(v0)), dtype=np.result_type(p, v0))
+    out[0] = v0
+    i, h = 1, 1
+    while i < n:
+        k = min(h, n - i)
+        out[i:i + k] = out[i - h:i - h + k] @ p
+        i += k
+        if h < _WALK_ROWS:
+            p, h = p @ p, 2 * h
+    return out
+
+
+def record_times(t_max: float, record_grid: float | None) -> np.ndarray:
+    """Record points 0, g, ..., t_max; g defaults to t_max / 100."""
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if record_grid is None:
+        record_grid = t_max / 100.0
+    if not 0 < record_grid <= t_max + 1e-12:
+        raise ValueError("need 0 < record_grid <= t_max")
+    if not np.isfinite(t_max / record_grid):
+        raise ValueError(f"t_max / record_grid = {t_max} / {record_grid} "
+                         "is not finite")
+    n_rec = int(round(t_max / record_grid))
+    if abs(n_rec * record_grid - t_max) > 1e-9 * max(1.0, t_max):
+        raise ValueError("record_grid must divide t_max")
+    return (t_max / n_rec) * np.arange(n_rec + 1)

@@ -10,13 +10,14 @@ is linear with the static 16x16 generator L of
 `models.lindblad_superoperator`, so it is solved exactly: the propagator
 P = expm(L g) over one record interval g is computed once (`linalg.expm`,
 scaling and squaring with a Pade [13/13] step), and vec rho_k = P^k vec
-rho_0 (column-stacked) on the record points of `ensemble.record_times`, the
-grid of the trajectory engines.  The powers come by repeated squaring:
-P^h carries records [0, h) to [h, 2h) in one product and is squared, up to
-h = 256, after which P^256 carries each block of 256 records to the next,
-so G records take O(log G + G / 256) products.  The run
-starts from |psi0><psi0| with the scenario's `Scenario.psi0`, the start
-state of every engine and closed form.  There is no time step and the
+rho_0 (column-stacked) on the record points of `linalg.record_times`, the
+grid of the trajectory engines.  The powers come from `linalg.power_rows`,
+by repeated squaring: P^h carries records [0, h) to [h, 2h) in one product
+and is squared, up to h = 128, after which P^128 carries each block of 128
+records to the next, so G records take O(log G + G / 128) products, each
+small enough to run on one OpenBLAS thread.  The run starts from
+|psi0><psi0| with the scenario's `Scenario.psi0`, the start state of every
+engine and closed form.  There is no time step and the
 trace is not renormalized.  Each recorded rho is decomposed once, by the
 Wootters routine `concurrence_mixed` also runs: one Hermitian
 eigendecomposition gives the smallest eigenvalue and, in rho's eigenbasis,
@@ -33,18 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import record_times
 from .entanglement import EIG_FLOOR, _wootters
 from .errors import PositivityError
-from .linalg import expm, require_finite
+from .linalg import expm, power_rows, record_times, require_finite
 from .models import Scenario, lindblad_superoperator
 
 __all__ = ["DensityEvolution", "density_from_state", "evolve_rho",
            "concurrence_series"]
-
-# most rows per propagation product: 256 x 16 by 16 x 16 is 65,536 complex
-# multiply-adds, the size from which OpenBLAS threads a complex GEMM
-_ROWS = 256
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
@@ -68,17 +64,10 @@ def evolve_rho(s: Scenario, t_max: float,
     divide ``t_max``.
     """
     times = record_times(t_max, record_grid)
-    # a row of vecs is vec rho, so hop = (P^h)^T carries row k to row k + h
-    hop, h = expm(lindblad_superoperator(s) * times[1]).T, 1
-    vecs = np.empty((len(times), 16), dtype=complex)
-    vecs[0] = density_from_state(s.psi0).reshape(16, order="F")
-    i = 1
-    while i < len(vecs):
-        n = min(h, len(vecs) - i)
-        vecs[i:i + n] = vecs[i - h:i - h + n] @ hop
-        i += n
-        if h < _ROWS:
-            hop, h = hop @ hop, 2 * h
+    # a row of vecs is vec rho, so (P^k)^T carries row 0 to row k
+    vecs = power_rows(expm(lindblad_superoperator(s) * times[1]).T,
+                      density_from_state(s.psi0).reshape(16, order="F"),
+                      len(times))
     rhos = np.ascontiguousarray(vecs.reshape(-1, 4, 4).transpose(0, 2, 1))
 
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
@@ -95,5 +84,7 @@ def evolve_rho(s: Scenario, t_max: float,
 
 def concurrence_series(evolution: DensityEvolution) -> np.ndarray:
     """Mixed-state concurrence at every recorded time, as `evolve_rho`
-    computed it with the positivity check."""
+    computed it with the positivity check: ``evolution.c_rho``.  Outside the
+    tests its one reader is the benchmark's library workload
+    (`perfbench/rep.py`); it stays until ROADMAP item 7 reworks that."""
     return evolution.c_rho

@@ -54,11 +54,10 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import (Substreams, TrajectoryRecord, record_times, run_one,
-                       run_records)
+from .ensemble import Substreams, TrajectoryRecord, run_one, run_records
 from .entanglement import concurrence_batch
 from .errors import ConvergenceError, NumericalError
-from .linalg import expm
+from .linalg import expm, record_times
 from .models import Scenario
 
 __all__ = ["batch_kernel", "run_trajectory", "run_ensemble"]

@@ -314,20 +314,20 @@ def test_rotated_thermal_with_an_unmonitored_qubit(tmp_path):
                                preset_thermal(0.0, 0.0, 0.5, 1.5)) < GEN_TOL
 
 
-def _exit_on_closed_stdout(unbuffered, tmax, grid, settle):
-    """Exit code and stderr of `trajent master` on thermal_bell when the
-    reader takes the header, waits ``settle`` seconds and closes the pipe."""
+def _exit_on_closed_stdout(unbuffered, argv, head, settle):
+    """Exit code and stderr of `trajent` with ``argv`` when the reader takes
+    the first 8 bytes, ``head``, waits ``settle`` seconds and closes the
+    pipe."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered
     with tempfile.TemporaryFile("w+") as stderr:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "trajent.cli", "master", "--config",
-             "thermal_bell", "--tmax", tmax, "--grid", grid],
-            stdout=subprocess.PIPE, stderr=stderr, env=env, bufsize=0)
-        assert os.read(proc.stdout.fileno(), 8) == b"t,C_rho\n"
+        proc = subprocess.Popen([sys.executable, "-m", "trajent.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=stderr,
+                                env=env, bufsize=0)
+        assert os.read(proc.stdout.fileno(), 8) == head
         time.sleep(settle)
         proc.stdout.close()
         code = proc.wait(timeout=120)
@@ -335,29 +335,48 @@ def _exit_on_closed_stdout(unbuffered, tmax, grid, settle):
         return code, stderr.read()
 
 
+def _master(tmax, grid):
+    return ["master", "--config", "thermal_bell", "--tmax", tmax, "--grid",
+            grid], b"t,C_rho\n"
+
+
+def _wide_rates(tmp_path):
+    """`trajent rates` on 400 local channels: an 84 KB document, more than
+    a 64 KB pipe holds."""
+    cfg = {"custom_channels": [
+        {"id": f"c{i}", "locality": "AB"[i % 2], "rate": 1 / 3,
+         "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]} for i in range(400)]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    return ["rates", "--config", str(path)], b'{\n  "kap'
+
+
 UNBUFFERED = pytest.mark.parametrize("unbuffered", ["1", None],
                                      ids=["unbuffered", "buffered"])
 
 
 @UNBUFFERED
-def test_closed_stdout_is_exit_1_without_traceback(unbuffered):
-    # 40,001 CSV lines, far more than a pipe buffer holds, so writes fail
-    # once the reader has closed its end.  Unbuffered, stdout writes through
-    # to the pipe, where a long write cut short by the close is lost without
-    # an error; the next write must still raise.
-    code, err = _exit_on_closed_stdout(unbuffered, "20", "0.0005", 0.0)
-    assert code == 1 and "Traceback" not in err
+def test_closed_stdout_is_exit_1_without_traceback(unbuffered, tmp_path):
+    # 40,001 CSV lines and an 84 KB JSON document, more than a pipe buffer
+    # holds, so writes fail once the reader has closed its end.  Unbuffered,
+    # stdout writes through to the pipe, where a long write cut short by the
+    # close is lost without an error; the next write must still raise.
+    for argv, head in (_master("20", "0.0005"), _wide_rates(tmp_path)):
+        code, err = _exit_on_closed_stdout(unbuffered, argv, head, 0.0)
+        assert code == 1 and "Traceback" not in err, argv[0]
 
 
 @UNBUFFERED
-def test_closed_stdout_during_the_last_write_is_exit_1(unbuffered):
-    # 1,501 lines (69 KB) just overfill a 64 KB pipe: after the pause the
-    # writer is blocked on a full pipe, near the end of the table, when the
-    # reader closes.  No later write would report a write cut short there, so
-    # each must be one the pipe takes whole or fails.  A close before the
-    # pipe fills fails the next write, so a slow start cannot fail this test.
-    code, err = _exit_on_closed_stdout(unbuffered, "15", "0.01", 1.0)
-    assert code == 1 and "Traceback" not in err
+def test_closed_stdout_during_the_last_write_is_exit_1(unbuffered, tmp_path):
+    # 1,501 lines (69 KB) and the 84 KB document overfill a 64 KB pipe:
+    # after the pause the writer is blocked on a full pipe when the reader
+    # closes, for the table near its end.  No later write would report a
+    # write cut short there, so each must be one the pipe takes whole or
+    # fails.  A close before the pipe fills fails the next write, so a slow
+    # start cannot fail this test.
+    for argv, head in (_master("15", "0.01"), _wide_rates(tmp_path)):
+        code, err = _exit_on_closed_stdout(unbuffered, argv, head, 1.0)
+        assert code == 1 and "Traceback" not in err, argv[0]
 
 
 def test_unwritable_out_is_exit_2(tmp_path, monkeypatch, capsys):
@@ -454,8 +473,8 @@ def test_cli_import_leaves_scipy_unloaded():
 # what an import of each module must leave unloaded
 UNLOADED = {
     "trajent": (),
-    "trajent.lindblad": ("cli", "config", "diffusion", "quantum_jump",
-                         "rates"),
+    "trajent.lindblad": ("cli", "config", "diffusion", "ensemble",
+                         "quantum_jump", "rates"),
     "trajent.quantum_jump": ("cli", "config", "diffusion", "lindblad",
                              "rates"),
 }

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajent import diffusion
+from trajent import diffusion, ensemble, linalg
 from trajent.config import bundled_scenario_path, load_scenario
 from trajent.diffusion import (_BLOCK, _bytes, _tables, batch_kernel_qsd,
                                run_ensemble_qsd, run_trajectory_qsd)
@@ -272,15 +272,23 @@ def test_streamed_noise_is_independent_of_block_boundaries():
 
 
 def test_block_rule_stays_within_the_threading_bound():
-    # B is the largest power of two whose widest real product,
-    # (4 + 4M, 4) @ (4, 2B), is at most 262,144 multiply-adds
+    # each row count is the largest of its granularity whose product stays
+    # within OpenBLAS's one-thread bound, 262,144 real or 65,535 complex
+    # multiply-adds: the QSD blocks B, powers of two, for the real
+    # (4 + 4M, 4) @ (4, 2B); the jump kernel's calls, whole 512-row batches,
+    # for the complex (rows, 4) @ (4, 4); and the grid walk's products,
+    # powers of two, for the complex (h, 16) @ (16, 16)
     assert [diffusion._rows(m) for m in (1, 4, 8, 16)] == [4096, 1024, 512,
                                                            256]
-    for m_ch in range(1, 17):
-        b = diffusion._rows(m_ch)
-        assert b & (b - 1) == 0
-        assert (4 + 4 * m_ch) * 4 * 2 * b <= 262_144 < \
-            (4 + 4 * m_ch) * 4 * 2 * (2 * b)
+    assert (ensemble._CALL_ROWS, linalg._WALK_ROWS) == (3584, 128)
+    doubling = [(diffusion._rows(m), (4 + 4 * m) * 4 * 2, 262_144)
+                for m in range(1, 17)] + [(linalg._WALK_ROWS, 256, 65_535)]
+    for rows, per_row, bound in doubling:
+        assert rows & (rows - 1) == 0
+        assert rows * per_row <= bound < 2 * rows * per_row
+    rows = ensemble._CALL_ROWS
+    assert rows % ensemble._BATCH == 0
+    assert rows * 16 <= 65_535 < (rows + ensemble._BATCH) * 16
 
 
 @pytest.mark.parametrize("name", ["photon_counting", "thermal_bell"])

@@ -1,4 +1,5 @@
-"""Linear-algebra kernel tests: constants, ptrace, the Pade expm."""
+"""Linear-algebra kernel tests: constants, ptrace, the Pade expm, the
+record-grid powers."""
 
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from trajent.config import bundled_scenario_names, load_scenario
 from trajent.entanglement import concurrence_mixed
 from trajent.linalg import (
     ID2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SYSY,
-    dag, det2, expm, kron2, require_finite, trace2,
+    dag, det2, expm, kron2, power_rows, require_finite, trace2,
 )
 from trajent.models import (JumpChannel, lift, lindblad_superoperator,
                             preset_photon_counting, scenario_from_channels)
@@ -100,6 +101,26 @@ def test_expm_matches_scipy_on_bundled_generators():
         for g in (0.02, 0.2, 2.0, 20.0, 200.0):
             err = np.max(np.abs(expm(gen * g) - scipy.linalg.expm(gen * g)))
             assert err < 1e-13, (name, g, err)
+
+
+@pytest.mark.parametrize("n", [2, 3, 129, 130, 257, 258, 1001])
+def test_power_rows_match_the_matrix_exponential(n):
+    # row k of the walk, v0 P^k with P = expm(L g)^T, against expm(L k g) v0
+    # computed afresh per k; the row counts straddle the squaring's
+    # doublings and its 128-row blocks.  L is thermal_bell's 16x16
+    # generator and a random contracting 4x4 one, -iH - K with K >= 0.
+    rng = np.random.default_rng(36)
+    a, b = random_complex(rng, (4, 4)), random_complex(rng, (4, 4))
+    gens = [(lindblad_superoperator(load_scenario("thermal_bell")), 0.02),
+            (-0.5j * (a + dag(a)) - 0.05 * dag(b) @ b, 0.01)]
+    for gen, g in gens:
+        v0 = normalized(random_complex(rng, len(gen)))
+        got = power_rows(scipy.linalg.expm(gen * g).T, v0, n)
+        want = np.array([scipy.linalg.expm(gen * (k * g)) @ v0
+                         for k in range(n)])
+        assert got.shape == want.shape
+        assert np.array_equal(got[0], v0)
+        assert np.max(np.abs(got - want)) < 1e-12, len(gen)
 
 
 def test_expm_of_zero_is_exactly_identity():

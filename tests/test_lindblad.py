@@ -63,7 +63,7 @@ def test_thermal_marginals_reach_gibbs_ratio():
 def test_matches_matrix_exponential_on_bundled_scenarios(t_max, grid, n_rec):
     # every record point against expm(L t) vec rho0, computed afresh per
     # point, from rho0 = |psi0><psi0|, the start state of every engine; the
-    # record counts straddle the squaring's doublings and its 256-row blocks
+    # record counts straddle the squaring's doublings and its 128-row blocks
     for name in bundled_scenario_names():
         s = load_scenario(name)
         ev = evolve_rho(s, t_max, record_grid=grid)

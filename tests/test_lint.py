@@ -1,4 +1,5 @@
-"""Three lint rules for the package, checked with ``ast`` (no linter needed).
+"""Four lint rules for the package, checked with ``ast`` and ``re`` (no
+linter needed).
 
 In every module of ``src/trajent``, ``__init__.py`` included:
 - every imported name is used in the module, or listed in its ``__all__``;
@@ -6,13 +7,18 @@ In every module of ``src/trajent``, ``__init__.py`` included:
   somewhere in the package: read as a name or an attribute, or imported;
 - where the module has an ``__all__``, it is the public surface: it lists
   every public module-level function and class, and each name it lists is
-  defined in the module.
+  defined in the module;
+- OpenBLAS's one-thread bound is stated in ``linalg`` only: no other module
+  spells 65,535, 65,536 or 262,144, with or without ``_`` or ``,`` between
+  digits.
 A deletion that leaves an import, a private helper or a stale export behind
 fails here, and so does a public helper left out of ``__all__``, and so
-does a re-export facade in ``__init__.py``.
+does a re-export facade in ``__init__.py``, and so does a second copy of
+the bound.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -95,7 +101,17 @@ def _public_functions_and_classes(tree: ast.Module) -> set[str]:
             and not node.name.startswith("_")}
 
 
+def _numbers(text: str) -> set[int]:
+    """The integers a text spells, digits grouped by ``_`` or ``,`` or not
+    (``65536``, ``65_536``, ``65,536``)."""
+    return {int(re.sub("[_,]", "", n))
+            for n in re.findall(r"\d+(?:[_,]\d+)*", text)}
+
+
 EXPORTING = [p for p in MODULES if _exported(TREES[p])]
+# the bound, 65,535 complex and 262,144 real multiply-adds, and 65,536, the
+# size from which a complex product threads
+BOUND = {65_535, 65_536, 262_144}
 
 
 def test_modules_are_found():
@@ -130,6 +146,16 @@ def test_all_is_the_public_surface(path):
                            "__all__ but never defines them")
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_the_threading_bound_is_stated_in_linalg_only(path):
+    if path.name == "linalg.py":
+        assert BOUND <= _numbers(path.read_text(encoding="utf-8"))
+        return
+    stated = BOUND & _numbers(path.read_text(encoding="utf-8"))
+    assert not stated, (f"{path.name} states {sorted(stated)}; take the "
+                        "bound from linalg.one_thread_rows")
+
+
 def test_the_rules_flag_what_they_should():
     tree = ast.parse("import os\nfrom json import dumps as d, loads\n"
                      "_X = 1\ndef _f(a: 'Path') -> None:\n    loads(a)\n")
@@ -141,3 +167,5 @@ def test_the_rules_flag_what_they_should():
                      "class C:\n    def m(self):\n        pass\n")
     assert _public_functions_and_classes(tree) - _exported(tree) == {"C"}
     assert _exported(tree) - _definitions(tree) == {"g"}
+    assert _numbers("65,536 x 4 = 262_144 > 65535 (4096, 4)") == {
+        65_536, 4, 262_144, 65_535, 4096}
