@@ -47,15 +47,21 @@ E d xi = 0, E |d xi|^2 = h and E d xi^2 = 0.
 channels are static, once, before any kernel call.  The batch kernel is then
 a pure array function: it returns the batch's record points, concurrences
 and optional states, which `ensemble` turns into records or reduces to
-moments.  It steps its rows B = `_rows(M)` at a time, the largest power of
-two whose products run on one OpenBLAS thread, as one (4 + 4M, B) block
-[psi; J_0 psi; ...; J_{M-1} psi]: a step is one (4 + 4M, 4) @ (4, 2B)
-real matmul by [1; J_0; ...] E on the block's float view, which also gives
-every <J_m> of the next step, and one (4, 4) @ (4, 2B) real matmul for each
-channel after the first.  The float view of C-contiguous complex rows holds
-Re and Im interleaved by column, so one real matmul by Re op acts on both;
-an operator with an imaginary part takes a second real matmul by Im op.
-No complex matmul is left in a step.
+moments.  A channel operator J_m makes only the rows r_m of a state
+nonzero, its reach (`_reach`): 2:4 for sigma_- on qubit A, 1:4:2 on qubit B,
+1:4 for collective decay and 0:4 for sigma_z.  The kernel keeps only those
+rows.  It steps its rows B = `_rows(H)` at a time, the largest power of two
+whose products run on one OpenBLAS thread, as one (H, B) block
+[psi; J_0[r_0] psi; ...; J_{M-1}[r_{M-1}] psi] of H = 4 + sum_m |r_m| rows
+(12 for thermal_bell, not 4 + 4M = 20): a step is one (H, 4) @ (4, 2B) real
+matmul by [1; J_0[r_0]; ...] E on the block's float view, which also gives
+every <J_m> of the next step, and one (|r_m|, 4) @ (4, 2B) real matmul for
+each channel after the first, whose factor adds into rows r_m alone.  The
+rows left out are exact zeros, so the outputs are those of the full
+(4 + 4M)-row stack bit for bit.  The float view of C-contiguous complex
+rows holds Re and Im interleaved by column, so one real matmul by Re op
+acts on both; an operator with an imaginary part takes a second real matmul
+by Im op.  No complex matmul is left in a step.
 
 Trajectory k of a run with master seed s reads only its own substream
 (`ensemble.Substreams`), so ensembles are bit-stable for a given
@@ -74,6 +80,7 @@ with t_max.
 from __future__ import annotations
 
 from functools import partial
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -126,18 +133,33 @@ class _Step(NamedTuple):
     """One split step's operators, built once with the kernel; each is
     held as `_split` parts."""
     het: bool
-    rows: int  # rows stepped together, `_rows(M)`
-    ops: tuple  # (4 + 4M, 4): 1; J_0; ...; J_{M-1} stacked
+    rows: int  # rows stepped together, `_rows(H)` for the H-row stack
+    sums: tuple  # per run of one reach r in 1, J_0, ...: (r, its row(s)
+    #               of q, its rows of ops, ([operators,] rows each))
+    spans: tuple  # (r, lo, hi) of J_0, ...: reach r, rows lo:hi of ops
+    ops: tuple  # (H, 4): 1; J_0[r_0]; ...; J_{M-1}[r_{M-1}] stacked
     prop_ops: tuple  # ops @ E, E = exp(h A0)
-    jumps: tuple  # J_1, ..., J_{M-1}
+    jumps: tuple  # J_0[r_0], ..., J_{M-1}[r_{M-1}]
     half_drift: np.ndarray  # (M, 1): h gamma_m / 2 (homodyne), h gamma_m / 4
     tables: tuple  # per byte of a step: (first channel, (c, 256) increments)
 
 
-def _rows(m_ch: int) -> int:
+def _rows(height: int) -> int:
     """Rows stepped together: the largest power of two B for which the
-    widest product, the real (4 + 4M, 4) @ (4, 2B), runs on one thread."""
-    return 1 << (one_thread_rows(32 * (1 + m_ch), float).bit_length() - 1)
+    widest product, the real (height, 4) @ (4, 2B) by the stack, runs on
+    one thread."""
+    return 1 << (one_thread_rows(8 * height, float).bit_length() - 1)
+
+
+def _reach(op: np.ndarray) -> slice:
+    """The rows of op that can be nonzero, as a slice: its nonzero rows if
+    they are an arithmetic progression, else the range that covers them."""
+    rows = np.flatnonzero(np.any(op != 0, axis=1))
+    if not len(rows):
+        return slice(0, 0)
+    gaps = np.unique(np.diff(rows))
+    return slice(int(rows[0]), int(rows[-1]) + 1,
+                 int(gaps[0]) if len(gaps) == 1 else 1)
 
 
 def _split(op: np.ndarray) -> tuple:
@@ -206,10 +228,13 @@ def _step_rows(step: _Step, psi0: np.ndarray, n_sub: int, seed: int,
     """Step rows ``indices``, filling their (B, G) concurrences and, if
     given, (B, G, 4) states.
 
-    The rows are held as z = [psi; J_0 psi; ...; J_{M-1} psi], (4 + 4M, B),
-    with psi unnormalized: each step ends with z = [E; J_0 E; ...] @ phi, and
-    the next one reads |psi|^2 and every <psi|J_m|psi> from z at once and
-    folds 1 / |psi| into the first channel's factor.
+    The rows are held as z = [psi; J_0[r_0] psi; ...], (H, B), with psi
+    unnormalized and r_m the rows J_m reaches: each step ends with
+    z = [E; J_0[r_0] E; ...] @ phi, and the next one reads |psi|^2 and every
+    <psi|J_m|psi> from z, one product and sum per run of operators with one
+    reach, and folds 1 / |psi| into the first channel's factor.
+    The rows J_m cannot reach are exact zeros, so leaving them out changes no
+    sum: the rest are added in the same order.
     """
     n_steps = (conc.shape[1] - 1) * n_sub
     b = len(indices)
@@ -217,10 +242,13 @@ def _step_rows(step: _Step, psi0: np.ndarray, n_sub: int, seed: int,
     per_step = len(step.tables)  # bytes of signs a step reads
     draws = Substreams(seed, indices)
     dn = np.empty((m_ch, b), dtype=step.half_drift.dtype)
+    q = np.empty((m_ch + 1, b), dtype=complex)
     z = _apply(step.ops, np.repeat(psi0[:, None], b, 1))
     for k in range(n_steps + 1):
         psi = z[:4]
-        q = (psi.conj() * z.reshape(m_ch + 1, 4, b)).sum(axis=1)
+        psi_c = psi.conj()
+        for r, qs, zs, shape in step.sums:
+            np.add.reduce(psi_c[r] * z[zs].reshape(*shape, b), -2, out=q[qs])
         inv_n2 = 1.0 / q[0].real
         done, rem = divmod(k, n_sub)
         if not rem:
@@ -235,26 +263,29 @@ def _step_rows(step: _Step, psi0: np.ndarray, n_sub: int, seed: int,
         for (c0, table), byte in zip(step.tables, signs[k % _BLOCK]):
             np.take(table, byte, axis=1, out=dn[c0:c0 + len(table)])
         # with x = <J> (heterodyne) or Re<J> (homodyne) and a = drift x* / 2:
-        # coef = 2a + dn and scal = Re(x (a + dn)); the first channel's
-        # factor also takes 1 / |psi|.  Complex arrays meet only complex
-        # ones, as a mixed multiply is slower.
-        x = (q[1:] * (1.0 / q[0]) if step.het
-             else q[1:].real * inv_n2)
+        # coef = 2a + dn and scal = Re(x (a + dn)), a + dn formed in dn; the
+        # first channel's factor also takes 1 / |psi|.  Complex arrays meet
+        # only complex ones, as a mixed multiply is slower.
+        x = q[1:]
+        if step.het:
+            x *= 1.0 / q[0]
+        else:
+            x = x.real * inv_n2
         a = step.half_drift * x.conj()
-        w = a + dn
-        coef = w + a
-        keep = 1.0 - (x * w).real
+        dn += a
+        coef = dn + a
+        keep = 1.0 - (x * dn).real
         f = np.sqrt(inv_n2)
         keep[:1] *= f
         coef[:1] *= f.astype(coef.dtype)
         coef = coef.astype(complex, copy=False)
         keep = keep.astype(complex)
         phi = psi  # z is read; its rows are overwritten in place
-        for m in range(m_ch):
-            jphi = z[4:8] if m == 0 else _apply(step.jumps[m - 1], phi)
+        for m, (r, lo, hi) in enumerate(step.spans):
+            jphi = z[lo:hi] if m == 0 else _apply(step.jumps[m], phi)
             jphi *= coef[m]
             phi *= keep[m]
-            phi += jphi
+            phi[r] += jphi
         z = _apply(step.prop_ops, phi)
 
 
@@ -269,9 +300,26 @@ def batch_kernel_qsd(kind: str, s: Scenario, t_max: float,
     times, n_sub, h = _grid(s, t_max, dt, record_grid)
     per = 2 if het else 1
     ops = np.concatenate([np.eye(4), *s.lifted_ops])
-    step = _Step(het=het, rows=_rows(len(s.channels)), ops=_split(ops),
-                 prop_ops=_split(ops @ expm(-1j * h * s.h_eff)),
-                 jumps=tuple(map(_split, s.lifted_ops[1:])),
+    # each operator of [1; J_0; ...] keeps the rows r it can make nonzero,
+    # its reach; a run of operators with one reach shares a product and sum
+    reach = [_reach(op) for op in ops.reshape(-1, 4, 4)]
+    size = [len(range(4)[r]) for r in reach]
+    lo = np.cumsum([0, *size]).tolist()
+    stack = [4 * m + i for m, r in enumerate(reach) for i in range(4)[r]]
+    sums, m0 = [], 0
+    for r, run in groupby(reach):
+        k = len(list(run))
+        # one operator alone keeps a 2-d product, whose sum is quicker
+        q_rows, shape = ((m0, (size[m0],)) if k == 1 else
+                         (slice(m0, m0 + k), (k, size[m0])))
+        sums.append((r, q_rows, slice(lo[m0], lo[m0 + k]), shape))
+        m0 += k
+    step = _Step(het=het, rows=_rows(len(stack)), sums=tuple(sums),
+                 spans=tuple(zip(reach, lo[:-1], lo[1:]))[1:],
+                 ops=_split(ops[stack]),
+                 prop_ops=_split((ops @ expm(-1j * h * s.h_eff))[stack]),
+                 jumps=tuple(_split(j[r])
+                             for j, r in zip(s.lifted_ops, reach[1:])),
                  half_drift=((0.5 * h / per) * s.rates[:, None]).astype(
                      complex if het else float),
                  tables=_tables(het, np.sqrt(h / per * s.rates)))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from trajent import diffusion, ensemble, linalg
-from trajent.config import bundled_scenario_path, load_scenario
+from trajent.config import (bundled_scenario_names, bundled_scenario_path,
+                            load_scenario)
 from trajent.diffusion import (_BLOCK, _bytes, _tables, batch_kernel_qsd,
                                run_ensemble_qsd, run_trajectory_qsd)
 from trajent.ensemble import Substreams, average, run_average
@@ -117,41 +118,99 @@ def _five_channels():
         initial=state_from_amplitudes(0.6, 0.2j, -0.3, 0.7))
 
 
+def _matches_reference_stepper(s):
+    """The batch kernel's states against the loop-form split step with E
+    from scipy's expm, reading the signs from numpy's own words, to 1e-12,
+    for both kinds; and the step's operator stack, kept as real parts."""
+    m_ch = len(s.channels)
+    for kind, stepper, per in (("homodyne", step_homodyne, 1),
+                               ("heterodyne", step_heterodyne, 2)):
+        # every array the step multiplies by is real: no complex GEMM
+        step = batch_kernel_qsd(kind, s, 0.5, 0.005).args[0]
+        assert all(a.dtype == np.float64
+                   for op in (step.ops, step.prop_ops, *step.jumps)
+                   for a in op if a is not None)
+        # jumps[m] is J_m on its reach r_m, rows lo:hi of the stack, and
+        # every row of J_m outside r_m is exactly zero
+        assert len(step.jumps) == m_ch == len(step.spans)
+        for j, (r, lo, hi), (re, im) in zip(s.lifted_ops, step.spans,
+                                            step.jumps):
+            assert np.array_equal(re, j[r].real)
+            assert np.array_equal(step.ops[0][lo:hi], re)
+            assert (im is None) == (not np.any(j[r].imag))
+            assert not np.any(np.delete(j, range(4)[r], axis=0))
+        assert len(step.ops[0]) == 4 + sum(hi - lo for _, lo, hi in step.spans)
+        rec = run_trajectory_qsd(kind, s, 0.5, dt=0.005, seed=71, index=2,
+                                 record_grid=0.05, keep_states=True)
+        signs = step_signs(71, 2, 100, per * m_ch)
+        psi = s.psi0
+        states = [psi]
+        for k in range(100):
+            psi = stepper(psi, s, 0.005, signs[k])
+            states.append(psi)
+        for k in range(11):
+            assert np.allclose(states[10 * k], rec.states[k],
+                               atol=1e-12), (kind, m_ch, k)
+
+
 def test_reference_stepper_matches_batch():
-    # the loop-form split step with E from scipy's expm, reading the signs
-    # from numpy's own words, against the batch kernel's states; a detector
-    # phase gives complex J and a local H0 a complex E, which the kernel
-    # applies as a second real matmul by the imaginary part
+    # a detector phase gives complex J and a local H0 a complex E, which the
+    # kernel applies as a second real matmul by the imaginary part
     pc = preset_photon_counting(1.0, 0.6)
     rotated = with_phase_rotation(pc, 0.3)
     driven = scenario_from_channels(pc.channels,
                                     h0=0.7 * np.kron(SIGMA_Z, ID2))
     for s in (pc, _five_channels(), rotated, driven):
-        m_ch = len(s.channels)
-        for kind, stepper, per in (("homodyne", step_homodyne, 1),
-                                   ("heterodyne", step_heterodyne, 2)):
-            # every array the step multiplies by is real: no complex GEMM
-            step = batch_kernel_qsd(kind, s, 0.5, 0.005).args[0]
-            assert all(a.dtype == np.float64
-                       for op in (step.ops, step.prop_ops, *step.jumps)
-                       for a in op if a is not None)
-            rec = run_trajectory_qsd(kind, s, 0.5, dt=0.005, seed=71,
-                                     index=2, record_grid=0.05,
-                                     keep_states=True)
-            signs = step_signs(71, 2, 100, per * m_ch)
-            psi = s.psi0
-            states = [psi]
-            for k in range(100):
-                psi = stepper(psi, s, 0.005, signs[k])
-                states.append(psi)
-            for k in range(11):
-                assert np.allclose(states[10 * k], rec.states[k],
-                                   atol=1e-12), (kind, m_ch, k)
+        _matches_reference_stepper(s)
     # the imaginary parts are there, so the second matmuls ran
     step = batch_kernel_qsd("homodyne", rotated, 0.5, 0.005).args[0]
     assert step.ops[1] is not None and step.jumps[0][1] is not None
     step = batch_kernel_qsd("homodyne", driven, 0.5, 0.005).args[0]
     assert step.ops[1] is None and step.prop_ops[1] is not None
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenario_matches_reference_stepper(name):
+    # every bundled scenario, each with its own reaches: 1:4 (collective),
+    # 0:4 (dephasing, mixed thermal channels), 2:4 and 1:4:2 (photon
+    # counting), 0:2, 2:4, 0:3:2 and 1:4:2 (thermal_bell)
+    _matches_reference_stepper(load_scenario(bundled_scenario_path(name)))
+
+
+def test_reach_covers_the_nonzero_rows():
+    # a row outside the reach is exactly zero, so the stack may drop it; the
+    # reach is the progression of the nonzero rows, or the range covering
+    # them, so a row inside it that is not nonzero is a zero of the cover
+    irregular = np.zeros((4, 4), dtype=complex)
+    irregular[[0, 1, 3], [2, 0, 1]] = 1.0, 0.5j, -2.0
+    cases = [(lift("A", SIGMA_MINUS), [2, 3]),
+             (lift("B", SIGMA_MINUS), [1, 3]),
+             (lift("A", SIGMA_Z), [0, 1, 2, 3]),
+             (lift("A", SIGMA_MINUS) + lift("B", SIGMA_MINUS), [1, 2, 3]),
+             (np.zeros((4, 4), dtype=complex), []),
+             (irregular, [0, 1, 2, 3])]
+    for op, want in cases:
+        rows = range(4)[diffusion._reach(op)]
+        assert list(rows) == want
+        nonzero = set(np.flatnonzero(np.any(op != 0, axis=1)))
+        assert nonzero <= set(rows)
+        assert not np.any(op[sorted(set(rows) - nonzero)])
+        assert not np.any(np.delete(op, rows, axis=0))
+    # thermal_bell's four local channels stack 12 rows, not 20
+    s = load_scenario(bundled_scenario_path("thermal_bell"))
+    step = batch_kernel_qsd("heterodyne", s, 0.5, 0.005).args[0]
+    assert step.ops[0].shape == step.prop_ops[0].shape == (12, 4)
+    # zero operators, two in a run, add no rows and leave <J> = 0; an
+    # irregular operator steps on its covering range
+    zero = np.zeros((4, 4), dtype=complex)
+    s = scenario_from_channels(
+        [JumpChannel("minus-A", lift("A", SIGMA_MINUS), 1.0),
+         JumpChannel("zero", zero, 0.5), JumpChannel("zero-too", zero, 0.5),
+         JumpChannel("irregular", irregular, 0.3)],
+        initial=state_from_amplitudes(0.6, 0.2j, -0.3, 0.7))
+    _matches_reference_stepper(s)
+    step = batch_kernel_qsd("heterodyne", s, 0.5, 0.005).args[0]
+    assert step.ops[0].shape == (4 + 2 + 0 + 0 + 4, 4)
 
 
 def test_homodyne_decay_rate():
@@ -275,14 +334,16 @@ def test_block_rule_stays_within_the_threading_bound():
     # each row count is the largest of its granularity whose product stays
     # within OpenBLAS's one-thread bound, 262,144 real or 65,535 complex
     # multiply-adds: the QSD blocks B, powers of two, for the real
-    # (4 + 4M, 4) @ (4, 2B); the jump kernel's calls, whole 512-row batches,
-    # for the complex (rows, 4) @ (4, 4); and the grid walk's products,
-    # powers of two, for the complex (h, 16) @ (16, 16)
-    assert [diffusion._rows(m) for m in (1, 4, 8, 16)] == [4096, 1024, 512,
-                                                           256]
+    # (H, 4) @ (4, 2B) by an H-row stack; the jump kernel's calls, whole
+    # 512-row batches, for the complex (rows, 4) @ (4, 4); and the grid
+    # walk's products, powers of two, for the complex (h, 16) @ (16, 16).
+    # Full stacks of M = 1, 4, 8 and 16 channels have H = 4 + 4M rows;
+    # photon_counting's stack has 8 and thermal_bell's 12
+    assert [diffusion._rows(h) for h in (8, 12, 20, 36, 68)] == [
+        4096, 2048, 1024, 512, 256]
     assert (ensemble._CALL_ROWS, linalg._WALK_ROWS) == (3584, 128)
-    doubling = [(diffusion._rows(m), (4 + 4 * m) * 4 * 2, 262_144)
-                for m in range(1, 17)] + [(linalg._WALK_ROWS, 256, 65_535)]
+    doubling = [(diffusion._rows(h), h * 4 * 2, 262_144)
+                for h in range(4, 69)] + [(linalg._WALK_ROWS, 256, 65_535)]
     for rows, per_row, bound in doubling:
         assert rows & (rows - 1) == 0
         assert rows * per_row <= bound < 2 * rows * per_row
@@ -293,12 +354,16 @@ def test_block_rule_stays_within_the_threading_bound():
 
 @pytest.mark.parametrize("name", ["photon_counting", "thermal_bell"])
 def test_kernel_steps_rows_in_blocks_by_the_rule(monkeypatch, name):
-    # M = 2 and M = 4 give blocks of 2048 and 1024 rows: a call of two
-    # blocks and 76 rows is stepped in those three parts, so it equals
+    # stacks of 8 and 12 rows give blocks of 4096 and 2048 rows: a call of
+    # two blocks and 76 rows is stepped in those three parts, so it equals
     # three calls of those sizes bit for bit
     s = load_scenario(bundled_scenario_path(name))
-    rows = diffusion._rows(len(s.channels))
-    assert rows == {2: 2048, 4: 1024}[len(s.channels)]
+    kernel = batch_kernel_qsd("heterodyne", s, 0.2, dt=0.005,
+                              record_grid=0.05, keep_states=True)
+    height, rows = len(kernel.args[0].ops[0]), kernel.args[0].rows
+    assert (height, rows) == {"photon_counting": (8, 4096),
+                              "thermal_bell": (12, 2048)}[name]
+    assert rows == diffusion._rows(height)
     blocks = []
 
     def step_rows(*args):
@@ -307,8 +372,6 @@ def test_kernel_steps_rows_in_blocks_by_the_rule(monkeypatch, name):
 
     step = diffusion._step_rows
     monkeypatch.setattr(diffusion, "_step_rows", step_rows)
-    kernel = batch_kernel_qsd("heterodyne", s, 0.2, dt=0.005,
-                              record_grid=0.05, keep_states=True)
     n = 2 * rows + 76
     times, conc, states, clicks = kernel(23, range(n))
     assert blocks == [rows, rows, 76]
